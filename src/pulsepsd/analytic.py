@@ -47,7 +47,7 @@ CLAMP_BUDGET = 1e-3
 
 @dataclass(frozen=True, eq=False)
 class FrequencyGrid:
-    """Strictly increasing positive frequencies in cycles/sample."""
+    """Strictly increasing, finite, positive frequencies in cycles/sample."""
 
     values: np.ndarray
 
@@ -55,6 +55,8 @@ class FrequencyGrid:
         v = np.asarray(self.values, dtype=np.float64)
         if v.ndim != 1 or len(v) == 0:
             raise ValueError("frequency grid must be a non-empty 1-D array")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("frequency grid values must be finite")
         if v[0] <= 0.0:
             raise ValueError(f"frequency grid must start above 0, got {v[0]!r}")
         if np.any(np.diff(v) <= 0.0):

@@ -2,10 +2,11 @@
 
 Every command is pure with respect to its flags and seed; rerunning
 writes byte-identical data files. Each run also writes a manifest JSON
-recording the resolved parameters, the produced files, and the wall
-clock, which is enough to reproduce the run. Output frequencies are
-normalized to f0 = 1/t0 unless --hz is given. A flat key = value config
-file can stand in for any flag; explicit flags win.
+recording the flags, the produced files, and the wall clock, which is
+enough to reproduce the run; simulate and compare add the estimator
+config they resolved and the worker count they used. Output frequencies
+are normalized to f0 = 1/t0 unless --hz is given. A flat key = value
+config file can stand in for any flag; explicit flags win.
 
 Exit codes: 0 success, 1 usage or validation error, 2 numerical
 detection failure.
@@ -230,7 +231,15 @@ def _sim_config(args, params: TrainParams) -> SimConfig:
         raise CliUsageError(str(err)) from None
 
 
-def _manifest(args, command: str, outputs: list[Path], started: float) -> None:
+def _sim_record(simulated: SpectrumGrid) -> dict:
+    """The estimator config estimate_psd resolved, and the workers it used."""
+    keys = ("fft_size", "n_symbols", "n_realizations", "seed", "seed_scheme", "workers")
+    return {key: simulated.meta[key] for key in keys}
+
+
+def _manifest(
+    args, command: str, outputs: list[Path], sim: dict | None, started: float
+) -> None:
     params = {}
     for key, value in vars(args).items():
         if key in ("func", "config"):
@@ -247,6 +256,8 @@ def _manifest(args, command: str, outputs: list[Path], started: float) -> None:
         "outputs": [p.name for p in outputs],
         "duration_s": round(time.perf_counter() - started, 6),
     }
+    if sim is not None:
+        payload["sim"] = sim
     write_json(args.out_dir / f"{command.replace('-', '_')}_manifest.json", payload)
 
 
@@ -256,7 +267,7 @@ def _svg_of_spectrum(path: Path, spectrum: SpectrumGrid, t0: float, hz: bool, ti
               "frequency (cycles/sample)" if hz else "f / f0", "PSD (dB)")
 
 
-def cmd_analytic(args) -> list[Path]:
+def cmd_analytic(args) -> tuple[list[Path], dict | None]:
     args.out_dir.mkdir(parents=True, exist_ok=True)
     outputs: list[Path] = []
     t0 = float(args.t0)
@@ -301,10 +312,10 @@ def cmd_analytic(args) -> list[Path]:
         svg_path = args.out_dir / "analytic_spectrum.svg"
         _svg_of_spectrum(svg_path, spectrum, t0, args.hz, f"analytic {args.model} PSD")
         outputs.append(svg_path)
-    return outputs
+    return outputs, None
 
 
-def cmd_simulate(args) -> list[Path]:
+def cmd_simulate(args) -> tuple[list[Path], dict | None]:
     args.out_dir.mkdir(parents=True, exist_ok=True)
     params = _train_params(args)
     config = _sim_config(args, params)
@@ -321,7 +332,7 @@ def cmd_simulate(args) -> list[Path]:
         _svg_of_spectrum(svg_path, spectrum, float(params.t0), args.hz,
                          f"simulated {args.model} PSD")
         outputs.append(svg_path)
-    return outputs
+    return outputs, _sim_record(spectrum)
 
 
 def analytic_on_fft_grid(params: TrainParams, fft_size: int, k_max: int | None = None) -> SpectrumGrid:
@@ -392,7 +403,7 @@ def compare_on_common_bins(
     return rows, stats
 
 
-def cmd_compare(args) -> list[Path]:
+def cmd_compare(args) -> tuple[list[Path], dict | None]:
     args.out_dir.mkdir(parents=True, exist_ok=True)
     params = _train_params(args)
     config = _sim_config(args, params)
@@ -422,10 +433,10 @@ def cmd_compare(args) -> list[Path]:
         f"over f/f0 in ({band[0]}, {band[1]}), {stats['bins_used']} bins"
         + ("; " + stats["note"] if "note" in stats else "")
     )
-    return outputs
+    return outputs, _sim_record(simulated)
 
 
-def cmd_peaks_sweep(args) -> list[Path]:
+def cmd_peaks_sweep(args) -> tuple[list[Path], dict | None]:
     args.out_dir.mkdir(parents=True, exist_ok=True)
     deltas = _parse_deltas(args.deltas)
     window = _parse_pair(args.window, "--window")
@@ -505,7 +516,7 @@ def cmd_peaks_sweep(args) -> list[Path]:
         write_svg(svg_path, [d for d, _ in results], centers,
                   "clock-peak center vs delta", "delta (samples)", "center f / f0")
         outputs.append(svg_path)
-    return outputs
+    return outputs, None
 
 
 def _nonincreasing(seq: list[float]) -> dict:
@@ -575,8 +586,8 @@ def main(argv: list[str] | None = None) -> int:
         argv = _expand_config(argv)
         parser = build_parser()
         args = parser.parse_args(argv)
-        outputs = args.func(args)
-        _manifest(args, args.command, outputs, started)
+        outputs, sim = args.func(args)
+        _manifest(args, args.command, outputs, sim, started)
     except CliUsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

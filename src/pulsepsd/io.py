@@ -8,6 +8,7 @@ identical data always produces identical bytes.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -29,6 +30,7 @@ __all__ = [
 
 DB_FLOOR = -300.0
 _DB_FLOOR_LINEAR = 1e-30
+_CHUNK_ROWS = 8192
 
 SPECTRUM_COLUMNS = ["f_normalized", "psd_linear", "psd_db", "kind"]
 COMPARE_COLUMNS = ["f_normalized", "analytic_db", "simulated_db", "diff_db"]
@@ -48,9 +50,30 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _open_writer(path: Path):
-    fh = open(path, "w", newline="")
-    return fh, csv.writer(fh, lineterminator="\n")
+def _write_columns(
+    path: Path, header: Sequence[str], columns: Sequence[np.ndarray], text: str | None = None
+) -> None:
+    """Equal-length float columns as CSV rows, written _CHUNK_ROWS rows at a time.
+
+    Each float is its shortest round-trip ``repr``; ``text``, when given,
+    fills one more column with the same string on every row. The bytes
+    equal those of a ``csv.writer`` fed the same fields row by row.
+    """
+    cols = [np.asarray(c, dtype=np.float64) for c in columns]
+    end = "\n"
+    if text is not None:  # quote it once, the way csv.writer would in a later column
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow(["", text])
+        end = buf.getvalue()
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(cols[0]), _CHUNK_ROWS):
+            fields = [map(repr, c[start : start + _CHUNK_ROWS].tolist()) for c in cols]
+            fh.write(end.join(map(",".join, zip(*fields))) + end)
+
+
+def _row_columns(rows: Iterable[Sequence[float]], width: int) -> np.ndarray:
+    return np.asarray(list(rows), dtype=np.float64).reshape(-1, width).T
 
 
 def write_spectrum_csv(path: Path, spectrum: SpectrumGrid, t0: float, hz: bool = False) -> None:
@@ -61,39 +84,21 @@ def write_spectrum_csv(path: Path, spectrum: SpectrumGrid, t0: float, hz: bool =
     """
     kind = spectrum.meta.get("kind", "continuous")
     f = spectrum.freqs if hz else spectrum.freqs * t0
-    db = db10(spectrum.psd)
-    fh, w = _open_writer(path)
-    with fh:
-        w.writerow(SPECTRUM_COLUMNS)
-        for i in range(len(f)):
-            w.writerow([_fmt(f[i]), _fmt(spectrum.psd[i]), _fmt(db[i]), kind])
+    _write_columns(path, SPECTRUM_COLUMNS, [f, spectrum.psd, db10(spectrum.psd)], kind)
 
 
 def write_lines_csv(path: Path, lines: DiscreteLineSet, t0: float, hz: bool = False) -> None:
     """Discrete lines in the spectrum schema with kind = line."""
     f = lines.freq if hz else lines.freq * t0
-    db = db10(lines.power)
-    fh, w = _open_writer(path)
-    with fh:
-        w.writerow(SPECTRUM_COLUMNS)
-        for i in range(len(f)):
-            w.writerow([_fmt(f[i]), _fmt(lines.power[i]), _fmt(db[i]), "line"])
+    _write_columns(path, SPECTRUM_COLUMNS, [f, lines.power, db10(lines.power)], "line")
 
 
 def write_compare_csv(path: Path, rows: Iterable[tuple[float, float, float, float]]) -> None:
-    fh, w = _open_writer(path)
-    with fh:
-        w.writerow(COMPARE_COLUMNS)
-        for row in rows:
-            w.writerow([_fmt(v) for v in row])
+    _write_columns(path, COMPARE_COLUMNS, _row_columns(rows, len(COMPARE_COLUMNS)))
 
 
 def write_sweep_csv(path: Path, rows: Iterable[tuple[float, float, float, float]]) -> None:
-    fh, w = _open_writer(path)
-    with fh:
-        w.writerow(SWEEP_COLUMNS)
-        for row in rows:
-            w.writerow([_fmt(v) for v in row])
+    _write_columns(path, SWEEP_COLUMNS, _row_columns(rows, len(SWEEP_COLUMNS)))
 
 
 def write_json(path: Path, payload: dict) -> None:

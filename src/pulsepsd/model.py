@@ -173,16 +173,7 @@ def synth_blank_shorten(bits: BitStream, params: TrainParams) -> np.ndarray:
     if params.variant is not Variant.BLANK_SHORTEN:
         raise ValueError(f"params.variant must be BLANK_SHORTEN, got {params.variant}")
     b = bits.bits.astype(bool)
-    t0, delta = params.t0, params.delta
-    seg_len = np.where(b, t0, t0 - delta)
-    starts = np.concatenate(([0], np.cumsum(seg_len)[:-1]))
-    total = int(seg_len.sum())
-    # difference-array trick: +1 at each pulse start, -1 after t0 samples
-    edges = np.zeros(total + 1, dtype=np.int64)
-    one_starts = starts[b]
-    np.add.at(edges, one_starts, 1)
-    np.add.at(edges, one_starts + t0, -1)
-    return np.cumsum(edges[:total]).astype(np.float64)
+    return np.repeat(b.astype(np.float64), np.where(b, params.t0, params.t0 - params.delta))
 
 
 def interval_stats(params: TrainParams) -> IntervalStats:

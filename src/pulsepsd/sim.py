@@ -1,10 +1,15 @@
 """Seeded Monte Carlo spectrum estimation by averaged periodograms.
 
 Each realization is synthesized from its own deterministic seed, the
-sample mean is removed, and the magnitude-squared FFT normalized by the
-pre-padding signal length L is accumulated:
+sample mean is removed, and the magnitude-squared one-sided real FFT
+(``numpy.fft.rfft``) normalized by the pre-padding signal length L is
+accumulated over bins k = 0 .. fft_size/2:
 
     estimate(f_k) = mean over realizations of |X_k / L|^2
+
+A real signal's transform is conjugate-symmetric, so the upper half of a
+full complex FFT carries no extra information; only
+:func:`periodogram_bins` rebuilds it, by mirroring.
 
 Realization i of a run with seed s draws its bits from
 ``numpy.random.SeedSequence((s, i))``. That scheme is part of the public
@@ -74,13 +79,14 @@ class SimConfig:
             )
 
 
-def periodogram_bins(signal: np.ndarray, fft_size: int, allow_truncate: bool = False) -> np.ndarray:
-    """Two-sided periodogram values |X_k / L|^2 for k = 0 .. fft_size-1.
+def _half_bins(x: np.ndarray, fft_size: int) -> np.ndarray:
+    """One-sided periodogram |X_k / L|^2 for k = 0 .. fft_size/2 of a float64 signal."""
+    spec = np.fft.rfft(x - x.mean(), n=fft_size)
+    spec /= len(x)
+    return spec.real**2 + spec.imag**2
 
-    The mean is removed before transforming, L is the signal length
-    before zero padding. Signals longer than fft_size are an error unless
-    ``allow_truncate`` is set.
-    """
+
+def _checked_signal(signal: np.ndarray, fft_size: int, allow_truncate: bool) -> np.ndarray:
     x = np.asarray(signal, dtype=np.float64)
     if x.ndim != 1 or len(x) == 0:
         raise ValueError("signal must be a non-empty 1-D array")
@@ -91,18 +97,27 @@ def periodogram_bins(signal: np.ndarray, fft_size: int, allow_truncate: bool = F
                 "pass allow_truncate=True to cut it"
             )
         x = x[:fft_size]
-    length = len(x)
-    x = x - x.mean()
-    spec = np.abs(np.fft.fft(x, n=fft_size) / length) ** 2
-    return spec
+    return x
+
+
+def periodogram_bins(signal: np.ndarray, fft_size: int, allow_truncate: bool = False) -> np.ndarray:
+    """Two-sided periodogram values |X_k / L|^2 for k = 0 .. fft_size-1.
+
+    The mean is removed before transforming, L is the signal length
+    before zero padding. Signals longer than fft_size are an error unless
+    ``allow_truncate`` is set. Bins above fft_size/2 mirror the one-sided
+    values, since the transform of a real signal is conjugate-symmetric.
+    """
+    half = _half_bins(_checked_signal(signal, fft_size, allow_truncate), fft_size)
+    # bin fft_size - k mirrors bin k; for even sizes bin fft_size/2 is its own mirror
+    return np.concatenate((half, half[fft_size - len(half) : 0 : -1]))
 
 
 def periodogram(signal: np.ndarray, fft_size: int, allow_truncate: bool = False) -> SpectrumGrid:
     """One-sided single-realization periodogram on bins k/fft_size, k = 1 .. fft_size/2."""
-    spec = periodogram_bins(signal, fft_size, allow_truncate)
-    half = fft_size // 2
+    spec = _half_bins(_checked_signal(signal, fft_size, allow_truncate), fft_size)
     meta = {"kind": "simulated", "fft_size": fft_size, "n_realizations": 1}
-    return SpectrumGrid(grid=FrequencyGrid.fft_bins(fft_size), psd=spec[1 : half + 1], meta=meta)
+    return SpectrumGrid(grid=FrequencyGrid.fft_bins(fft_size), psd=spec[1:], meta=meta)
 
 
 def synthesize_realization(config: SimConfig, index: int) -> np.ndarray:
@@ -120,9 +135,9 @@ def synthesize_realization(config: SimConfig, index: int) -> np.ndarray:
 
 
 def _block_sum(config: SimConfig, start: int, stop: int) -> np.ndarray:
-    acc = np.zeros(config.fft_size)
+    acc = np.zeros(config.fft_size // 2 + 1)
     for i in range(start, stop):
-        acc += periodogram_bins(synthesize_realization(config, i), config.fft_size)
+        acc += _half_bins(synthesize_realization(config, i), config.fft_size)
     return acc
 
 
@@ -144,7 +159,9 @@ def estimate_psd(config: SimConfig, workers: int | None = None) -> SpectrumGrid:
     Returns the one-sided estimate on bins k/fft_size, k = 1 .. fft_size/2.
     Blocks of 32 realizations are evaluated (possibly in parallel) and
     their partial sums added in index order, so the result is
-    bit-identical for any worker count.
+    bit-identical for any worker count. ``meta["workers"]`` records how
+    many workers actually ran: the request, capped by PULSEPSD_THREADS
+    and by the block count.
     """
     blocks = [
         (start, min(start + _BLOCK, config.n_realizations))
@@ -156,11 +173,10 @@ def estimate_psd(config: SimConfig, workers: int | None = None) -> SpectrumGrid:
     else:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
             partials = list(pool.map(lambda ab: _block_sum(config, *ab), blocks))
-    total = np.zeros(config.fft_size)
+    total = np.zeros(config.fft_size // 2 + 1)
     for part in partials:
         total += part
     mean = total / config.n_realizations
-    half = config.fft_size // 2
     params = config.params
     meta = {
         "kind": "simulated",
@@ -173,7 +189,6 @@ def estimate_psd(config: SimConfig, workers: int | None = None) -> SpectrumGrid:
         "fft_size": config.fft_size,
         "seed": config.seed,
         "seed_scheme": "SeedSequence((seed, realization_index))",
+        "workers": n_workers,
     }
-    return SpectrumGrid(
-        grid=FrequencyGrid.fft_bins(config.fft_size), psd=mean[1 : half + 1], meta=meta
-    )
+    return SpectrumGrid(grid=FrequencyGrid.fft_bins(config.fft_size), psd=mean[1:], meta=meta)

@@ -42,6 +42,15 @@ def test_grid_rejects_non_increasing_values():
         FrequencyGrid(np.array([0.2, 0.1]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_grid_rejects_non_finite_values(bad):
+    # NaN compares False both ways, so the order checks alone let it through
+    with pytest.raises(ValueError, match="finite"):
+        FrequencyGrid(np.array([0.1, bad, 0.3]))
+    with pytest.raises(ValueError, match="finite"):
+        FrequencyGrid(np.array([0.1, 0.2, bad]))
+
+
 def test_offset_linspace_straddles_the_span():
     g = FrequencyGrid.offset_linspace(2.0, 1000)
     step = 2.0 / 1000

@@ -137,6 +137,32 @@ def test_simulate_writes_manifest_and_optional_signal_dump(tmp_path):
     assert "first.txt" in manifest["outputs"]
 
 
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_manifest_records_the_resolved_config_and_workers_used(tmp_path, monkeypatch, command):
+    # --symbols alone leaves the raw --fft flag null; the manifest must
+    # still say which FFT size, seed scheme and worker count were used
+    monkeypatch.setenv("PULSEPSD_THREADS", "2")
+    out = tmp_path / command
+    code = main(
+        [
+            command, "--model", "transition", "--t0", "16", "--delta", "2",
+            "--p", "0.55", "--symbols", "100", "--realizations", "70", "--seed", "5",
+            "--workers", "3", "--out-dir", str(out),
+        ]
+    )
+    assert code == 0
+    manifest = _load(out / f"{command}_manifest.json")
+    assert manifest["params"]["fft"] is None
+    assert manifest["sim"] == {
+        "fft_size": 2048,
+        "n_symbols": 100,
+        "n_realizations": 70,
+        "seed": 5,
+        "seed_scheme": "SeedSequence((seed, realization_index))",
+        "workers": 2,
+    }
+
+
 # --- compare subcommand ---
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from pulsepsd import DiscreteLineSet, FrequencyGrid, SpectrumGrid
 from pulsepsd.io import (
+    _CHUNK_ROWS,
     db10,
     write_compare_csv,
     write_json,
@@ -18,6 +19,11 @@ from pulsepsd.io import (
     write_svg,
     write_sweep_csv,
 )
+
+
+SPECTRUM = ["f_normalized", "psd_linear", "psd_db", "kind"]
+COMPARE = ["f_normalized", "analytic_db", "simulated_db", "diff_db"]
+SWEEP = ["delta", "center_freq_norm", "amplitude_linear", "fwhm_norm"]
 
 
 def _spectrum() -> SpectrumGrid:
@@ -120,3 +126,49 @@ def test_writers_are_byte_deterministic(tmp_path):
     write_spectrum_csv(p1, _spectrum(), t0=64.0)
     write_spectrum_csv(p2, _spectrum(), t0=64.0)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# --- chunked writer against a csv.writer + repr reference ---
+
+
+def _reference_csv(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        for row in rows:
+            w.writerow([v if isinstance(v, str) else repr(float(v)) for v in row])
+
+
+@pytest.mark.parametrize("n_rows", [1, _CHUNK_ROWS, _CHUNK_ROWS + 1])
+def test_chunked_writers_match_csv_writer_bytes(tmp_path, n_rows):
+    rng = np.random.default_rng(n_rows)
+    t0 = 100.0
+    freqs = np.sort(rng.uniform(1e-6, 0.5, n_rows)) + np.arange(n_rows) * 1e-9
+    psd = rng.random(n_rows) * 10.0 ** rng.integers(-40, 3, n_rows)
+    # the -300 dB floor, its edge, and denormals, first and last row included
+    psd[np.linspace(0, n_rows - 1, 4).astype(int)] = [0.0, 1e-30, 1e-310, 5e-324]
+    db = db10(psd)
+    ref, new = tmp_path / "ref.csv", tmp_path / "new.csv"
+    for kind, hz in (("simulated", False), ('odd,"kind"', True)):
+        spectrum = SpectrumGrid(grid=FrequencyGrid(freqs), psd=psd, meta={"kind": kind})
+        f = freqs if hz else freqs * t0
+        _reference_csv(ref, SPECTRUM, [(f[i], psd[i], db[i], kind) for i in range(n_rows)])
+        write_spectrum_csv(new, spectrum, t0, hz=hz)
+        assert new.read_bytes() == ref.read_bytes()
+
+    lines = DiscreteLineSet(k=np.arange(1, n_rows + 1), freq=freqs, power=psd)
+    _reference_csv(ref, SPECTRUM, [(freqs[i] * t0, psd[i], db[i], "line") for i in range(n_rows)])
+    write_lines_csv(new, lines, t0)
+    assert new.read_bytes() == ref.read_bytes()
+
+    rows = [(freqs[i] * t0, db[i], -db[i], psd[i] - db[i]) for i in range(n_rows)]
+    for writer, header in ((write_compare_csv, COMPARE), (write_sweep_csv, SWEEP)):
+        _reference_csv(ref, header, rows)
+        writer(new, rows)
+        assert new.read_bytes() == ref.read_bytes()
+
+
+def test_chunked_writers_with_no_rows_write_the_header_only(tmp_path):
+    path = tmp_path / "empty.csv"
+    write_compare_csv(path, [])
+    assert path.read_text() == ",".join(COMPARE) + "\n"

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pulsepsd import (
@@ -185,6 +185,36 @@ def test_blank_length_law(bits, t0, data):
     assert len(out) == n_ones * t0 + (len(bits) - n_ones) * (t0 - delta)
     assert out.sum() == n_ones * t0
     assert set(np.unique(out)) <= {0.0, 1.0}
+
+
+def _blank_by_difference_array(bits: np.ndarray, t0: int, delta: int) -> np.ndarray:
+    """Reference blank-shorten synthesis: +1 at each pulse start, -1 t0 samples later."""
+    b = bits.astype(bool)
+    seg_len = np.where(b, t0, t0 - delta)
+    starts = np.concatenate(([0], np.cumsum(seg_len)[:-1]))
+    total = int(seg_len.sum())
+    edges = np.zeros(total + 1, dtype=np.int64)
+    one_starts = starts[b]
+    np.add.at(edges, one_starts, 1)
+    np.add.at(edges, one_starts + t0, -1)
+    return np.cumsum(edges[:total]).astype(np.float64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    bits=st.lists(st.integers(0, 1), min_size=1, max_size=200),
+    t0=st.integers(1, 40),
+    delta=st.integers(0, 39),
+)
+@example(bits=[0, 1, 1, 0, 0, 1], t0=5, delta=0)
+@example(bits=[0, 0, 0], t0=3, delta=2)
+def test_blank_run_length_synthesis_equals_difference_array(bits, t0, delta):
+    assume(delta < t0)
+    stream = _stream(bits)
+    out = synth_blank_shorten(stream, _blank(t0=t0, delta=delta))
+    ref = _blank_by_difference_array(stream.bits, t0, delta)
+    assert out.dtype == ref.dtype == np.float64
+    np.testing.assert_array_equal(out, ref)
 
 
 @settings(max_examples=40, deadline=None)

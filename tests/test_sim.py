@@ -12,7 +12,7 @@ from pulsepsd import (
     periodogram_bins,
     synthesize_realization,
 )
-from pulsepsd.sim import resolve_workers
+from pulsepsd.sim import _half_bins, resolve_workers
 
 
 def _transition(t0=64, delta=3, p=0.55) -> TrainParams:
@@ -58,6 +58,20 @@ def test_periodogram_bins_satisfy_parseval():
         assert bins.shape == (nfft,)
         total = bins.sum() * (n / nfft)
         assert total == pytest.approx(np.var(x), rel=1e-12)
+
+
+def test_periodogram_bins_mirror_the_one_sided_kernel_bin_for_bin():
+    rng = np.random.default_rng(10)
+    for n, nfft in ((100, 128), (128, 128), (333, 1024), (50, 63), (7, 8), (3, 3)):
+        x = rng.normal(size=n)
+        half = _half_bins(x, nfft)
+        bins = periodogram_bins(x, nfft)
+        assert half.shape == (nfft // 2 + 1,)
+        assert bins.shape == (nfft,)
+        np.testing.assert_array_equal(bins[: len(half)], half)
+        np.testing.assert_array_equal(bins[1:], bins[:0:-1])  # bin nfft-k equals bin k
+        full = np.abs(np.fft.fft(x - x.mean(), n=nfft) / n) ** 2
+        np.testing.assert_allclose(bins, full, rtol=1e-12, atol=1e-15 * full.max())
 
 
 def test_periodogram_removes_the_mean():
@@ -139,6 +153,7 @@ def test_estimate_meta_documents_the_seed_scheme():
     assert meta["seed_scheme"] == "SeedSequence((seed, realization_index))"
     assert meta["n_realizations"] == 2
     assert meta["kind"] == "simulated"
+    assert estimate_psd(cfg, workers=4).meta["workers"] == 1  # one block, one worker
 
 
 def test_thread_env_caps_requested_workers(monkeypatch):
