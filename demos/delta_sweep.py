@@ -8,13 +8,13 @@ small delta versus a broad smeared one at large delta.
 
 from pathlib import Path
 
-from pulsepsd import Source, TrainParams, Variant, linear_fit, sweep_delta, write_svg
+from pulsepsd import TrainParams, Variant, linear_fit, sweep_delta, write_svg
 
 OUT = Path("demo_out")
 OUT.mkdir(exist_ok=True)
 
 base = TrainParams(Variant.BLANK_SHORTEN, t0=100, delta=1)
-items = sweep_delta(base, tuple(range(1, 11)), Source.ANALYTIC)
+items = sweep_delta(base, tuple(range(1, 11)))
 
 print("delta   center f/f0   peak height   fwhm")
 for delta, rep in items:

@@ -26,7 +26,7 @@ OUT = Path("demo_out")
 OUT.mkdir(exist_ok=True)
 
 bits = gen_bits(12, 0.5, seed=2)
-print(f"bits: {''.join(str(b) for b in bits.bits)}")
+print(f"bits: {''.join(str(b) for b in bits)}")
 
 stretch = TrainParams(Variant.TRANSITION_STRETCH, t0=8, delta=3, prob_one=0.5)
 shorten = TrainParams(Variant.BLANK_SHORTEN, t0=8, delta=3)

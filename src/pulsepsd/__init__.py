@@ -11,113 +11,14 @@ creates.
 
 __version__ = "0.1.0"
 
-from .analytic import (
-    DiscreteLineSet,
-    FrequencyGrid,
-    SpectrumGrid,
-    bin_power,
-    combine,
-    continuous_psd_transition,
-    discrete_lines_transition,
-    psd_blank_shorten,
-    rect_pulse_energy_spectrum,
-)
-from .charfn import (
-    NearSingularError,
-    discrete_component_detector,
-    theta1,
-    theta1_conj,
-    theta2,
-    theta_blank,
-)
-from .io import (
-    db10,
-    write_compare_csv,
-    write_json,
-    write_lines_csv,
-    write_signal_txt,
-    write_spectrum_csv,
-    write_svg,
-    write_sweep_csv,
-)
-from .model import (
-    BitStream,
-    BlankLaw,
-    InsufficientDataError,
-    IntervalStats,
-    TrainParams,
-    Variant,
-    gen_bits,
-    interval_stats,
-    measure_intervals,
-    synth_blank_shorten,
-    synth_transition_stretch,
-)
-from .peaks import (
-    LinearFit,
-    PeakDetectionError,
-    PeakReport,
-    Source,
-    find_clock_peak,
-    linear_fit,
-    normalize_second_lobe,
-    sweep_delta,
-)
-from .sim import (
-    SimConfig,
-    estimate_psd,
-    periodogram,
-    periodogram_bins,
-    synthesize_realization,
-)
+from . import analytic, charfn, io, model, peaks, sim
+from .analytic import *  # noqa: F401,F403
+from .charfn import *  # noqa: F401,F403
+from .io import *  # noqa: F401,F403
+from .model import *  # noqa: F401,F403
+from .peaks import *  # noqa: F401,F403
+from .sim import *  # noqa: F401,F403
 
-__all__ = [
-    "__version__",
-    "Variant",
-    "BlankLaw",
-    "TrainParams",
-    "BitStream",
-    "IntervalStats",
-    "InsufficientDataError",
-    "gen_bits",
-    "synth_transition_stretch",
-    "synth_blank_shorten",
-    "interval_stats",
-    "measure_intervals",
-    "NearSingularError",
-    "theta1",
-    "theta1_conj",
-    "theta2",
-    "theta_blank",
-    "discrete_component_detector",
-    "FrequencyGrid",
-    "SpectrumGrid",
-    "DiscreteLineSet",
-    "continuous_psd_transition",
-    "discrete_lines_transition",
-    "rect_pulse_energy_spectrum",
-    "psd_blank_shorten",
-    "bin_power",
-    "combine",
-    "SimConfig",
-    "periodogram",
-    "periodogram_bins",
-    "estimate_psd",
-    "synthesize_realization",
-    "Source",
-    "PeakReport",
-    "PeakDetectionError",
-    "LinearFit",
-    "find_clock_peak",
-    "normalize_second_lobe",
-    "sweep_delta",
-    "linear_fit",
-    "db10",
-    "write_spectrum_csv",
-    "write_lines_csv",
-    "write_compare_csv",
-    "write_sweep_csv",
-    "write_json",
-    "write_signal_txt",
-    "write_svg",
+__all__ = ["__version__"] + [
+    name for module in (model, charfn, analytic, sim, peaks, io) for name in module.__all__
 ]

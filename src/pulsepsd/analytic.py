@@ -33,7 +33,6 @@ __all__ = [
     "DiscreteLineSet",
     "continuous_psd_transition",
     "discrete_lines_transition",
-    "rect_pulse_energy_spectrum",
     "psd_blank_shorten",
     "bin_power",
     "combine",
@@ -217,20 +216,6 @@ def discrete_lines_transition(k_max: int, params: TrainParams) -> DiscreteLineSe
     return DiscreteLineSet(k=k, freq=k / float(params.t0), power=power)
 
 
-def rect_pulse_energy_spectrum(omega, width: float):
-    """|F(w)|^2 of a unit rectangular pulse of the given width.
-
-    Equals (2 sin(w width / 2) / w)^2, with the w = 0 removable limit
-    width^2 returned explicitly.
-    """
-    if width <= 0:
-        raise ValueError(f"width must be positive, got {width!r}")
-    w = np.asarray(omega, dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(w == 0.0, float(width) ** 2, (2.0 * np.sin(w * width / 2.0) / w) ** 2)
-    return float(out) if np.isscalar(omega) else out
-
-
 def psd_blank_shorten(
     grid: FrequencyGrid,
     t0: float,
@@ -240,6 +225,8 @@ def psd_blank_shorten(
 ) -> SpectrumGrid:
     """Blank-shorten PSD: k_scale * |F|^2 * Re[(1 + theta)/(1 - theta)].
 
+    |F(w)|^2 = (2 sin(w t0 / 2) / w)^2 is the energy spectrum of the unit
+    rectangular pulse of width t0; the grid starts above 0, so w > 0.
     Grid points where |1 - theta| < 1e-9 (exactly the clock harmonics
     whose shortening cancels a whole number of slots) are dropped and
     reported in ``meta["dropped_freqs"]``.
@@ -253,7 +240,8 @@ def psd_blank_shorten(
     drop = np.abs(one_minus) < SINGULAR_TOL
     keep = ~drop
     phi = np.real((1.0 + theta[keep]) / one_minus[keep])
-    values = k_scale * rect_pulse_energy_spectrum(w[keep], t0) * phi
+    wk = w[keep]
+    values = k_scale * (2.0 * np.sin(wk * t0 / 2.0) / wk) ** 2 * phi
     values, n_clamped = _clamp_noise(values, int(keep.sum()))
     meta = {
         "kind": "continuous",

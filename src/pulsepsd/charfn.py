@@ -22,7 +22,6 @@ from .model import BlankLaw, TrainParams, Variant
 __all__ = [
     "NearSingularError",
     "theta1",
-    "theta1_conj",
     "theta2",
     "theta_blank",
     "discrete_component_detector",
@@ -62,11 +61,6 @@ def theta1(omega, params: TrainParams):
     _check_denominator(den, w, "theta1")
     out = q * np.exp(1j * w * d) * z / den
     return complex(out) if np.isscalar(omega) else out
-
-
-def theta1_conj(omega, params: TrainParams):
-    """Complex conjugate of :func:`theta1` at the same omega."""
-    return np.conjugate(theta1(omega, params))
 
 
 def theta2(omega, params: TrainParams):

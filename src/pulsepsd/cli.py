@@ -4,9 +4,11 @@ Every command is pure with respect to its flags and seed; rerunning
 writes byte-identical data files. Each run also writes a manifest JSON
 recording the flags, the produced files, and the wall clock, which is
 enough to reproduce the run; simulate and compare add the estimator
-config they resolved and the worker count they used. Output frequencies
-are normalized to f0 = 1/t0 unless --hz is given. A flat key = value
-config file can stand in for any flag; explicit flags win.
+config they resolved and the worker count they used, analytic and
+compare the frequencies the closed form dropped and the points it
+clamped. Output frequencies are normalized to f0 = 1/t0 unless --hz is
+given. A flat key = value config file can stand in for any flag;
+explicit flags win.
 
 Exit codes: 0 success, 1 usage or validation error, 2 numerical
 detection failure.
@@ -15,7 +17,6 @@ detection failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 import time
 from pathlib import Path
@@ -46,7 +47,6 @@ from .io import (
 from .model import BlankLaw, TrainParams, Variant
 from .peaks import (
     PeakDetectionError,
-    Source,
     find_clock_peak,
     linear_fit,
     normalize_second_lobe,
@@ -198,14 +198,15 @@ def _blank_law(args) -> BlankLaw:
     return BlankLaw.PAPER_K_DELTA if args.law == "paper" else BlankLaw.GENERATOR_K_MINUS_ONE_DELTA
 
 
-def _train_params(args) -> TrainParams:
-    if float(args.delta) != int(args.delta):
-        raise CliUsageError(f"--delta must be an integer sample count here, got {args.delta!r}")
+def _train_params(args, variant: Variant, delta: float) -> TrainParams:
+    """Validated model parameters from the shared flags, at the given delta."""
+    if not float(delta).is_integer():
+        raise CliUsageError(f"--delta must be an integer sample count here, got {delta!r}")
     try:
         return TrainParams(
-            variant=_variant(args),
+            variant=variant,
             t0=args.t0,
-            delta=int(args.delta),
+            delta=int(delta),
             prob_one=args.prob_one,
             blank_law=_blank_law(args),
             allow_biased=args.allow_biased,
@@ -237,9 +238,12 @@ def _sim_record(simulated: SpectrumGrid) -> dict:
     return {key: simulated.meta[key] for key in keys}
 
 
-def _manifest(
-    args, command: str, outputs: list[Path], sim: dict | None, started: float
-) -> None:
+def _diagnostics(spectrum: SpectrumGrid) -> dict:
+    """What the closed-form evaluation dropped or clamped, from its meta."""
+    return {key: spectrum.meta[key] for key in ("dropped_freqs", "clamped_points")}
+
+
+def _manifest(args, command: str, outputs: list[Path], extra: dict, started: float) -> None:
     params = {}
     for key, value in vars(args).items():
         if key in ("func", "config"):
@@ -255,9 +259,8 @@ def _manifest(
         "params": params,
         "outputs": [p.name for p in outputs],
         "duration_s": round(time.perf_counter() - started, 6),
+        **extra,
     }
-    if sim is not None:
-        payload["sim"] = sim
     write_json(args.out_dir / f"{command.replace('-', '_')}_manifest.json", payload)
 
 
@@ -267,12 +270,14 @@ def _svg_of_spectrum(path: Path, spectrum: SpectrumGrid, t0: float, hz: bool, ti
               "frequency (cycles/sample)" if hz else "f / f0", "PSD (dB)")
 
 
-def cmd_analytic(args) -> tuple[list[Path], dict | None]:
+def cmd_analytic(args) -> tuple[list[Path], dict]:
     args.out_dir.mkdir(parents=True, exist_ok=True)
     outputs: list[Path] = []
     t0 = float(args.t0)
     if _variant(args) is Variant.TRANSITION_STRETCH:
-        params = _train_params(args)
+        if args.k_scale is not None:
+            raise CliUsageError("--k-scale applies to --model blank only")
+        params = _train_params(args, Variant.TRANSITION_STRETCH, args.delta)
         fmax_norm = args.fmax_norm if args.fmax_norm is not None else 10.0
         points = args.points if args.points is not None else 4096
         grid = FrequencyGrid.offset_linspace(fmax_norm / t0, points)
@@ -286,12 +291,12 @@ def cmd_analytic(args) -> tuple[list[Path], dict | None]:
         write_lines_csv(lines_path, lines, t0, hz=args.hz)
         outputs += [spectrum_path, lines_path]
     else:
-        if not 0 <= args.delta < args.t0:
-            raise CliUsageError(
-                f"--delta must satisfy 0 <= delta < t0, got delta={args.delta}, t0={args.t0}"
-            )
-        if args.prob_one != 0.5 and not args.allow_biased:
-            raise CliUsageError("the blank model assumes --p 0.5; pass --allow-biased to override")
+        if args.k_max is not None:
+            raise CliUsageError("--k-max applies to --model transition only")
+        if args.scale != 1.0:
+            raise CliUsageError("--scale applies to --model transition only")
+        # checks t0 and --p; theta_blank range-checks the possibly fractional delta
+        _train_params(args, Variant.BLANK_SHORTEN, 0)
         fmax_norm = args.fmax_norm if args.fmax_norm is not None else 3.0
         points = args.points if args.points is not None else 20001
         if args.k_scale is None and fmax_norm < 2.0:
@@ -312,12 +317,12 @@ def cmd_analytic(args) -> tuple[list[Path], dict | None]:
         svg_path = args.out_dir / "analytic_spectrum.svg"
         _svg_of_spectrum(svg_path, spectrum, t0, args.hz, f"analytic {args.model} PSD")
         outputs.append(svg_path)
-    return outputs, None
+    return outputs, {"diagnostics": _diagnostics(spectrum)}
 
 
-def cmd_simulate(args) -> tuple[list[Path], dict | None]:
+def cmd_simulate(args) -> tuple[list[Path], dict]:
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    params = _train_params(args)
+    params = _train_params(args, _variant(args), args.delta)
     config = _sim_config(args, params)
     spectrum = estimate_psd(config, workers=args.workers)
     outputs = []
@@ -332,7 +337,7 @@ def cmd_simulate(args) -> tuple[list[Path], dict | None]:
         _svg_of_spectrum(svg_path, spectrum, float(params.t0), args.hz,
                          f"simulated {args.model} PSD")
         outputs.append(svg_path)
-    return outputs, _sim_record(spectrum)
+    return outputs, {"sim": _sim_record(spectrum)}
 
 
 def analytic_on_fft_grid(params: TrainParams, fft_size: int, k_max: int | None = None) -> SpectrumGrid:
@@ -403,9 +408,9 @@ def compare_on_common_bins(
     return rows, stats
 
 
-def cmd_compare(args) -> tuple[list[Path], dict | None]:
+def cmd_compare(args) -> tuple[list[Path], dict]:
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    params = _train_params(args)
+    params = _train_params(args, _variant(args), args.delta)
     config = _sim_config(args, params)
     simulated = estimate_psd(config, workers=args.workers)
     analytic_spec = analytic_on_fft_grid(params, config.fft_size, args.k_max)
@@ -433,33 +438,19 @@ def cmd_compare(args) -> tuple[list[Path], dict | None]:
         f"over f/f0 in ({band[0]}, {band[1]}), {stats['bins_used']} bins"
         + ("; " + stats["note"] if "note" in stats else "")
     )
-    return outputs, _sim_record(simulated)
+    return outputs, {"sim": _sim_record(simulated), "diagnostics": _diagnostics(analytic_spec)}
 
 
-def cmd_peaks_sweep(args) -> tuple[list[Path], dict | None]:
+def cmd_peaks_sweep(args) -> tuple[list[Path], dict]:
     args.out_dir.mkdir(parents=True, exist_ok=True)
     deltas = _parse_deltas(args.deltas)
     window = _parse_pair(args.window, "--window")
     lobe_window = _parse_pair(args.lobe_window, "--lobe-window")
-    source = Source.ANALYTIC if args.source == "analytic" else Source.SIMULATED
-    try:
-        base = TrainParams(
-            variant=Variant.BLANK_SHORTEN,
-            t0=args.t0,
-            delta=0,
-            prob_one=args.prob_one,
-            blank_law=_blank_law(args),
-            allow_biased=args.allow_biased,
-        )
-    except ValueError as err:
-        raise CliUsageError(str(err)) from None
-    sim_config = None
-    if source is Source.SIMULATED:
-        if any(float(d) != int(d) for d in deltas):
-            raise CliUsageError("simulated sweeps need integer --deltas")
-        sim_config = _sim_config(args, dataclasses.replace(base, delta=int(deltas[0])))
+    base = _train_params(args, Variant.BLANK_SHORTEN, 0)
+    sim_config = _sim_config(args, base) if args.source == "simulated" else None
     results = sweep_delta(
-        base, deltas, source, sim=sim_config, window=window, lobe_window=lobe_window
+        base, deltas, sim=sim_config, window=window, lobe_window=lobe_window,
+        workers=args.workers,
     )
     rows = [
         (d, r.center_freq_norm, r.amplitude_linear, r.fwhm_norm) for d, r in results
@@ -497,7 +488,7 @@ def cmd_peaks_sweep(args) -> tuple[list[Path], dict | None]:
         if fit is None
         else {"slope": fit.slope, "intercept": fit.intercept, "r_squared": fit.r_squared},
     }
-    if source is Source.SIMULATED:
+    if sim_config is not None:
         report["sim"] = {
             "fft_size": sim_config.fft_size,
             "n_symbols": sim_config.n_symbols,
@@ -516,7 +507,7 @@ def cmd_peaks_sweep(args) -> tuple[list[Path], dict | None]:
         write_svg(svg_path, [d for d, _ in results], centers,
                   "clock-peak center vs delta", "delta (samples)", "center f / f0")
         outputs.append(svg_path)
-    return outputs, None
+    return outputs, {}
 
 
 def _nonincreasing(seq: list[float]) -> dict:
@@ -586,8 +577,8 @@ def main(argv: list[str] | None = None) -> int:
         argv = _expand_config(argv)
         parser = build_parser()
         args = parser.parse_args(argv)
-        outputs, sim = args.func(args)
-        _manifest(args, args.command, outputs, sim, started)
+        outputs, extra = args.func(args)
+        _manifest(args, args.command, outputs, extra, started)
     except CliUsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -24,7 +24,6 @@ __all__ = [
     "Variant",
     "BlankLaw",
     "TrainParams",
-    "BitStream",
     "IntervalStats",
     "InsufficientDataError",
     "gen_bits",
@@ -100,18 +99,6 @@ class TrainParams:
         return 1.0 - self.prob_one
 
 
-@dataclass(frozen=True, eq=False)
-class BitStream:
-    """A seeded i.i.d. symbol sequence; ``bits`` holds uint8 values in {0, 1}."""
-
-    bits: np.ndarray
-    seed: object
-    prob_one: float
-
-    def __len__(self) -> int:
-        return len(self.bits)
-
-
 @dataclass(frozen=True)
 class IntervalStats:
     """Mean pulse duration, gap, and front-to-front distance, in samples.
@@ -125,8 +112,8 @@ class IntervalStats:
     mean_g: float
 
 
-def gen_bits(n_symbols: int, prob_one: float, seed) -> BitStream:
-    """Draw ``n_symbols`` i.i.d. bits with P(1) = ``prob_one``.
+def gen_bits(n_symbols: int, prob_one: float, seed) -> np.ndarray:
+    """Draw ``n_symbols`` i.i.d. bits with P(1) = ``prob_one`` as uint8 values in {0, 1}.
 
     ``seed`` may be an int, a tuple of ints, or a ``SeedSequence``; it is
     fed to ``numpy.random.SeedSequence`` so the stream is reproducible
@@ -140,11 +127,10 @@ def gen_bits(n_symbols: int, prob_one: float, seed) -> BitStream:
         raise ValueError(f"n_symbols must be positive, got {n_symbols}")
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     rng = np.random.default_rng(ss)
-    bits = (rng.random(n_symbols) < prob_one).astype(np.uint8)
-    return BitStream(bits=bits, seed=seed, prob_one=prob_one)
+    return (rng.random(n_symbols) < prob_one).astype(np.uint8)
 
 
-def synth_transition_stretch(bits: BitStream, params: TrainParams) -> np.ndarray:
+def synth_transition_stretch(bits: np.ndarray, params: TrainParams) -> np.ndarray:
     """Expand a bit stream into transition-stretch samples.
 
     A "one" contributes ``t0`` ones. A "zero" right after a "one"
@@ -154,7 +140,7 @@ def synth_transition_stretch(bits: BitStream, params: TrainParams) -> np.ndarray
     """
     if params.variant is not Variant.TRANSITION_STRETCH:
         raise ValueError(f"params.variant must be TRANSITION_STRETCH, got {params.variant}")
-    b = bits.bits.astype(bool)
+    b = np.asarray(bits, dtype=bool)
     t0, delta = params.t0, params.delta
     out = np.zeros((len(b), t0), dtype=np.float64)
     out[b, :] = 1.0
@@ -165,14 +151,14 @@ def synth_transition_stretch(bits: BitStream, params: TrainParams) -> np.ndarray
     return out.reshape(-1)
 
 
-def synth_blank_shorten(bits: BitStream, params: TrainParams) -> np.ndarray:
+def synth_blank_shorten(bits: np.ndarray, params: TrainParams) -> np.ndarray:
     """Expand a bit stream into blank-shorten samples.
 
     Output length is (#ones)*t0 + (#zeros)*(t0 - delta) exactly.
     """
     if params.variant is not Variant.BLANK_SHORTEN:
         raise ValueError(f"params.variant must be BLANK_SHORTEN, got {params.variant}")
-    b = bits.bits.astype(bool)
+    b = np.asarray(bits, dtype=bool)
     return np.repeat(b.astype(np.float64), np.where(b, params.t0, params.t0 - params.delta))
 
 

@@ -10,7 +10,6 @@ a PeakReport never depends on the absolute scale of the input spectrum.
 from __future__ import annotations
 
 import dataclasses
-import enum
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -21,7 +20,6 @@ from .model import TrainParams, Variant
 from .sim import SimConfig, estimate_psd
 
 __all__ = [
-    "Source",
     "PeakReport",
     "PeakDetectionError",
     "LinearFit",
@@ -39,11 +37,6 @@ NORMALIZE_WINDOW = (1.25, 2.0)
 # resolve the half-height width down to delta = 0.5% of t0
 SWEEP_SPAN = (0.3, 3.0)
 SWEEP_POINTS = 400001
-
-
-class Source(enum.Enum):
-    ANALYTIC = "analytic"
-    SIMULATED = "simulated"
 
 
 class PeakDetectionError(RuntimeError):
@@ -168,14 +161,17 @@ def default_sweep_grid(t0: float) -> FrequencyGrid:
 def sweep_delta(
     base: TrainParams,
     deltas: Sequence[float],
-    source: Source,
     sim: Optional[SimConfig] = None,
     grid: Optional[FrequencyGrid] = None,
     window: tuple[float, float] = PEAK_WINDOW,
     lobe_window: tuple[float, float] = LOBE_WINDOW,
+    workers: Optional[int] = None,
 ) -> list[tuple[float, PeakReport]]:
     """Measure the clock peak across a set of delta values.
 
+    With ``sim`` the spectra are estimated by simulation (integer deltas
+    only, ``workers`` passed on to :func:`estimate_psd`); otherwise they
+    are the closed form on ``grid``, by default :func:`default_sweep_grid`.
     All sweep items share one grid (analytic) or one seed and fft size
     (simulated), so reports are comparable item to item; with a common
     scale, peak heights can be compared directly via
@@ -189,21 +185,21 @@ def sweep_delta(
     for d in deltas:
         if not 0 <= d < base.t0:
             raise ValueError(f"every delta must satisfy 0 <= delta < t0, got {d!r}")
-    if source is Source.SIMULATED:
-        if sim is None:
-            raise ValueError("simulated sweeps need a SimConfig")
+    if sim is not None:
+        if grid is not None:
+            raise ValueError("a simulated sweep uses the FFT grid; pass sim or grid, not both")
         if any(float(d) != int(d) for d in deltas):
             raise ValueError("simulated sweeps need integer deltas (sample counts)")
-    if grid is None and source is Source.ANALYTIC:
+    elif grid is None:
         grid = default_sweep_grid(base.t0)
 
     out: list[tuple[float, PeakReport]] = []
     for d in deltas:
-        if source is Source.ANALYTIC:
+        if sim is None:
             spectrum = psd_blank_shorten(grid, float(base.t0), float(d), law=base.blank_law)
         else:
             params = dataclasses.replace(base, delta=int(d))
-            spectrum = estimate_psd(dataclasses.replace(sim, params=params))
+            spectrum = estimate_psd(dataclasses.replace(sim, params=params), workers=workers)
         try:
             report = find_clock_peak(spectrum, base.t0, window, lobe_window)
         except PeakDetectionError as err:

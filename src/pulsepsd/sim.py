@@ -39,11 +39,9 @@ from .model import (
 
 __all__ = [
     "SimConfig",
-    "periodogram",
     "periodogram_bins",
     "estimate_psd",
     "synthesize_realization",
-    "resolve_workers",
 ]
 
 THREADS_ENV = "PULSEPSD_THREADS"
@@ -86,38 +84,22 @@ def _half_bins(x: np.ndarray, fft_size: int) -> np.ndarray:
     return spec.real**2 + spec.imag**2
 
 
-def _checked_signal(signal: np.ndarray, fft_size: int, allow_truncate: bool) -> np.ndarray:
+def periodogram_bins(signal: np.ndarray, fft_size: int) -> np.ndarray:
+    """Two-sided periodogram values |X_k / L|^2 for k = 0 .. fft_size-1.
+
+    The mean is removed before transforming, L is the signal length
+    before zero padding. Signals longer than fft_size are an error. Bins
+    above fft_size/2 mirror the one-sided values, since the transform of
+    a real signal is conjugate-symmetric.
+    """
     x = np.asarray(signal, dtype=np.float64)
     if x.ndim != 1 or len(x) == 0:
         raise ValueError("signal must be a non-empty 1-D array")
     if len(x) > fft_size:
-        if not allow_truncate:
-            raise ValueError(
-                f"signal length {len(x)} exceeds fft_size {fft_size}; "
-                "pass allow_truncate=True to cut it"
-            )
-        x = x[:fft_size]
-    return x
-
-
-def periodogram_bins(signal: np.ndarray, fft_size: int, allow_truncate: bool = False) -> np.ndarray:
-    """Two-sided periodogram values |X_k / L|^2 for k = 0 .. fft_size-1.
-
-    The mean is removed before transforming, L is the signal length
-    before zero padding. Signals longer than fft_size are an error unless
-    ``allow_truncate`` is set. Bins above fft_size/2 mirror the one-sided
-    values, since the transform of a real signal is conjugate-symmetric.
-    """
-    half = _half_bins(_checked_signal(signal, fft_size, allow_truncate), fft_size)
+        raise ValueError(f"signal length {len(x)} exceeds fft_size {fft_size}")
+    half = _half_bins(x, fft_size)
     # bin fft_size - k mirrors bin k; for even sizes bin fft_size/2 is its own mirror
     return np.concatenate((half, half[fft_size - len(half) : 0 : -1]))
-
-
-def periodogram(signal: np.ndarray, fft_size: int, allow_truncate: bool = False) -> SpectrumGrid:
-    """One-sided single-realization periodogram on bins k/fft_size, k = 1 .. fft_size/2."""
-    spec = _half_bins(_checked_signal(signal, fft_size, allow_truncate), fft_size)
-    meta = {"kind": "simulated", "fft_size": fft_size, "n_realizations": 1}
-    return SpectrumGrid(grid=FrequencyGrid.fft_bins(fft_size), psd=spec[1:], meta=meta)
 
 
 def synthesize_realization(config: SimConfig, index: int) -> np.ndarray:

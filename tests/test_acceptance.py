@@ -34,7 +34,7 @@ from pulsepsd import (
 )
 from pulsepsd.analytic import FrequencyGrid
 from pulsepsd.cli import analytic_on_fft_grid, compare_on_common_bins, main
-from pulsepsd.peaks import Source, default_sweep_grid
+from pulsepsd.peaks import default_sweep_grid
 
 
 def _criterion(n: int, desc: str, ok: bool, detail: str = "") -> None:
@@ -161,7 +161,7 @@ def test_criterion_4_blank_shorten_clock_peak_stands_about_twice_the_lobe():
 def test_criterion_5_sweep_trends_are_monotone_and_center_drift_is_linear():
     start = time.perf_counter()
     base = TrainParams(Variant.BLANK_SHORTEN, t0=100, delta=1)
-    items = sweep_delta(base, tuple(range(1, 11)), Source.ANALYTIC)
+    items = sweep_delta(base, tuple(range(1, 11)))
     heights = np.array([r.peak_height for _, r in items])
     ratios = np.array([r.amplitude_linear for _, r in items])
     widths = np.array([r.fwhm_norm for _, r in items])

@@ -17,7 +17,7 @@ from pulsepsd import (
     continuous_psd_transition,
     discrete_lines_transition,
     psd_blank_shorten,
-    rect_pulse_energy_spectrum,
+    theta_blank,
 )
 
 
@@ -176,16 +176,6 @@ def test_lines_vanish_without_predistortion():
 # --- blank-shorten density ---
 
 
-def test_rect_energy_spectrum_has_width_squared_dc_limit():
-    assert rect_pulse_energy_spectrum(0.0, 64.0) == pytest.approx(64.0**2)
-    w = np.array([0.0, 0.01, 0.1])
-    out = rect_pulse_energy_spectrum(w, 64.0)
-    assert out[0] == pytest.approx(64.0**2)
-    np.testing.assert_allclose(
-        out[1:], 4 * np.sin(w[1:] * 32.0) ** 2 / w[1:] ** 2, rtol=1e-12
-    )
-
-
 def test_blank_density_is_nonnegative_for_both_laws():
     grid = FrequencyGrid.offset_linspace(3.0 / 100.0, 5000)
     for law in BlankLaw:
@@ -215,6 +205,10 @@ def test_blank_k_scale_is_linear():
     base = psd_blank_shorten(grid, 100.0, 10.0, k_scale=1.0)
     scaled = psd_blank_shorten(grid, 100.0, 10.0, k_scale=2.5)
     np.testing.assert_allclose(scaled.psd, 2.5 * base.psd, rtol=1e-14)
+    w = 2.0 * np.pi * base.freqs
+    theta = theta_blank(w, 100.0, 10.0)
+    expected = 4.0 * np.sin(w * 50.0) ** 2 / w**2 * np.real((1.0 + theta) / (1.0 - theta))
+    np.testing.assert_allclose(base.psd, expected, rtol=1e-12)
 
 
 # --- binning and line placement ---

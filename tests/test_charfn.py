@@ -12,7 +12,6 @@ from pulsepsd import (
     Variant,
     discrete_component_detector,
     theta1,
-    theta1_conj,
     theta2,
     theta_blank,
 )
@@ -79,12 +78,6 @@ def test_magnitudes_never_exceed_one(w, p, t0, data):
     assert abs(theta2(w, params)) <= 1 + 1e-12
     for law in BlankLaw:
         assert abs(theta_blank(w, t0, delta, law=law)) <= 1 + 1e-12
-
-
-def test_conjugate_variant_matches_numpy_conjugate():
-    w = np.linspace(0.001, 2.0, 64)
-    params = _params()
-    assert np.array_equal(theta1_conj(w, params), np.conjugate(theta1(w, params)))
 
 
 def test_scalar_and_array_inputs_agree():
@@ -175,6 +168,6 @@ def test_near_singular_denominator_raises():
 
 def test_transition_thetas_reject_blank_params():
     blank = TrainParams(Variant.BLANK_SHORTEN, t0=100, delta=10)
-    for fn in (theta1, theta2, theta1_conj):
+    for fn in (theta1, theta2):
         with pytest.raises(ValueError):
             fn(0.1, blank)

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+import pulsepsd.peaks
 from pulsepsd import (
     FrequencyGrid,
     SpectrumGrid,
@@ -85,6 +86,23 @@ def test_analytic_blank_normalizes_to_the_second_lobe(tmp_path):
     lobe = (f > 1.25) & (f < 2.0)
     assert s[lobe].max() == pytest.approx(1.0, rel=1e-9)
     assert s.max() > 1.5  # the clock peak rises above the normalized lobe
+
+
+@pytest.mark.parametrize("command", ["analytic", "compare"])
+def test_manifest_reports_what_the_closed_form_dropped_or_clamped(tmp_path, command):
+    out = tmp_path / command
+    argv = [command, "--model", "transition", "--t0", "16", "--delta", "2", "--p", "0.55"]
+    if command == "compare":
+        argv += ["--fft", "1024", "--realizations", "2", "--workers", "1"]
+    assert main(argv + ["--out-dir", str(out)]) == 0
+    diagnostics = _load(out / f"{command}_manifest.json")["diagnostics"]
+    assert diagnostics["clamped_points"] == 0
+    if command == "analytic":
+        # the offset grid never lands on a clock harmonic
+        assert diagnostics["dropped_freqs"] == []
+    else:
+        # FFT bins 64, 128, ..., 512 of 1024 sit on the harmonics k/16
+        assert diagnostics["dropped_freqs"] == [k / 16.0 for k in range(1, 9)]
 
 
 def test_analytic_blank_needs_room_for_the_reference_window(tmp_path, capsys):
@@ -266,6 +284,26 @@ def test_peaks_sweep_simulated_matches_frozen_reference(tmp_path):
     assert item["amplitude_linear"] == pytest.approx(1.6732495563322902, rel=1e-9)
 
 
+def test_peaks_sweep_simulated_passes_workers_on_and_is_byte_identical(tmp_path, monkeypatch):
+    seen = []
+    real_estimate = pulsepsd.peaks.estimate_psd
+
+    def recording_estimate(config, workers=None):
+        seen.append(workers)
+        return real_estimate(config, workers=workers)
+
+    monkeypatch.setattr(pulsepsd.peaks, "estimate_psd", recording_estimate)
+    argv = [
+        "peaks-sweep", "--t0", "32", "--deltas", "3", "--source", "simulated",
+        "--fft", "32768", "--realizations", "40", "--symbols", "512", "--seed", "5",
+    ]
+    outs = [tmp_path / "w1", tmp_path / "w2"]
+    assert main(argv + ["--workers", "1", "--out-dir", str(outs[0])]) == 0
+    assert main(argv + ["--workers", "2", "--out-dir", str(outs[1])]) == 0
+    assert seen == [1, 2]
+    assert (outs[0] / "sweep.csv").read_bytes() == (outs[1] / "sweep.csv").read_bytes()
+
+
 # --- config files and precedence ---
 
 
@@ -302,6 +340,15 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     )
     assert code == 1
     assert "delta" in capsys.readouterr().err
+    # a flag the chosen model would ignore is refused, not dropped
+    for model_argv, flag in (
+        (["--model", "transition", "--t0", "64", "--k-scale", "2"], "--k-scale"),
+        (["--model", "blank", "--t0", "100", "--delta", "10", "--k-max", "5"], "--k-max"),
+        (["--model", "blank", "--t0", "100", "--delta", "10", "--scale", "0.25"], "--scale"),
+    ):
+        assert main(["analytic", *model_argv, "--out-dir", str(tmp_path / "y")]) == 1
+        err = capsys.readouterr().err
+        assert flag in err and err.count("\n") == 1
 
 
 def test_detection_failures_exit_two(tmp_path, capsys):

@@ -6,7 +6,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pulsepsd import (
-    BitStream,
     InsufficientDataError,
     TrainParams,
     Variant,
@@ -26,8 +25,8 @@ def _blank(t0=100, delta=10, **kw) -> TrainParams:
     return TrainParams(Variant.BLANK_SHORTEN, t0=t0, delta=delta, **kw)
 
 
-def _stream(bits) -> BitStream:
-    return BitStream(bits=np.asarray(bits, dtype=np.uint8), seed=None, prob_one=0.5)
+def _stream(bits) -> np.ndarray:
+    return np.asarray(bits, dtype=np.uint8)
 
 
 # --- parameter validation ---
@@ -70,29 +69,29 @@ def test_prob_zero_complements_prob_one():
 def test_gen_bits_shape_and_alphabet():
     stream = gen_bits(1000, 0.55, seed=1)
     assert len(stream) == 1000
-    assert stream.bits.dtype == np.uint8
-    assert set(np.unique(stream.bits)) <= {0, 1}
+    assert stream.dtype == np.uint8
+    assert set(np.unique(stream)) <= {0, 1}
 
 
 def test_gen_bits_is_reproducible_across_seed_forms():
     a = gen_bits(500, 0.3, seed=42)
     b = gen_bits(500, 0.3, seed=42)
     c = gen_bits(500, 0.3, seed=np.random.SeedSequence(42))
-    assert np.array_equal(a.bits, b.bits)
-    assert np.array_equal(a.bits, c.bits)
-    assert not np.array_equal(a.bits, gen_bits(500, 0.3, seed=43).bits)
+    assert np.array_equal(a, b)
+    assert np.array_equal(a, c)
+    assert not np.array_equal(a, gen_bits(500, 0.3, seed=43))
 
 
 def test_gen_bits_accepts_tuple_seeds():
     a = gen_bits(200, 0.5, seed=(7, 3))
     b = gen_bits(200, 0.5, seed=(7, 3))
-    assert np.array_equal(a.bits, b.bits)
-    assert not np.array_equal(a.bits, gen_bits(200, 0.5, seed=(7, 4)).bits)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, gen_bits(200, 0.5, seed=(7, 4)))
 
 
 def test_gen_bits_respects_symbol_probability():
     stream = gen_bits(20_000, 0.3, seed=42)
-    assert abs(stream.bits.mean() - 0.3) < 0.01
+    assert abs(stream.mean() - 0.3) < 0.01
 
 
 @pytest.mark.parametrize("bad", [0, -5])
@@ -128,7 +127,7 @@ def test_transition_zero_after_zero_is_not_stretched():
 def test_transition_zero_delta_is_plain_nrz():
     bits = gen_bits(200, 0.5, seed=3)
     out = synth_transition_stretch(bits, _transition(t0=8, delta=0, p=0.5))
-    assert np.array_equal(out, np.repeat(bits.bits.astype(np.float64), 8))
+    assert np.array_equal(out, np.repeat(bits.astype(np.float64), 8))
 
 
 @settings(max_examples=50, deadline=None)
@@ -212,7 +211,7 @@ def test_blank_run_length_synthesis_equals_difference_array(bits, t0, delta):
     assume(delta < t0)
     stream = _stream(bits)
     out = synth_blank_shorten(stream, _blank(t0=t0, delta=delta))
-    ref = _blank_by_difference_array(stream.bits, t0, delta)
+    ref = _blank_by_difference_array(stream, t0, delta)
     assert out.dtype == ref.dtype == np.float64
     np.testing.assert_array_equal(out, ref)
 

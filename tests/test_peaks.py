@@ -11,7 +11,6 @@ from pulsepsd import (
     PeakDetectionError,
     PeakReport,
     SimConfig,
-    Source,
     SpectrumGrid,
     TrainParams,
     Variant,
@@ -109,7 +108,7 @@ def test_normalize_second_lobe_pins_the_reference_window_to_one():
 def test_analytic_sweep_trends_on_a_coarse_grid():
     base = TrainParams(Variant.BLANK_SHORTEN, t0=100, delta=1, blank_law=GEN)
     grid = FrequencyGrid(np.linspace(0.3, 3.0, 20_001) / 100.0)
-    items = sweep_delta(base, (2, 6, 10), Source.ANALYTIC, grid=grid)
+    items = sweep_delta(base, (2, 6, 10), grid=grid)
     assert [d for d, _ in items] == [2.0, 6.0, 10.0]
     centers = [r.center_freq_norm for _, r in items]
     heights = [r.peak_height for _, r in items]
@@ -130,30 +129,31 @@ def test_sweep_failures_carry_their_delta():
     base = TrainParams(Variant.BLANK_SHORTEN, t0=100, delta=1, blank_law=GEN)
     grid = FrequencyGrid(np.linspace(0.3, 3.0, 5001) / 100.0)
     with pytest.raises(PeakDetectionError) as exc:
-        sweep_delta(base, (5, 0), Source.ANALYTIC, grid=grid)
+        sweep_delta(base, (5, 0), grid=grid)
     assert exc.value.delta == 0.0
 
 
 def test_sweep_validates_inputs():
     base = TrainParams(Variant.BLANK_SHORTEN, t0=100, delta=1)
     with pytest.raises(ValueError):
-        sweep_delta(base, (), Source.ANALYTIC)
+        sweep_delta(base, ())
     with pytest.raises(ValueError):
-        sweep_delta(base, (120,), Source.ANALYTIC)
-    with pytest.raises(ValueError):
-        sweep_delta(base, (2,), Source.SIMULATED)  # no SimConfig
+        sweep_delta(base, (120,))
     cfg = SimConfig(n_symbols=8, n_realizations=1, fft_size=1024, seed=0, params=base)
+    grid = FrequencyGrid(np.linspace(0.3, 3.0, 5001) / 100.0)
+    with pytest.raises(ValueError, match="not both"):
+        sweep_delta(base, (2,), sim=cfg, grid=grid)  # the grid would go unused
     with pytest.raises(ValueError):
-        sweep_delta(base, (2.5,), Source.SIMULATED, sim=cfg)
+        sweep_delta(base, (2.5,), sim=cfg)
     transition = TrainParams(Variant.TRANSITION_STRETCH, t0=100, delta=1)
     with pytest.raises(ValueError):
-        sweep_delta(transition, (2,), Source.ANALYTIC)
+        sweep_delta(transition, (2,))
 
 
 def test_simulated_peak_lands_within_two_bins_of_analytic():
     params = TrainParams(Variant.BLANK_SHORTEN, t0=32, delta=3, blank_law=GEN)
     cfg = SimConfig(n_symbols=512, n_realizations=150, fft_size=32_768, seed=5, params=params)
-    items = sweep_delta(params, (3,), Source.SIMULATED, sim=cfg)
+    items = sweep_delta(params, (3,), sim=cfg)
     (delta, sim_rep), = items
     assert delta == 3.0
     sim_spec = estimate_psd(cfg)

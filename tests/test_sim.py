@@ -8,7 +8,6 @@ from pulsepsd import (
     TrainParams,
     Variant,
     estimate_psd,
-    periodogram,
     periodogram_bins,
     synthesize_realization,
 )
@@ -83,23 +82,10 @@ def test_periodogram_removes_the_mean():
     )
 
 
-def test_periodogram_rejects_long_signals_unless_told():
+def test_periodogram_rejects_long_signals():
     x = np.random.default_rng(4).normal(size=600)
     with pytest.raises(ValueError):
         periodogram_bins(x, 512)
-    truncated = periodogram_bins(x, 512, allow_truncate=True)
-    np.testing.assert_array_equal(truncated, periodogram_bins(x[:512], 512))
-
-
-def test_one_sided_periodogram_drops_dc_and_mirrors():
-    rng = np.random.default_rng(9)
-    x = rng.normal(size=256)
-    spec = periodogram(x, 512)
-    bins = periodogram_bins(x, 512)
-    assert len(spec.freqs) == 256
-    np.testing.assert_array_equal(spec.freqs, np.arange(1, 257) / 512.0)
-    np.testing.assert_array_equal(spec.psd, bins[1:257])
-    assert spec.meta["kind"] == "simulated"
 
 
 # --- realization synthesis ---
