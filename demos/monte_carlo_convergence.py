@@ -21,7 +21,7 @@ def disagreement(t0: int, delta: int, fft_size: int, n_real: int, seed: int) -> 
     )
     simulated = estimate_psd(cfg)
     analytic = analytic_on_fft_grid(params, fft_size)
-    _, stats = compare_on_common_bins(analytic, simulated, float(t0), (0.1, 10.0), fft_size)
+    _, stats = compare_on_common_bins(analytic, simulated, float(t0), (0.1, 10.0))
     return stats["max_abs_diff_db"]
 
 

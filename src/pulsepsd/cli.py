@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,7 @@ from .analytic import (
 )
 from .charfn import NearSingularError
 from .io import (
+    SWEEP_COLUMNS,
     db10,
     write_compare_csv,
     write_json,
@@ -55,7 +57,6 @@ from .peaks import (
 from .sim import SimConfig, estimate_psd, synthesize_realization
 
 SCHEMA_VERSION = 1
-DEFAULT_BAND = (0.1, 10.0)
 
 
 class CliUsageError(Exception):
@@ -165,9 +166,13 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", choices=["transition", "blank"], required=True)
     p.add_argument("--t0", type=int, required=True, help="samples per nominal symbol")
     p.add_argument("--delta", type=float, default=0.0, help="predistortion, samples")
+    _add_symbol_flags(p)
+
+
+def _add_symbol_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--p", dest="prob_one", type=float, default=0.5, help="P(symbol = 1)")
     p.add_argument("--allow-biased", action="store_true",
-                   help="permit prob_one != 0.5 for the blank model")
+                   help="permit --p != 0.5 for simulated blank trains")
     p.add_argument("--law", choices=["paper", "generator"], default="paper",
                    help="blank-model front-interval shortening law")
 
@@ -190,29 +195,18 @@ def _add_sim_flags(p: argparse.ArgumentParser) -> None:
                    help="worker threads (PULSEPSD_THREADS caps; never changes results)")
 
 
-def _variant(args) -> Variant:
-    return Variant.TRANSITION_STRETCH if args.model == "transition" else Variant.BLANK_SHORTEN
-
-
-def _blank_law(args) -> BlankLaw:
-    return BlankLaw.PAPER_K_DELTA if args.law == "paper" else BlankLaw.GENERATOR_K_MINUS_ONE_DELTA
-
-
 def _train_params(args, variant: Variant, delta: float) -> TrainParams:
     """Validated model parameters from the shared flags, at the given delta."""
     if not float(delta).is_integer():
         raise CliUsageError(f"--delta must be an integer sample count here, got {delta!r}")
-    try:
-        return TrainParams(
-            variant=variant,
-            t0=args.t0,
-            delta=int(delta),
-            prob_one=args.prob_one,
-            blank_law=_blank_law(args),
-            allow_biased=args.allow_biased,
-        )
-    except ValueError as err:
-        raise CliUsageError(str(err)) from None
+    return TrainParams(
+        variant=variant,
+        t0=args.t0,
+        delta=int(delta),
+        prob_one=args.prob_one,
+        blank_law=BlankLaw(args.law),
+        allow_biased=args.allow_biased,
+    )
 
 
 def _sim_config(args, params: TrainParams) -> SimConfig:
@@ -220,16 +214,13 @@ def _sim_config(args, params: TrainParams) -> SimConfig:
         raise CliUsageError("provide --fft, --symbols, or both")
     fft = args.fft if args.fft is not None else _next_pow2(args.symbols * params.t0)
     symbols = args.symbols if args.symbols is not None else max(1, fft // params.t0)
-    try:
-        return SimConfig(
-            n_symbols=symbols,
-            n_realizations=args.realizations,
-            fft_size=fft,
-            seed=args.seed,
-            params=params,
-        )
-    except ValueError as err:
-        raise CliUsageError(str(err)) from None
+    return SimConfig(
+        n_symbols=symbols,
+        n_realizations=args.realizations,
+        fft_size=fft,
+        seed=args.seed,
+        params=params,
+    )
 
 
 def _sim_record(simulated: SpectrumGrid) -> dict:
@@ -271,10 +262,9 @@ def _svg_of_spectrum(path: Path, spectrum: SpectrumGrid, t0: float, hz: bool, ti
 
 
 def cmd_analytic(args) -> tuple[list[Path], dict]:
-    args.out_dir.mkdir(parents=True, exist_ok=True)
     outputs: list[Path] = []
     t0 = float(args.t0)
-    if _variant(args) is Variant.TRANSITION_STRETCH:
+    if Variant(args.model) is Variant.TRANSITION_STRETCH:
         if args.k_scale is not None:
             raise CliUsageError("--k-scale applies to --model blank only")
         params = _train_params(args, Variant.TRANSITION_STRETCH, args.delta)
@@ -297,6 +287,8 @@ def cmd_analytic(args) -> tuple[list[Path], dict]:
             raise CliUsageError("--scale applies to --model transition only")
         # checks t0 and --p; theta_blank range-checks the possibly fractional delta
         _train_params(args, Variant.BLANK_SHORTEN, 0)
+        if args.prob_one != 0.5:
+            raise CliUsageError("the blank closed form assumes --p 0.5; simulate takes others")
         fmax_norm = args.fmax_norm if args.fmax_norm is not None else 3.0
         points = args.points if args.points is not None else 20001
         if args.k_scale is None and fmax_norm < 2.0:
@@ -305,7 +297,7 @@ def cmd_analytic(args) -> tuple[list[Path], dict]:
             )
         grid = FrequencyGrid.offset_linspace(fmax_norm / t0, points)
         spectrum = psd_blank_shorten(
-            grid, t0, float(args.delta), law=_blank_law(args),
+            grid, t0, float(args.delta), law=BlankLaw(args.law),
             k_scale=args.k_scale if args.k_scale is not None else 1.0,
         )
         if args.k_scale is None:
@@ -321,8 +313,7 @@ def cmd_analytic(args) -> tuple[list[Path], dict]:
 
 
 def cmd_simulate(args) -> tuple[list[Path], dict]:
-    args.out_dir.mkdir(parents=True, exist_ok=True)
-    params = _train_params(args, _variant(args), args.delta)
+    params = _train_params(args, Variant(args.model), args.delta)
     config = _sim_config(args, params)
     spectrum = estimate_psd(config, workers=args.workers)
     outputs = []
@@ -366,38 +357,32 @@ def compare_on_common_bins(
     simulated: SpectrumGrid,
     t0: float,
     band: tuple[float, float],
-    fft_size: int,
-) -> tuple[list[tuple[float, float, float, float]], dict]:
+) -> tuple[np.ndarray, dict]:
     """Join analytic and simulated spectra bin for bin and summarize.
 
-    The summary's max |diff| is taken over the normalized band and skips
-    bins within 2 bin widths of a continuum null (integer f/f0). Rows
-    are emitted for every retained bin, excluded or not.
+    The analytic bins must be simulated FFT bins, as those of
+    :func:`analytic_on_fft_grid` are: the same k/fft_size values minus
+    the harmonics the closed form drops. Rows (f/f0, analytic dB,
+    simulated dB, diff dB) form one (n, 4) array with a row for every
+    analytic bin, excluded or not. The summary's max |diff| is taken over
+    the normalized band and skips bins within 2 bin widths of a continuum
+    null (integer f/f0).
     """
-    f_a = analytic_spec.freqs
-    idx = np.round(f_a * fft_size).astype(int) - 1
-    if np.any(idx < 0) or np.any(idx >= len(simulated.freqs)):
+    f_a, f_s = analytic_spec.freqs, simulated.freqs
+    idx = np.searchsorted(f_s, f_a).clip(max=len(f_s) - 1)
+    if not np.array_equal(f_s[idx], f_a):
         raise ValueError(
-            f"grid mismatch: analytic axis spans {f_a[0]}..{f_a[-1]}, "
-            f"simulated spans {simulated.freqs[0]}..{simulated.freqs[-1]}"
-        )
-    f_s = simulated.freqs[idx]
-    if np.max(np.abs(f_s - f_a)) > 1e-12:
-        raise ValueError(
-            f"grid mismatch: analytic axis spans {f_a[0]}..{f_a[-1]} "
-            f"but nearest simulated bins span {f_s[0]}..{f_s[-1]}"
+            f"grid mismatch: analytic bins {f_a[0]}..{f_a[-1]} are not among "
+            f"the simulated bins {f_s[0]}..{f_s[-1]}"
         )
     a_db = db10(analytic_spec.psd)
     s_db = db10(simulated.psd[idx])
     diff = a_db - s_db
     x = f_a * t0
-    bin_width_norm = t0 / fft_size
+    bin_width_norm = t0 * f_s[0]  # f_s[0] = 1/fft_size, exact for power-of-two sizes
     near_null = (np.round(x) >= 1.0) & (np.abs(x - np.round(x)) <= 2.0 * bin_width_norm + 1e-12)
     in_band = (x > band[0]) & (x < band[1])
     use = in_band & ~near_null
-    rows = [
-        (float(x[i]), float(a_db[i]), float(s_db[i]), float(diff[i])) for i in range(len(x))
-    ]
     stats = {
         "band_norm": [band[0], band[1]],
         "bins_in_band": int(np.count_nonzero(in_band)),
@@ -405,20 +390,19 @@ def compare_on_common_bins(
         "max_abs_diff_db": float(np.max(np.abs(diff[use]))) if np.any(use) else None,
         "mean_abs_diff_db": float(np.mean(np.abs(diff[use]))) if np.any(use) else None,
     }
-    return rows, stats
+    return np.column_stack((x, a_db, s_db, diff)), stats
 
 
 def cmd_compare(args) -> tuple[list[Path], dict]:
-    args.out_dir.mkdir(parents=True, exist_ok=True)
-    params = _train_params(args, _variant(args), args.delta)
+    band = _parse_pair(args.band, "--band")
+    params = _train_params(args, Variant(args.model), args.delta)
     config = _sim_config(args, params)
     simulated = estimate_psd(config, workers=args.workers)
     analytic_spec = analytic_on_fft_grid(params, config.fft_size, args.k_max)
-    band = _parse_pair(args.band, "--band") if isinstance(args.band, str) else args.band
-    rows, stats = compare_on_common_bins(
-        analytic_spec, simulated, float(params.t0), band, config.fft_size
-    )
-    if stats["max_abs_diff_db"] is not None and stats["max_abs_diff_db"] > 1.0:
+    rows, stats = compare_on_common_bins(analytic_spec, simulated, float(params.t0), band)
+    if stats["bins_used"] == 0:
+        raise CliUsageError(f"--band {args.band} selects no bins away from the continuum nulls")
+    if stats["max_abs_diff_db"] > 1.0:
         stats["note"] = "resolution-limited: analytic and simulated disagree beyond 1 dB"
     outputs = []
     csv_path = args.out_dir / "compare.csv"
@@ -429,8 +413,7 @@ def cmd_compare(args) -> tuple[list[Path], dict]:
     outputs.append(summary_path)
     if args.svg:
         svg_path = args.out_dir / "compare.svg"
-        x = [r[0] for r in rows]
-        write_svg(svg_path, x, [r[3] for r in rows], "analytic minus simulated",
+        write_svg(svg_path, rows[:, 0], rows[:, 3], "analytic minus simulated",
                   "f / f0", "diff (dB)")
         outputs.append(svg_path)
     print(
@@ -442,7 +425,6 @@ def cmd_compare(args) -> tuple[list[Path], dict]:
 
 
 def cmd_peaks_sweep(args) -> tuple[list[Path], dict]:
-    args.out_dir.mkdir(parents=True, exist_ok=True)
     deltas = _parse_deltas(args.deltas)
     window = _parse_pair(args.window, "--window")
     lobe_window = _parse_pair(args.lobe_window, "--lobe-window")
@@ -452,41 +434,24 @@ def cmd_peaks_sweep(args) -> tuple[list[Path], dict]:
         base, deltas, sim=sim_config, window=window, lobe_window=lobe_window,
         workers=args.workers,
     )
-    rows = [
-        (d, r.center_freq_norm, r.amplitude_linear, r.fwhm_norm) for d, r in results
-    ]
-    centers = [r.center_freq_norm for _, r in results]
-    heights = [r.peak_height for _, r in results]
-    ratios = [r.amplitude_linear for _, r in results]
-    widths = [r.fwhm_norm for _, r in results]
-    fit = linear_fit([d for d, _ in results], centers) if len(results) >= 3 else None
+    items = [{"delta": d, **asdict(r), "peak_height": r.peak_height} for d, r in results]
+    column = {key: [item[key] for item in items] for key in items[0]}
+    fit = linear_fit(column["delta"], column["center_freq_norm"]) if len(items) >= 3 else None
     report = {
         "schema_version": SCHEMA_VERSION,
         "source": args.source,
         "t0": args.t0,
         "law": args.law,
-        "deltas": [d for d, _ in results],
+        "deltas": column["delta"],
         "window_norm": list(window),
         "lobe_window_norm": list(lobe_window),
-        "items": [
-            {
-                "delta": d,
-                "center_freq_norm": r.center_freq_norm,
-                "amplitude_linear": r.amplitude_linear,
-                "fwhm_norm": r.fwhm_norm,
-                "second_lobe_max": r.second_lobe_max,
-                "peak_height": r.peak_height,
-            }
-            for d, r in results
-        ],
+        "items": items,
         "monotonicity": {
-            "peak_height_nonincreasing": _nonincreasing(heights),
-            "amplitude_linear_nonincreasing": _nonincreasing(ratios),
-            "fwhm_nondecreasing": _nonincreasing([-w for w in widths]),
+            "peak_height_nonincreasing": _nonincreasing(column["peak_height"]),
+            "amplitude_linear_nonincreasing": _nonincreasing(column["amplitude_linear"]),
+            "fwhm_nondecreasing": _nonincreasing([-w for w in column["fwhm_norm"]]),
         },
-        "center_fit": None
-        if fit is None
-        else {"slope": fit.slope, "intercept": fit.intercept, "r_squared": fit.r_squared},
+        "center_fit": None if fit is None else asdict(fit),
     }
     if sim_config is not None:
         report["sim"] = {
@@ -497,14 +462,14 @@ def cmd_peaks_sweep(args) -> tuple[list[Path], dict]:
         }
     outputs = []
     csv_path = args.out_dir / "sweep.csv"
-    write_sweep_csv(csv_path, rows)
+    write_sweep_csv(csv_path, [[item[key] for key in SWEEP_COLUMNS] for item in items])
     outputs.append(csv_path)
     report_path = args.out_dir / "sweep_report.json"
     write_json(report_path, report)
     outputs.append(report_path)
     if args.svg:
         svg_path = args.out_dir / "sweep.svg"
-        write_svg(svg_path, [d for d, _ in results], centers,
+        write_svg(svg_path, column["delta"], column["center_freq_norm"],
                   "clock-peak center vs delta", "delta (samples)", "center f / f0")
         outputs.append(svg_path)
     return outputs, {}
@@ -559,9 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t0", type=int, required=True)
     p.add_argument("--deltas", required=True, help="comma list or START:STOP:STEP, samples")
     p.add_argument("--source", choices=["analytic", "simulated"], default="analytic")
-    p.add_argument("--p", dest="prob_one", type=float, default=0.5)
-    p.add_argument("--allow-biased", action="store_true")
-    p.add_argument("--law", choices=["paper", "generator"], default="paper")
+    _add_symbol_flags(p)
     p.add_argument("--window", default="0.8:1.3", help="peak search window, f/f0")
     p.add_argument("--lobe-window", default="1.0:2.0", help="second lobe window, f/f0")
     _add_output_flags(p)
@@ -574,15 +537,11 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     started = time.perf_counter()
     try:
-        argv = _expand_config(argv)
-        parser = build_parser()
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(_expand_config(argv))
+        args.out_dir.mkdir(parents=True, exist_ok=True)
         outputs, extra = args.func(args)
         _manifest(args, args.command, outputs, extra, started)
-    except CliUsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except ValueError as err:
+    except (CliUsageError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except (PeakDetectionError, NearSingularError, RuntimeError) as err:

@@ -11,7 +11,7 @@ import csv
 import io
 import json
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -46,10 +46,6 @@ def db10(values):
     return float(out) if np.isscalar(values) else out
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
 def _write_columns(
     path: Path, header: Sequence[str], columns: Sequence[np.ndarray], text: str | None = None
 ) -> None:
@@ -72,8 +68,8 @@ def _write_columns(
             fh.write(end.join(map(",".join, zip(*fields))) + end)
 
 
-def _row_columns(rows: Iterable[Sequence[float]], width: int) -> np.ndarray:
-    return np.asarray(list(rows), dtype=np.float64).reshape(-1, width).T
+def _row_columns(rows: Sequence[Sequence[float]], width: int) -> np.ndarray:
+    return np.asarray(rows, dtype=np.float64).reshape(-1, width).T
 
 
 def write_spectrum_csv(path: Path, spectrum: SpectrumGrid, t0: float, hz: bool = False) -> None:
@@ -93,11 +89,11 @@ def write_lines_csv(path: Path, lines: DiscreteLineSet, t0: float, hz: bool = Fa
     _write_columns(path, SPECTRUM_COLUMNS, [f, lines.power, db10(lines.power)], "line")
 
 
-def write_compare_csv(path: Path, rows: Iterable[tuple[float, float, float, float]]) -> None:
+def write_compare_csv(path: Path, rows: Sequence[Sequence[float]]) -> None:
     _write_columns(path, COMPARE_COLUMNS, _row_columns(rows, len(COMPARE_COLUMNS)))
 
 
-def write_sweep_csv(path: Path, rows: Iterable[tuple[float, float, float, float]]) -> None:
+def write_sweep_csv(path: Path, rows: Sequence[Sequence[float]]) -> None:
     _write_columns(path, SWEEP_COLUMNS, _row_columns(rows, len(SWEEP_COLUMNS)))
 
 
@@ -110,8 +106,7 @@ def write_json(path: Path, payload: dict) -> None:
 def write_signal_txt(path: Path, samples: np.ndarray) -> None:
     """One sample per line, for eyeballing synthesized waveforms."""
     with open(path, "w") as fh:
-        for v in np.asarray(samples):
-            fh.write(f"{_fmt(v)}\n")
+        fh.writelines(f"{v!r}\n" for v in np.asarray(samples, dtype=np.float64).tolist())
 
 
 def write_svg(

@@ -171,7 +171,8 @@ def sweep_delta(
 
     With ``sim`` the spectra are estimated by simulation (integer deltas
     only, ``workers`` passed on to :func:`estimate_psd`); otherwise they
-    are the closed form on ``grid``, by default :func:`default_sweep_grid`.
+    are the closed form, which assumes ``base.prob_one`` = 0.5, on
+    ``grid``, by default :func:`default_sweep_grid`.
     All sweep items share one grid (analytic) or one seed and fft size
     (simulated), so reports are comparable item to item; with a common
     scale, peak heights can be compared directly via
@@ -190,6 +191,8 @@ def sweep_delta(
             raise ValueError("a simulated sweep uses the FFT grid; pass sim or grid, not both")
         if any(float(d) != int(d) for d in deltas):
             raise ValueError("simulated sweeps need integer deltas (sample counts)")
+    elif base.prob_one != 0.5:
+        raise ValueError("the closed form assumes prob_one = 0.5; simulate biased symbols")
     elif grid is None:
         grid = default_sweep_grid(base.t0)
 

@@ -124,15 +124,23 @@ def _block_sum(config: SimConfig, start: int, stop: int) -> np.ndarray:
 
 
 def resolve_workers(requested: int | None = None) -> int:
-    """Worker count for block evaluation; PULSEPSD_THREADS caps it."""
+    """Worker count for block evaluation; PULSEPSD_THREADS caps it.
+
+    A request or a cap below 1 is an error, not a silent 1.
+    """
+    if requested is not None and requested < 1:
+        raise ValueError(f"workers must be at least 1, got {requested}")
     n = requested if requested is not None else (os.cpu_count() or 1)
     cap = os.environ.get(THREADS_ENV)
     if cap is not None:
         try:
-            n = min(n, max(1, int(cap)))
+            limit = int(cap)
         except ValueError:
             raise ValueError(f"{THREADS_ENV} must be an integer, got {cap!r}") from None
-    return max(1, n)
+        if limit < 1:
+            raise ValueError(f"{THREADS_ENV} must be at least 1, got {cap!r}")
+        n = min(n, limit)
+    return n
 
 
 def estimate_psd(config: SimConfig, workers: int | None = None) -> SpectrumGrid:

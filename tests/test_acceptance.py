@@ -107,7 +107,7 @@ def test_criterion_2_line_powers_match_monte_carlo():
 def test_criterion_3_fine_fft_configuration_converges_and_coarse_does_not():
     sim4 = _fig4_simulation()
     ana4 = analytic_on_fft_grid(_transition(128, 6, 0.55), 16384)
-    _, stats4 = compare_on_common_bins(ana4, sim4, 128.0, (0.1, 10.0), 16384)
+    _, stats4 = compare_on_common_bins(ana4, sim4, 128.0, (0.1, 10.0))
     cfg1 = SimConfig(
         n_symbols=128,
         n_realizations=1000,
@@ -117,7 +117,7 @@ def test_criterion_3_fine_fft_configuration_converges_and_coarse_does_not():
     )
     sim1 = estimate_psd(cfg1)
     ana1 = analytic_on_fft_grid(_transition(64, 3, 0.55), 8192)
-    _, stats1 = compare_on_common_bins(ana1, sim1, 64.0, (0.1, 10.0), 8192)
+    _, stats1 = compare_on_common_bins(ana1, sim1, 64.0, (0.1, 10.0))
     m4, m1 = stats4["max_abs_diff_db"], stats1["max_abs_diff_db"]
     ok = m4 <= 2.0 and m1 > m4
     _criterion(

@@ -13,6 +13,7 @@ from pulsepsd import (
     TrainParams,
     Variant,
     __version__,
+    db10,
     discrete_lines_transition,
 )
 from pulsepsd.cli import analytic_on_fft_grid, compare_on_common_bins, main
@@ -209,10 +210,19 @@ def test_compare_join_of_identical_spectra_is_zero():
     psd = np.linspace(1.0, 2.0, len(grid))
     left = SpectrumGrid(grid=grid, psd=psd)
     right = SpectrumGrid(grid=grid, psd=psd.copy())
-    rows, stats = compare_on_common_bins(left, right, 64.0, (0.1, 10.0), fft)
+    rows, stats = compare_on_common_bins(left, right, 64.0, (0.1, 10.0))
     assert stats["max_abs_diff_db"] == 0.0
     assert all(r[3] == 0.0 for r in rows)
     assert stats["bins_used"] < stats["bins_in_band"]  # null neighborhoods skipped
+    assert rows.shape == (len(grid), 4)
+    # an analytic side that dropped bins joins the simulated bins it kept
+    keep = np.ones(len(grid), dtype=bool)
+    keep[[0, 15, 16, 200, len(grid) - 1]] = False
+    subset = SpectrumGrid(grid=FrequencyGrid(grid.values[keep]), psd=psd[keep] * 2.0)
+    rows, _ = compare_on_common_bins(subset, right, 64.0, (0.1, 10.0))
+    assert rows.shape == (np.count_nonzero(keep), 4)
+    np.testing.assert_array_equal(rows[:, 0], grid.values[keep] * 64.0)
+    np.testing.assert_array_equal(rows[:, 2], db10(right.psd)[keep])
 
 
 def test_compare_rejects_mismatched_grids():
@@ -222,7 +232,11 @@ def test_compare_rejects_mismatched_grids():
         TrainParams(Variant.TRANSITION_STRETCH, t0=64, delta=3, prob_one=0.55), 8192
     )
     with pytest.raises(ValueError, match="grid mismatch"):
-        compare_on_common_bins(ana, sim, 64.0, (0.1, 10.0), 8192)
+        compare_on_common_bins(ana, sim, 64.0, (0.1, 10.0))
+    # analytic bins past the last simulated bin do not join either
+    short = SpectrumGrid(grid=FrequencyGrid(sim_grid.values[:-1]), psd=np.ones(len(sim_grid) - 1))
+    with pytest.raises(ValueError, match="grid mismatch"):
+        compare_on_common_bins(SpectrumGrid(grid=sim_grid, psd=sim.psd), short, 64.0, (0.1, 10.0))
 
 
 def test_analytic_on_fft_grid_keeps_line_power(tmp_path):
@@ -259,6 +273,11 @@ def test_peaks_sweep_analytic_writes_report_and_csv(tmp_path):
     assert report["monotonicity"]["fwhm_nondecreasing"]["holds"] is True
     assert report["center_fit"]["r_squared"] > 0.9
     item = report["items"][-1]
+    assert set(item) == {
+        "delta", "center_freq_norm", "amplitude_linear", "fwhm_norm",
+        "second_lobe_max", "peak_height",
+    }
+    assert set(report["center_fit"]) == {"slope", "intercept", "r_squared"}
     assert item["delta"] == 10.0
     assert item["amplitude_linear"] == pytest.approx(2.1586283777211532, rel=1e-6)
     assert item["peak_height"] == pytest.approx(
@@ -349,6 +368,32 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         assert main(["analytic", *model_argv, "--out-dir", str(tmp_path / "y")]) == 1
         err = capsys.readouterr().err
         assert flag in err and err.count("\n") == 1
+    # the blank closed forms have no symbol-probability input, so --p != 0.5 is refused
+    for argv in (
+        ["analytic", "--model", "blank", "--t0", "100", "--delta", "10"],
+        ["peaks-sweep", "--t0", "100", "--deltas", "2,6,10", "--source", "analytic"],
+    ):
+        code = main(argv + ["--p", "0.7", "--allow-biased", "--out-dir", str(tmp_path / "p")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "0.5" in err and err.count("\n") == 1
+    small = ["--t0", "16", "--delta", "2", "--fft", "1024", "--realizations", "4"]
+    # a worker count below 1 is refused, not clamped
+    for workers in ("0", "-3"):
+        code = main(["simulate", "--model", "transition", *small, "--workers", workers,
+                     "--out-dir", str(tmp_path / "w")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "workers" in err and err.count("\n") == 1
+    assert not (tmp_path / "w" / "simulated_spectrum.csv").exists()
+    # a summary band with no usable bins exits before writing any file
+    band_out = tmp_path / "band"
+    code = main(["compare", "--model", "transition", *small, "--band", "50:60",
+                 "--out-dir", str(band_out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "--band" in err and err.count("\n") == 1
+    assert not (band_out / "compare.csv").exists()
 
 
 def test_detection_failures_exit_two(tmp_path, capsys):

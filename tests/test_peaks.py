@@ -148,6 +148,10 @@ def test_sweep_validates_inputs():
     transition = TrainParams(Variant.TRANSITION_STRETCH, t0=100, delta=1)
     with pytest.raises(ValueError):
         sweep_delta(transition, (2,))
+    # the closed form has no symbol-probability input; a biased base is refused
+    biased = TrainParams(Variant.BLANK_SHORTEN, t0=100, prob_one=0.7, allow_biased=True)
+    with pytest.raises(ValueError, match="prob_one = 0.5"):
+        sweep_delta(biased, (2,))
 
 
 def test_simulated_peak_lands_within_two_bins_of_analytic():

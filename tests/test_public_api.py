@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pulsepsd
@@ -41,3 +42,51 @@ def test_public_surface_is_pinned_and_every_demo_import_resolves():
                 module = importlib.import_module(node.module)
                 missing = [a.name for a in node.names if not hasattr(module, a.name)]
                 assert not missing, f"{demo.name} imports {missing} from {node.module}"
+
+
+def _demo_calls(tree: ast.AST) -> list[tuple[str, object, ast.Call]]:
+    """(label, callee, call) for every call to a name imported from pulsepsd.
+
+    Covers ``name(...)`` and ``name.attr(...)``; calls that splat
+    ``*args`` or ``**kwargs`` cannot be bound statically and are left out.
+    """
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("pulsepsd"):
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                imported[alias.asname or alias.name] = getattr(module, alias.name)
+    calls = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        if any(isinstance(a, ast.Starred) for a in node.args) or any(
+            k.arg is None for k in node.keywords
+        ):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in imported:
+            calls.append((func.id, imported[func.id], node))
+        elif (
+            isinstance(func, ast.Attribute)
+            and isinstance(func.value, ast.Name)
+            and func.value.id in imported
+        ):
+            callee = getattr(imported[func.value.id], func.attr)
+            calls.append((f"{func.value.id}.{func.attr}", callee, node))
+    return calls
+
+
+def test_every_demo_call_binds_to_the_current_signature():
+    checked = set()
+    for demo in sorted(DEMOS.glob("*.py")):
+        for label, callee, call in _demo_calls(ast.parse(demo.read_text())):
+            args = [None] * len(call.args)
+            kwargs = {k.arg: None for k in call.keywords}
+            try:
+                inspect.signature(callee).bind(*args, **kwargs)
+            except TypeError as err:
+                raise AssertionError(f"{demo.name}:{call.lineno} {label}(...): {err}") from None
+            checked.add(label)
+    # the join the convergence demo runs is among the calls checked
+    assert {"compare_on_common_bins", "analytic_on_fft_grid", "estimate_psd"} <= checked

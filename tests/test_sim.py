@@ -149,9 +149,16 @@ def test_thread_env_caps_requested_workers(monkeypatch):
     monkeypatch.setenv("PULSEPSD_THREADS", "banana")
     with pytest.raises(ValueError):
         resolve_workers(8)
+    # a cap or a request below 1 is refused, not clamped to 1
+    monkeypatch.setenv("PULSEPSD_THREADS", "0")
+    with pytest.raises(ValueError, match="PULSEPSD_THREADS must be at least 1"):
+        resolve_workers(8)
     monkeypatch.delenv("PULSEPSD_THREADS")
     assert resolve_workers(8) == 8
     assert resolve_workers() >= 1
+    for requested in (0, -3):
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            resolve_workers(requested)
 
 
 def test_estimate_error_shrinks_like_root_realization_count():
