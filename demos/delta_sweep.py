@@ -19,7 +19,7 @@ items = sweep_delta(base, tuple(range(1, 11)))
 print("delta   center f/f0   peak height   fwhm")
 for delta, rep in items:
     print(
-        f"{delta:5.0f}   {rep.center_freq_norm:.6f}     {rep.peak_height:9.1f}   "
+        f"{delta:5.0f}   {rep.center_freq_norm:.6f}     {rep.peak_height:9.4f}   "
         f"{rep.fwhm_norm:.5f}"
     )
 

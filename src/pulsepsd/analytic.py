@@ -11,10 +11,18 @@ with <G> = t0 (2 + p/q + q/p), and its discrete part puts the line power
 
     (sin(pi k delta / t0) * p q / (k pi))^2
 
-on each clock harmonic k/t0. The blank-shorten density is
-K |F(w)|^2 Re[(1 + theta)/(1 - theta)] for a rectangular pulse of width
-t0. Values exactly on clock harmonics are removable 0/0 forms; such grid
-points are dropped and reported, never interpolated.
+on each clock harmonic k/t0. The blank-shorten train is a renewal pulse
+train (Rice 1944; Papoulis, Probability, Random Variables and Stochastic
+Processes): its density is
+
+    S_b(f) = K |F(w)|^2 Re[(1 + theta)/(1 - theta)]
+
+for a rectangular pulse of width t0, with K = 1/<T> the pulse rate, so
+it holds for any P(one) = p in absolute units. With integer t0 and
+delta the fronts sit on a lattice of g = gcd(t0, delta); lines could
+appear only at k/g, where |F|^2 = 0, so the density is the whole
+spectrum. Values exactly on clock harmonics are removable 0/0 forms;
+such grid points are dropped and reported, never interpolated.
 """
 
 from __future__ import annotations
@@ -221,35 +229,47 @@ def psd_blank_shorten(
     t0: float,
     delta: float,
     law: BlankLaw = BlankLaw.PAPER_K_DELTA,
-    k_scale: float = 1.0,
+    prob_one: float = 0.5,
+    scale: float = 1.0,
 ) -> SpectrumGrid:
-    """Blank-shorten PSD: k_scale * |F|^2 * Re[(1 + theta)/(1 - theta)].
+    """Blank-shorten PSD: scale/<T> * |F|^2 * Re[(1 + theta)/(1 - theta)].
 
+    The front interval T has mean <T> = t0 + (q/p)(t0 - delta) under the
+    generator law and p t0 + (t0 - delta)(1/p - p) under the paper law
+    (both -j theta'(0)), with p = ``prob_one`` and q = 1 - p. 1/<T> is
+    the pulse rate, so ``scale`` = 1 gives absolute units; ``scale``
+    multiplies all values, as in :func:`continuous_psd_transition`.
     |F(w)|^2 = (2 sin(w t0 / 2) / w)^2 is the energy spectrum of the unit
     rectangular pulse of width t0; the grid starts above 0, so w > 0.
     Grid points where |1 - theta| < 1e-9 (exactly the clock harmonics
     whose shortening cancels a whole number of slots) are dropped and
     reported in ``meta["dropped_freqs"]``.
     """
-    if k_scale <= 0:
-        raise ValueError(f"k_scale must be positive, got {k_scale!r}")
+    if scale <= 0:
+        raise ValueError(f"scale must be positive, got {scale!r}")
     f = grid.values
     w = 2.0 * np.pi * f
-    theta = charfn.theta_blank(w, t0, delta, law)
+    theta = charfn.theta_blank(w, t0, delta, law, prob_one)
+    p, q = prob_one, 1.0 - prob_one
+    if law is BlankLaw.GENERATOR_K_MINUS_ONE_DELTA:
+        mean_interval = t0 + (q / p) * (t0 - delta)
+    else:
+        mean_interval = p * t0 + (t0 - delta) * (1.0 / p - p)
     one_minus = 1.0 - theta
     drop = np.abs(one_minus) < SINGULAR_TOL
     keep = ~drop
     phi = np.real((1.0 + theta[keep]) / one_minus[keep])
     wk = w[keep]
-    values = k_scale * (2.0 * np.sin(wk * t0 / 2.0) / wk) ** 2 * phi
+    values = (2.0 * np.sin(wk * t0 / 2.0) / wk) ** 2 * phi * (scale / mean_interval)
     values, n_clamped = _clamp_noise(values, int(keep.sum()))
     meta = {
         "kind": "continuous",
         "model": Variant.BLANK_SHORTEN.value,
         "t0": t0,
         "delta": delta,
+        "prob_one": prob_one,
         "law": law.value,
-        "k_scale": k_scale,
+        "scale": scale,
         "dropped_freqs": tuple(float(x) for x in f[drop]),
         "clamped_points": n_clamped,
     }

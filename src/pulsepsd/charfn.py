@@ -8,8 +8,9 @@ closed forms
     theta2(w) = p * exp(-jw delta) * exp(jw t0) / (1 - q exp(jw t0))
 
 with q = 1 - p. For the blank-shorten model the front-to-front interval
-takes value t0*k minus a shortening that depends on the chosen law; both
-closed forms are geometric-series limits. All functions accept a scalar
+covers k symbol slots with probability p q^(k-1) and lasts t0*k minus a
+shortening that depends on the chosen law; both closed forms are
+geometric-series limits. All functions accept a scalar
 or array ``omega`` in rad/sample and are pure.
 """
 
@@ -51,56 +52,59 @@ def _check_denominator(den: np.ndarray, omega: np.ndarray, what: str) -> None:
         raise NearSingularError(w, f"{what} denominator nearly singular at omega={w!r}")
 
 
-def theta1(omega, params: TrainParams):
-    """Characteristic function of the pulse duration tau; |theta1| <= 1, theta1(0) = 1."""
+def _geometric(omega, params: TrainParams, first: float, repeat: float, shift: float, what: str):
+    """first * exp(jw shift) * z / (1 - repeat z) with z = exp(jw t0)."""
     _require_transition(params)
     w = np.asarray(omega, dtype=float)
-    p, q, t0, d = params.prob_one, params.prob_zero, params.t0, params.delta
-    z = np.exp(1j * w * t0)
-    den = 1.0 - p * z
-    _check_denominator(den, w, "theta1")
-    out = q * np.exp(1j * w * d) * z / den
+    z = np.exp(1j * w * params.t0)
+    den = 1.0 - repeat * z
+    _check_denominator(den, w, what)
+    out = first * np.exp(1j * w * shift) * z / den
     return complex(out) if np.isscalar(omega) else out
+
+
+def theta1(omega, params: TrainParams):
+    """Characteristic function of the pulse duration tau; |theta1| <= 1, theta1(0) = 1."""
+    return _geometric(omega, params, params.prob_zero, params.prob_one, params.delta, "theta1")
 
 
 def theta2(omega, params: TrainParams):
     """Characteristic function of the gap l between pulses; |theta2| <= 1."""
-    _require_transition(params)
-    w = np.asarray(omega, dtype=float)
-    p, q, t0, d = params.prob_one, params.prob_zero, params.t0, params.delta
-    z = np.exp(1j * w * t0)
-    den = 1.0 - q * z
-    _check_denominator(den, w, "theta2")
-    out = p * np.exp(-1j * w * d) * z / den
-    return complex(out) if np.isscalar(omega) else out
+    return _geometric(omega, params, params.prob_one, params.prob_zero, -params.delta, "theta2")
 
 
-def theta_blank(omega, t0: float, delta: float, law: BlankLaw = BlankLaw.PAPER_K_DELTA):
+def theta_blank(
+    omega, t0: float, delta: float, law: BlankLaw = BlankLaw.PAPER_K_DELTA, prob_one: float = 0.5
+):
     """Characteristic function of the blank-shorten front-to-front interval.
 
-    With u = exp(jw(t0-delta))/2 and z = exp(jw t0):
+    A front is followed by j >= 0 zeros and then a one, with probability
+    p q^j (p = ``prob_one``, q = 1 - p), so the interval covers k = j + 1
+    symbol slots. With z = exp(jw t0) and v = exp(jw(t0-delta)):
 
     * PAPER_K_DELTA: interval over k slots shortened by k*delta for k >= 2,
-      single slot unshortened: theta = z/2 + u^2/(1-u).
+      single slot unshortened: theta = p z + p q v^2 / (1 - q v).
     * GENERATOR_K_MINUS_ONE_DELTA: shortened by (k-1)*delta, k >= 1, which
-      collapses to theta = z/(2 - exp(jw(t0-delta))).
+      sums to theta = p z / (1 - q v).
 
     Both laws coincide at delta = 0 with the fixed-slot renewal form
-    z/(2-z), and theta(0) = 1 for either law.
+    p z/(1 - q z), and theta(0) = 1 for either law.
     """
     if not 0 <= delta < t0:
         raise ValueError(f"need 0 <= delta < t0, got delta={delta!r}, t0={t0!r}")
+    if not 0.0 < prob_one < 1.0:
+        raise ValueError(f"prob_one must lie in (0, 1), got {prob_one!r}")
     w = np.asarray(omega, dtype=float)
+    p, q = prob_one, 1.0 - prob_one
     z = np.exp(1j * w * t0)
-    u = 0.5 * np.exp(1j * w * (t0 - delta))
+    u = q * np.exp(1j * w * (t0 - delta))
+    den = 1.0 - u
+    _check_denominator(den, w, "theta_blank")
+    # p q v^2 = (p/q) u^2; the factors p and p/q are exact at p = 1/2
     if law is BlankLaw.PAPER_K_DELTA:
-        den = 1.0 - u
-        _check_denominator(den, w, "theta_blank")
-        out = 0.5 * z + u * u / den
+        out = p * z + (p / q) * u * u / den
     elif law is BlankLaw.GENERATOR_K_MINUS_ONE_DELTA:
-        den = 2.0 - 2.0 * u
-        _check_denominator(den, w, "theta_blank")
-        out = z / den
+        out = p * z / den
     else:
         raise ValueError(f"unknown blank law {law!r}")
     return complex(out) if np.isscalar(omega) else out

@@ -54,7 +54,7 @@ from .peaks import (
     normalize_second_lobe,
     sweep_delta,
 )
-from .sim import SimConfig, estimate_psd, synthesize_realization
+from .sim import SimConfig, estimate_psd, resolve_workers, synthesize_realization
 
 SCHEMA_VERSION = 1
 
@@ -171,10 +171,9 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_symbol_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--p", dest="prob_one", type=float, default=0.5, help="P(symbol = 1)")
-    p.add_argument("--allow-biased", action="store_true",
-                   help="permit --p != 0.5 for simulated blank trains")
-    p.add_argument("--law", choices=["paper", "generator"], default="paper",
-                   help="blank-model front-interval shortening law")
+    p.add_argument("--law", choices=["paper", "generator"], default=None,
+                   help="blank-model front-interval shortening law "
+                        "(default paper for closed forms, generator for simulations)")
 
 
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
@@ -189,24 +188,31 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
 def _add_sim_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--fft", type=int, default=None, help="FFT size, power of two")
     p.add_argument("--symbols", type=int, default=None, help="symbols per realization")
-    p.add_argument("--realizations", type=int, default=500)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--realizations", type=int, default=None, help="default 500")
+    p.add_argument("--seed", type=int, default=None, help="default 0")
     p.add_argument("--workers", type=int, default=None,
                    help="worker threads (PULSEPSD_THREADS caps; never changes results)")
 
 
-def _train_params(args, variant: Variant, delta: float) -> TrainParams:
-    """Validated model parameters from the shared flags, at the given delta."""
+def _train_params(args, variant: Variant, delta: float, simulated: bool) -> TrainParams:
+    """Validated model parameters from the shared flags, at the given delta.
+
+    Refuses a flag the model would ignore. Resolves an unset --law in place,
+    so the manifest records it: paper for closed forms, generator (the only
+    law synthesized) for simulations.
+    """
     if not float(delta).is_integer():
         raise CliUsageError(f"--delta must be an integer sample count here, got {delta!r}")
-    return TrainParams(
-        variant=variant,
-        t0=args.t0,
-        delta=int(delta),
-        prob_one=args.prob_one,
-        blank_law=BlankLaw(args.law),
-        allow_biased=args.allow_biased,
-    )
+    if variant is Variant.TRANSITION_STRETCH:
+        if args.law is not None:
+            raise CliUsageError("--law applies to --model blank only")
+    elif getattr(args, "k_max", None) is not None:
+        raise CliUsageError("--k-max applies to --model transition only")
+    elif args.law is None:
+        args.law = "generator" if simulated else "paper"
+    elif simulated and args.law == "paper":
+        raise CliUsageError("--law paper has no synthesizer yet; simulations use --law generator")
+    return TrainParams(variant, args.t0, int(delta), args.prob_one, BlankLaw(args.law or "paper"))
 
 
 def _sim_config(args, params: TrainParams) -> SimConfig:
@@ -216,9 +222,9 @@ def _sim_config(args, params: TrainParams) -> SimConfig:
     symbols = args.symbols if args.symbols is not None else max(1, fft // params.t0)
     return SimConfig(
         n_symbols=symbols,
-        n_realizations=args.realizations,
+        n_realizations=args.realizations if args.realizations is not None else 500,
         fft_size=fft,
-        seed=args.seed,
+        seed=args.seed if args.seed is not None else 0,
         params=params,
     )
 
@@ -235,13 +241,11 @@ def _diagnostics(spectrum: SpectrumGrid) -> dict:
 
 
 def _manifest(args, command: str, outputs: list[Path], extra: dict, started: float) -> None:
-    params = {}
-    for key, value in vars(args).items():
-        if key in ("func", "config"):
-            continue
-        if isinstance(value, Path):
-            value = str(value)
-        params[key.replace("_", "-")] = value
+    params = {
+        key.replace("_", "-"): str(value) if isinstance(value, Path) else value
+        for key, value in vars(args).items()
+        if key not in ("func", "config")
+    }
     payload = {
         "schema_version": SCHEMA_VERSION,
         "tool": "pulsepsd",
@@ -262,49 +266,36 @@ def _svg_of_spectrum(path: Path, spectrum: SpectrumGrid, t0: float, hz: bool, ti
 
 
 def cmd_analytic(args) -> tuple[list[Path], dict]:
-    outputs: list[Path] = []
     t0 = float(args.t0)
-    if Variant(args.model) is Variant.TRANSITION_STRETCH:
-        if args.k_scale is not None:
-            raise CliUsageError("--k-scale applies to --model blank only")
-        params = _train_params(args, Variant.TRANSITION_STRETCH, args.delta)
-        fmax_norm = args.fmax_norm if args.fmax_norm is not None else 10.0
-        points = args.points if args.points is not None else 4096
-        grid = FrequencyGrid.offset_linspace(fmax_norm / t0, points)
-        spectrum = continuous_psd_transition(grid, params, scale=args.scale)
+    variant = Variant(args.model)
+    blank = variant is Variant.BLANK_SHORTEN
+    # a blank delta may be fractional; theta_blank range-checks it
+    params = _train_params(args, variant, 0 if blank else args.delta, simulated=False)
+    fmax_norm = args.fmax_norm if args.fmax_norm is not None else (3.0 if blank else 10.0)
+    points = args.points if args.points is not None else (20001 if blank else 4096)
+    grid = FrequencyGrid.offset_linspace(fmax_norm / t0, points)
+    scale = args.scale if args.scale is not None else 1.0
+    spectrum_path = args.out_dir / "analytic_spectrum.csv"
+    outputs = [spectrum_path]
+    if blank:
+        if args.scale is None and fmax_norm < 2.0:
+            raise CliUsageError(
+                "default second-lobe normalization needs --fmax-norm >= 2; pass --scale to skip"
+            )
+        spectrum = psd_blank_shorten(
+            grid, t0, float(args.delta), law=params.blank_law, prob_one=params.prob_one,
+            scale=scale,
+        )
+        if args.scale is None:
+            spectrum = normalize_second_lobe(spectrum, t0)
+    else:
+        spectrum = continuous_psd_transition(grid, params, scale=scale)
         k_in_span = int(np.floor(grid.values[-1] * t0))
         k_max = args.k_max if args.k_max is not None else max(1, min(40, k_in_span))
-        lines = discrete_lines_transition(k_max, params)
-        spectrum_path = args.out_dir / "analytic_spectrum.csv"
         lines_path = args.out_dir / "analytic_lines.csv"
-        write_spectrum_csv(spectrum_path, spectrum, t0, hz=args.hz)
-        write_lines_csv(lines_path, lines, t0, hz=args.hz)
-        outputs += [spectrum_path, lines_path]
-    else:
-        if args.k_max is not None:
-            raise CliUsageError("--k-max applies to --model transition only")
-        if args.scale != 1.0:
-            raise CliUsageError("--scale applies to --model transition only")
-        # checks t0 and --p; theta_blank range-checks the possibly fractional delta
-        _train_params(args, Variant.BLANK_SHORTEN, 0)
-        if args.prob_one != 0.5:
-            raise CliUsageError("the blank closed form assumes --p 0.5; simulate takes others")
-        fmax_norm = args.fmax_norm if args.fmax_norm is not None else 3.0
-        points = args.points if args.points is not None else 20001
-        if args.k_scale is None and fmax_norm < 2.0:
-            raise CliUsageError(
-                "default second-lobe normalization needs --fmax-norm >= 2; pass --k-scale to skip"
-            )
-        grid = FrequencyGrid.offset_linspace(fmax_norm / t0, points)
-        spectrum = psd_blank_shorten(
-            grid, t0, float(args.delta), law=BlankLaw(args.law),
-            k_scale=args.k_scale if args.k_scale is not None else 1.0,
-        )
-        if args.k_scale is None:
-            spectrum = normalize_second_lobe(spectrum, t0)
-        spectrum_path = args.out_dir / "analytic_spectrum.csv"
-        write_spectrum_csv(spectrum_path, spectrum, t0, hz=args.hz)
-        outputs.append(spectrum_path)
+        write_lines_csv(lines_path, discrete_lines_transition(k_max, params), t0, hz=args.hz)
+        outputs.append(lines_path)
+    write_spectrum_csv(spectrum_path, spectrum, t0, hz=args.hz)
     if args.svg:
         svg_path = args.out_dir / "analytic_spectrum.svg"
         _svg_of_spectrum(svg_path, spectrum, t0, args.hz, f"analytic {args.model} PSD")
@@ -313,13 +304,11 @@ def cmd_analytic(args) -> tuple[list[Path], dict]:
 
 
 def cmd_simulate(args) -> tuple[list[Path], dict]:
-    params = _train_params(args, Variant(args.model), args.delta)
+    params = _train_params(args, Variant(args.model), args.delta, simulated=True)
     config = _sim_config(args, params)
     spectrum = estimate_psd(config, workers=args.workers)
-    outputs = []
-    spectrum_path = args.out_dir / "simulated_spectrum.csv"
-    write_spectrum_csv(spectrum_path, spectrum, float(params.t0), hz=args.hz)
-    outputs.append(spectrum_path)
+    outputs = [args.out_dir / "simulated_spectrum.csv"]
+    write_spectrum_csv(outputs[0], spectrum, float(params.t0), hz=args.hz)
     if args.dump_first_signal is not None:
         write_signal_txt(args.dump_first_signal, synthesize_realization(config, 0))
         outputs.append(args.dump_first_signal)
@@ -347,7 +336,8 @@ def analytic_on_fft_grid(params: TrainParams, fft_size: int, k_max: int | None =
         k_use = max(1, min(k_max if k_max is not None else 40, k_in_span))
         return combine(binned, discrete_lines_transition(k_use, params))
     blank = psd_blank_shorten(
-        grid, float(params.t0), float(params.delta), law=params.blank_law
+        grid, float(params.t0), float(params.delta), law=params.blank_law,
+        prob_one=params.prob_one,
     )
     return bin_power(blank)
 
@@ -395,7 +385,7 @@ def compare_on_common_bins(
 
 def cmd_compare(args) -> tuple[list[Path], dict]:
     band = _parse_pair(args.band, "--band")
-    params = _train_params(args, Variant(args.model), args.delta)
+    params = _train_params(args, Variant(args.model), args.delta, simulated=True)
     config = _sim_config(args, params)
     simulated = estimate_psd(config, workers=args.workers)
     analytic_spec = analytic_on_fft_grid(params, config.fft_size, args.k_max)
@@ -403,14 +393,10 @@ def cmd_compare(args) -> tuple[list[Path], dict]:
     if stats["bins_used"] == 0:
         raise CliUsageError(f"--band {args.band} selects no bins away from the continuum nulls")
     if stats["max_abs_diff_db"] > 1.0:
-        stats["note"] = "resolution-limited: analytic and simulated disagree beyond 1 dB"
-    outputs = []
-    csv_path = args.out_dir / "compare.csv"
-    write_compare_csv(csv_path, rows)
-    outputs.append(csv_path)
-    summary_path = args.out_dir / "compare_summary.json"
-    write_json(summary_path, {"schema_version": SCHEMA_VERSION, **stats})
-    outputs.append(summary_path)
+        stats["note"] = "analytic and simulated disagree beyond 1 dB"
+    outputs = [args.out_dir / "compare.csv", args.out_dir / "compare_summary.json"]
+    write_compare_csv(outputs[0], rows)
+    write_json(outputs[1], {"schema_version": SCHEMA_VERSION, **stats})
     if args.svg:
         svg_path = args.out_dir / "compare.svg"
         write_svg(svg_path, rows[:, 0], rows[:, 3], "analytic minus simulated",
@@ -428,8 +414,13 @@ def cmd_peaks_sweep(args) -> tuple[list[Path], dict]:
     deltas = _parse_deltas(args.deltas)
     window = _parse_pair(args.window, "--window")
     lobe_window = _parse_pair(args.lobe_window, "--lobe-window")
-    base = _train_params(args, Variant.BLANK_SHORTEN, 0)
-    sim_config = _sim_config(args, base) if args.source == "simulated" else None
+    simulated = args.source == "simulated"
+    base = _train_params(args, Variant.BLANK_SHORTEN, 0, simulated)
+    resolve_workers(args.workers)
+    given = [f for f in ("fft", "symbols", "realizations", "seed") if getattr(args, f) is not None]
+    if given and not simulated:
+        raise CliUsageError(f"--{given[0]} applies to --source simulated only")
+    sim_config = _sim_config(args, base) if simulated else None
     results = sweep_delta(
         base, deltas, sim=sim_config, window=window, lobe_window=lobe_window,
         workers=args.workers,
@@ -441,7 +432,7 @@ def cmd_peaks_sweep(args) -> tuple[list[Path], dict]:
         "schema_version": SCHEMA_VERSION,
         "source": args.source,
         "t0": args.t0,
-        "law": args.law,
+        "law": base.blank_law.value,
         "deltas": column["delta"],
         "window_norm": list(window),
         "lobe_window_norm": list(lobe_window),
@@ -454,19 +445,11 @@ def cmd_peaks_sweep(args) -> tuple[list[Path], dict]:
         "center_fit": None if fit is None else asdict(fit),
     }
     if sim_config is not None:
-        report["sim"] = {
-            "fft_size": sim_config.fft_size,
-            "n_symbols": sim_config.n_symbols,
-            "n_realizations": sim_config.n_realizations,
-            "seed": sim_config.seed,
-        }
-    outputs = []
-    csv_path = args.out_dir / "sweep.csv"
-    write_sweep_csv(csv_path, [[item[key] for key in SWEEP_COLUMNS] for item in items])
-    outputs.append(csv_path)
-    report_path = args.out_dir / "sweep_report.json"
-    write_json(report_path, report)
-    outputs.append(report_path)
+        keys = ("fft_size", "n_symbols", "n_realizations", "seed")
+        report["sim"] = {key: getattr(sim_config, key) for key in keys}
+    outputs = [args.out_dir / "sweep.csv", args.out_dir / "sweep_report.json"]
+    write_sweep_csv(outputs[0], [[item[key] for key in SWEEP_COLUMNS] for item in items])
+    write_json(outputs[1], report)
     if args.svg:
         svg_path = args.out_dir / "sweep.svg"
         write_svg(svg_path, column["delta"], column["center_freq_norm"],
@@ -497,10 +480,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="grid extent as f/f0 (default 10 transition, 3 blank)")
     p.add_argument("--points", type=int, default=None,
                    help="grid size (default 4096 transition, 20001 blank)")
-    p.add_argument("--scale", type=float, default=1.0,
-                   help="transition continuum scale (0.25 for quarter-amplitude convention)")
-    p.add_argument("--k-scale", type=float, default=None,
-                   help="blank spectrum scale K; omit for second-lobe normalization")
+    p.add_argument("--scale", type=float, default=None,
+                   help="multiplies the PSD (0.25 for the quarter-amplitude convention); "
+                        "default 1, or for blank the second-lobe normalization")
     p.add_argument("--k-max", type=int, default=None, help="highest line harmonic")
     p.set_defaults(func=cmd_analytic)
 

@@ -42,11 +42,13 @@ class BlankLaw(enum.Enum):
     """Front-interval shortening law for the blank-shorten closed forms.
 
     An interval between consecutive pulse fronts spans one "one" plus
-    j >= 0 "zeros". PAPER_K_DELTA treats the interval covering k symbol
-    slots as shortened by k*delta (single-slot interval unshortened);
+    j >= 0 "zeros", so it covers k = j + 1 symbol slots with probability
+    p q^j for any P(one) = p. PAPER_K_DELTA treats the interval covering
+    k slots as shortened by k*delta (single-slot interval unshortened);
     GENERATOR_K_MINUS_ONE_DELTA shortens it by (k-1)*delta, which is what
     the synthesized waveform actually produces: a one followed by j zeros
-    puts the next front at (j+1)*t0 - j*delta.
+    puts the next front at (j+1)*t0 - j*delta. Only the generator law has
+    a synthesizer.
     """
 
     PAPER_K_DELTA = "paper"
@@ -64,9 +66,9 @@ class TrainParams:
     ``t0`` and ``delta`` are integer sample counts so synthesis is
     bit-exact; analytic formulas receive them as reals. ``prob_one`` is
     the i.i.d. probability of a "one" symbol; the complementary
-    probability is always derived, never stored. The blank-shorten
-    spectral formulas assume equiprobable symbols, so that variant
-    rejects ``prob_one != 0.5`` unless ``allow_biased`` is set.
+    probability is always derived, never stored. Every closed form and
+    the simulator honour any ``prob_one`` in (0, 1) for both variants;
+    ``blank_law`` matters only to the blank-shorten closed forms.
     """
 
     variant: Variant
@@ -74,7 +76,6 @@ class TrainParams:
     delta: int = 0
     prob_one: float = 0.5
     blank_law: BlankLaw = BlankLaw.PAPER_K_DELTA
-    allow_biased: bool = False
 
     def __post_init__(self) -> None:
         if not isinstance(self.t0, (int, np.integer)) or self.t0 <= 0:
@@ -85,14 +86,6 @@ class TrainParams:
             )
         if not 0.0 < self.prob_one < 1.0:
             raise ValueError(f"prob_one must lie in (0, 1), got {self.prob_one!r}")
-        if (
-            self.variant is Variant.BLANK_SHORTEN
-            and self.prob_one != 0.5
-            and not self.allow_biased
-        ):
-            raise ValueError(
-                "blank-shorten assumes prob_one = 0.5; set allow_biased=True to override"
-            )
 
     @property
     def prob_zero(self) -> float:

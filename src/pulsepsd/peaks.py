@@ -171,13 +171,12 @@ def sweep_delta(
 
     With ``sim`` the spectra are estimated by simulation (integer deltas
     only, ``workers`` passed on to :func:`estimate_psd`); otherwise they
-    are the closed form, which assumes ``base.prob_one`` = 0.5, on
-    ``grid``, by default :func:`default_sweep_grid`.
+    are the closed form at ``base.prob_one`` and ``base.blank_law``, in
+    absolute units, on ``grid``, by default :func:`default_sweep_grid`.
     All sweep items share one grid (analytic) or one seed and fft size
-    (simulated), so reports are comparable item to item; with a common
-    scale, peak heights can be compared directly via
-    ``report.peak_height``. Detection failures propagate tagged with
-    their delta.
+    (simulated), so reports are comparable item to item, and peak
+    heights can be compared directly via ``report.peak_height``.
+    Detection failures propagate tagged with their delta.
     """
     if base.variant is not Variant.BLANK_SHORTEN:
         raise ValueError("sweep_delta characterizes the blank-shorten model")
@@ -191,15 +190,15 @@ def sweep_delta(
             raise ValueError("a simulated sweep uses the FFT grid; pass sim or grid, not both")
         if any(float(d) != int(d) for d in deltas):
             raise ValueError("simulated sweeps need integer deltas (sample counts)")
-    elif base.prob_one != 0.5:
-        raise ValueError("the closed form assumes prob_one = 0.5; simulate biased symbols")
     elif grid is None:
         grid = default_sweep_grid(base.t0)
 
     out: list[tuple[float, PeakReport]] = []
     for d in deltas:
         if sim is None:
-            spectrum = psd_blank_shorten(grid, float(base.t0), float(d), law=base.blank_law)
+            spectrum = psd_blank_shorten(
+                grid, float(base.t0), float(d), law=base.blank_law, prob_one=base.prob_one
+            )
         else:
             params = dataclasses.replace(base, delta=int(d))
             spectrum = estimate_psd(dataclasses.replace(sim, params=params), workers=workers)

@@ -200,15 +200,33 @@ def test_blank_drops_points_where_denominator_collapses():
     assert spec.meta["dropped_freqs"] == (1.0 / t0,)
 
 
-def test_blank_k_scale_is_linear():
+def _series_mean_interval(t0: float, delta: float, law: BlankLaw, p: float) -> float:
+    """<T> = sum over k of p q^(k-1) times the length of a k-slot front interval."""
+    q = 1.0 - p
+    k = np.arange(1, int(np.ceil(np.log(1e-18) / np.log(q))) + 1)
+    if law is BlankLaw.PAPER_K_DELTA:
+        length = np.where(k == 1, t0, k * (t0 - delta))
+    else:
+        length = k * t0 - (k - 1) * delta
+    return float(np.sum(p * q ** (k - 1) * length))
+
+
+def test_blank_scale_is_linear_and_the_level_is_one_over_the_mean_interval():
     grid = FrequencyGrid.offset_linspace(2.0 / 100.0, 500)
-    base = psd_blank_shorten(grid, 100.0, 10.0, k_scale=1.0)
-    scaled = psd_blank_shorten(grid, 100.0, 10.0, k_scale=2.5)
-    np.testing.assert_allclose(scaled.psd, 2.5 * base.psd, rtol=1e-14)
-    w = 2.0 * np.pi * base.freqs
-    theta = theta_blank(w, 100.0, 10.0)
-    expected = 4.0 * np.sin(w * 50.0) ** 2 / w**2 * np.real((1.0 + theta) / (1.0 - theta))
-    np.testing.assert_allclose(base.psd, expected, rtol=1e-12)
+    rng = np.random.default_rng(3)
+    for p in (0.5, *rng.uniform(0.05, 0.95, 4)):
+        for law in BlankLaw:
+            base = psd_blank_shorten(grid, 100.0, 10.0, law=law, prob_one=p)
+            scaled = psd_blank_shorten(grid, 100.0, 10.0, law=law, prob_one=p, scale=2.5)
+            np.testing.assert_allclose(scaled.psd, 2.5 * base.psd, rtol=1e-14)
+            w = 2.0 * np.pi * base.freqs
+            theta = theta_blank(w, 100.0, 10.0, law=law, prob_one=p)
+            rate = 1.0 / _series_mean_interval(100.0, 10.0, law, p)
+            expected = (
+                rate * 4.0 * np.sin(w * 50.0) ** 2 / w**2
+                * np.real((1.0 + theta) / (1.0 - theta))
+            )
+            np.testing.assert_allclose(base.psd, expected, rtol=1e-12)
 
 
 # --- binning and line placement ---

@@ -25,7 +25,7 @@ def _params(t0=64, delta=3, p=0.55) -> TrainParams:
 # lasting k symbol slots has probability q*p^(k-1) and duration k*t0 +
 # delta; a gap lasting k slots has probability p*q^(k-1) and duration
 # k*t0 - delta. Blank-shorten fronts are spaced k*t0 minus a law-dependent
-# multiple of delta, each with probability 2^-k.
+# multiple of delta, each with probability p*q^(k-1).
 
 
 def _tail_terms(ratio: float) -> int:
@@ -44,13 +44,20 @@ def _series_theta2(w: float, params: TrainParams) -> complex:
     return complex(np.sum(p * q ** (k - 1) * np.exp(1j * w * (k * t0 - d))))
 
 
-def _series_blank(w: float, t0: float, delta: float, law: BlankLaw) -> complex:
-    k = np.arange(1, _tail_terms(0.5) + 1)
+def _blank_interval_law(t0: float, delta: float, law: BlankLaw, p: float):
+    """Probabilities and lengths of the blank front intervals over k slots."""
+    q = 1.0 - p
+    k = np.arange(1, _tail_terms(q) + 1)
     if law is BlankLaw.PAPER_K_DELTA:
         shortening = np.where(k == 1, 0.0, k * delta)
     else:
         shortening = (k - 1) * delta
-    return complex(np.sum(0.5**k * np.exp(1j * w * (k * t0 - shortening))))
+    return p * q ** (k - 1), k * t0 - shortening
+
+
+def _series_blank(w: float, t0: float, delta: float, law: BlankLaw, p: float = 0.5) -> complex:
+    prob, length = _blank_interval_law(t0, delta, law, p)
+    return complex(np.sum(prob * np.exp(1j * w * length)))
 
 
 # --- basic invariants ---
@@ -77,7 +84,7 @@ def test_magnitudes_never_exceed_one(w, p, t0, data):
     assert abs(theta1(w, params)) <= 1 + 1e-12
     assert abs(theta2(w, params)) <= 1 + 1e-12
     for law in BlankLaw:
-        assert abs(theta_blank(w, t0, delta, law=law)) <= 1 + 1e-12
+        assert abs(theta_blank(w, t0, delta, law=law, prob_one=p)) <= 1 + 1e-12
 
 
 def test_scalar_and_array_inputs_agree():
@@ -107,8 +114,8 @@ def test_closed_forms_match_series_oracles():
         assert theta1(w, params) == pytest.approx(_series_theta1(w, params), abs=1e-12)
         assert theta2(w, params) == pytest.approx(_series_theta2(w, params), abs=1e-12)
         for law in BlankLaw:
-            assert theta_blank(w, t0, delta, law=law) == pytest.approx(
-                _series_blank(w, t0, delta, law), abs=1e-12
+            assert theta_blank(w, t0, delta, law=law, prob_one=p) == pytest.approx(
+                _series_blank(w, t0, delta, law, p), abs=1e-12
             )
 
 
@@ -119,6 +126,21 @@ def test_blank_laws_coincide_at_zero_delta():
     expected = np.exp(1j * w * 64.0) / (2.0 - np.exp(1j * w * 64.0))
     np.testing.assert_allclose(paper, expected, atol=1e-12)
     np.testing.assert_allclose(gen, expected, atol=1e-12)
+
+
+def test_blank_theta_at_half_is_bit_identical_to_the_equiprobable_form():
+    # the equiprobable closed forms this package shipped before it took p
+    rng = np.random.default_rng(7)
+    w = rng.uniform(-5.0, 5.0, 1000)
+    for t0, delta in ((100.0, 10.0), (32.0, 3.0), (64.0, 0.0), (100.0, 10.5)):
+        z = np.exp(1j * w * t0)
+        u = 0.5 * np.exp(1j * w * (t0 - delta))
+        paper = 0.5 * z + u * u / (1.0 - u)
+        generator = z / (2.0 - 2.0 * u)
+        np.testing.assert_array_equal(theta_blank(w, t0, delta, BlankLaw.PAPER_K_DELTA), paper)
+        np.testing.assert_array_equal(
+            theta_blank(w, t0, delta, BlankLaw.GENERATOR_K_MINUS_ONE_DELTA), generator
+        )
 
 
 def test_blank_laws_differ_for_positive_delta():

@@ -114,7 +114,7 @@ def test_analytic_blank_needs_room_for_the_reference_window(tmp_path, capsys):
         ]
     )
     assert code == 1
-    assert "--k-scale" in capsys.readouterr().err
+    assert "--scale" in capsys.readouterr().err
 
 
 # --- simulate subcommand ---
@@ -323,6 +323,33 @@ def test_peaks_sweep_simulated_passes_workers_on_and_is_byte_identical(tmp_path,
     assert (outs[0] / "sweep.csv").read_bytes() == (outs[1] / "sweep.csv").read_bytes()
 
 
+def test_blank_closed_forms_take_any_p(tmp_path):
+    for p in ("0.3", "0.7"):
+        argv = ["analytic", "--model", "blank", "--t0", "100", "--delta", "10", "--p", p]
+        assert main(argv + ["--out-dir", str(tmp_path / p)]) == 0
+    out = tmp_path / "sweep"
+    argv = ["peaks-sweep", "--t0", "100", "--deltas", "1:10:1", "--source", "analytic",
+            "--p", "0.7", "--workers", "1"]
+    assert main(argv + ["--out-dir", str(out)]) == 0
+    report = _load(out / "sweep_report.json")
+    assert report["law"] == "paper"
+    assert report["monotonicity"]["peak_height_nonincreasing"]["holds"] is True
+    assert report["monotonicity"]["fwhm_nondecreasing"]["holds"] is True
+
+
+def test_blank_compare_defaults_to_the_synthesized_law_in_absolute_units(tmp_path):
+    argv = ["compare", "--model", "blank", "--t0", "32", "--delta", "3", "--fft", "8192",
+            "--realizations", "200", "--seed", "9"]
+    unset, generator = tmp_path / "unset", tmp_path / "generator"
+    assert main(argv + ["--out-dir", str(unset)]) == 0
+    assert main(argv + ["--law", "generator", "--out-dir", str(generator)]) == 0
+    csv_bytes = (unset / "compare.csv").read_bytes()
+    assert csv_bytes == (generator / "compare.csv").read_bytes()
+    assert _load(unset / "compare_manifest.json")["params"]["law"] == "generator"
+    # K = 1/<T> puts the closed form on the simulated level (17 dB off without it)
+    assert _load(unset / "compare_summary.json")["mean_abs_diff_db"] < 1.0
+
+
 # --- config files and precedence ---
 
 
@@ -359,25 +386,31 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     )
     assert code == 1
     assert "delta" in capsys.readouterr().err
-    # a flag the chosen model would ignore is refused, not dropped
-    for model_argv, flag in (
-        (["--model", "transition", "--t0", "64", "--k-scale", "2"], "--k-scale"),
-        (["--model", "blank", "--t0", "100", "--delta", "10", "--k-max", "5"], "--k-max"),
-        (["--model", "blank", "--t0", "100", "--delta", "10", "--scale", "0.25"], "--scale"),
-    ):
-        assert main(["analytic", *model_argv, "--out-dir", str(tmp_path / "y")]) == 1
-        err = capsys.readouterr().err
-        assert flag in err and err.count("\n") == 1
-    # the blank closed forms have no symbol-probability input, so --p != 0.5 is refused
-    for argv in (
-        ["analytic", "--model", "blank", "--t0", "100", "--delta", "10"],
-        ["peaks-sweep", "--t0", "100", "--deltas", "2,6,10", "--source", "analytic"],
-    ):
-        code = main(argv + ["--p", "0.7", "--allow-biased", "--out-dir", str(tmp_path / "p")])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "0.5" in err and err.count("\n") == 1
     small = ["--t0", "16", "--delta", "2", "--fft", "1024", "--realizations", "4"]
+    blank = ["--model", "blank", "--t0", "32", "--delta", "3"]
+    sweep = ["peaks-sweep", "--t0", "100", "--deltas", "2,6,10", "--source", "analytic"]
+    # a flag the chosen model or source would ignore is refused, not dropped
+    for argv, flag in (
+        (["analytic", *blank, "--k-max", "5"], "--k-max"),
+        (["compare", *blank, "--fft", "1024", "--realizations", "4", "--k-max", "5"], "--k-max"),
+        (["analytic", "--model", "transition", "--t0", "64", "--law", "paper"], "--law"),
+        (["simulate", "--model", "transition", *small, "--law", "generator"], "--law"),
+        (sweep + ["--fft", "7"], "--fft"),
+        (sweep + ["--symbols", "40"], "--symbols"),
+        (sweep + ["--realizations", "10"], "--realizations"),
+        (sweep + ["--seed", "3"], "--seed"),
+        (sweep + ["--workers", "0"], "workers"),
+        # the paper law has no synthesizer yet
+        (["simulate", *blank, "--fft", "1024", "--realizations", "4", "--law", "paper"], "--law"),
+        (["compare", *blank, "--fft", "1024", "--realizations", "4", "--law", "paper"], "--law"),
+        (["peaks-sweep", "--t0", "32", "--deltas", "3", "--source", "simulated",
+          "--fft", "1024", "--law", "paper"], "--law"),
+    ):
+        out = tmp_path / "y"
+        assert main(argv + ["--out-dir", str(out)]) == 1, argv
+        err = capsys.readouterr().err
+        assert flag in err and err.count("\n") == 1, err
+        assert not any(out.glob("*.csv"))
     # a worker count below 1 is refused, not clamped
     for workers in ("0", "-3"):
         code = main(["simulate", "--model", "transition", *small, "--workers", workers,

@@ -50,12 +50,8 @@ def test_params_reject_bad_prob(p):
         TrainParams(Variant.TRANSITION_STRETCH, t0=64, prob_one=p)
 
 
-def test_blank_requires_equiprobable_symbols():
-    with pytest.raises(ValueError):
-        TrainParams(Variant.BLANK_SHORTEN, t0=100, delta=10, prob_one=0.6)
-    biased = TrainParams(
-        Variant.BLANK_SHORTEN, t0=100, delta=10, prob_one=0.6, allow_biased=True
-    )
+def test_blank_takes_any_symbol_probability():
+    biased = TrainParams(Variant.BLANK_SHORTEN, t0=100, delta=10, prob_one=0.6)
     assert biased.prob_one == 0.6
 
 

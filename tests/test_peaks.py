@@ -41,7 +41,8 @@ def test_clock_peak_report_reference_values():
     assert rep.center_freq_norm == pytest.approx(1.0525575, abs=1e-7)
     assert rep.amplitude_linear == pytest.approx(2.1586283777211532, rel=1e-9)
     assert rep.fwhm_norm == pytest.approx(0.01769202023076799, rel=1e-9)
-    assert rep.second_lobe_max == pytest.approx(211.8223516788051, rel=1e-9)
+    # absolute level K = 1/<T>, with <T> = t0 + (q/p)(t0 - delta) = 190 at p = 1/2
+    assert rep.second_lobe_max == pytest.approx(211.8223516788051 / 190.0, rel=1e-9)
     assert rep.peak_height == pytest.approx(rep.amplitude_linear * rep.second_lobe_max)
 
 
@@ -148,10 +149,6 @@ def test_sweep_validates_inputs():
     transition = TrainParams(Variant.TRANSITION_STRETCH, t0=100, delta=1)
     with pytest.raises(ValueError):
         sweep_delta(transition, (2,))
-    # the closed form has no symbol-probability input; a biased base is refused
-    biased = TrainParams(Variant.BLANK_SHORTEN, t0=100, prob_one=0.7, allow_biased=True)
-    with pytest.raises(ValueError, match="prob_one = 0.5"):
-        sweep_delta(biased, (2,))
 
 
 def test_simulated_peak_lands_within_two_bins_of_analytic():

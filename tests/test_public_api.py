@@ -1,13 +1,16 @@
-"""The package's public surface: one list, no dead names, demos in step."""
+"""The package's public surface: one list, no dead names, demos and README in step."""
 
 import ast
 import importlib
 import inspect
+import re
 from pathlib import Path
 
 import pulsepsd
 
-DEMOS = Path(__file__).resolve().parents[1] / "demos"
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = ROOT / "demos"
+README = ROOT / "README.md"
 
 PUBLIC = {
     "__version__",
@@ -77,16 +80,24 @@ def _demo_calls(tree: ast.AST) -> list[tuple[str, object, ast.Call]]:
     return calls
 
 
+def _readme_python_blocks() -> list[tuple[str, str]]:
+    """(label, source) for every ```python block of README.md."""
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
+    return [(f"README.md block {i}", block) for i, block in enumerate(blocks, 1)]
+
+
 def test_every_demo_call_binds_to_the_current_signature():
     checked = set()
-    for demo in sorted(DEMOS.glob("*.py")):
-        for label, callee, call in _demo_calls(ast.parse(demo.read_text())):
+    sources = [(demo.name, demo.read_text()) for demo in sorted(DEMOS.glob("*.py"))]
+    assert _readme_python_blocks()  # the quick start is checked too
+    for name, source in sources + _readme_python_blocks():
+        for label, callee, call in _demo_calls(ast.parse(source)):
             args = [None] * len(call.args)
             kwargs = {k.arg: None for k in call.keywords}
             try:
                 inspect.signature(callee).bind(*args, **kwargs)
             except TypeError as err:
-                raise AssertionError(f"{demo.name}:{call.lineno} {label}(...): {err}") from None
+                raise AssertionError(f"{name}:{call.lineno} {label}(...): {err}") from None
             checked.add(label)
     # the join the convergence demo runs is among the calls checked
     assert {"compare_on_common_bins", "analytic_on_fft_grid", "estimate_psd"} <= checked
