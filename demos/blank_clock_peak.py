@@ -7,6 +7,7 @@ generator law matches what the synthesized waveform actually does, which
 the Monte Carlo estimate confirms.
 """
 
+from dataclasses import replace
 from pathlib import Path
 
 from pulsepsd import (
@@ -27,17 +28,18 @@ OUT.mkdir(exist_ok=True)
 
 T0, DELTA = 100, 10
 grid = default_sweep_grid(float(T0))
+# the generator law is the one the synthesizer follows
+params = TrainParams(Variant.BLANK_SHORTEN, T0, DELTA, blank_law=BlankLaw.GENERATOR_K_MINUS_ONE_DELTA)
 
 print(f"t0={T0}, delta={DELTA}: clock peak vs the second envelope lobe")
 for law in (BlankLaw.GENERATOR_K_MINUS_ONE_DELTA, BlankLaw.PAPER_K_DELTA):
-    spec = psd_blank_shorten(grid, float(T0), float(DELTA), law=law)
+    spec = psd_blank_shorten(grid, replace(params, blank_law=law))
     rep = find_clock_peak(spec, float(T0))
     print(
         f"  analytic, {law.value:9s} law: {rep.amplitude_linear:.3f}x "
         f"at f/f0 = {rep.center_freq_norm:.4f}, fwhm {rep.fwhm_norm:.4f}"
     )
 
-params = TrainParams(Variant.BLANK_SHORTEN, t0=T0, delta=DELTA)
 cfg = SimConfig(n_symbols=2000, n_realizations=200, fft_size=262144, seed=7, params=params)
 sim = estimate_psd(cfg)
 rep = find_clock_peak(sim, float(T0))
@@ -46,10 +48,7 @@ print(
     f"at f/f0 = {rep.center_freq_norm:.4f}, fwhm {rep.fwhm_norm:.4f}"
 )
 
-normed = normalize_second_lobe(
-    psd_blank_shorten(grid, float(T0), float(DELTA), law=BlankLaw.GENERATOR_K_MINUS_ONE_DELTA),
-    float(T0),
-)
+normed = normalize_second_lobe(psd_blank_shorten(grid, params), float(T0))
 write_svg(
     OUT / "blank_clock_peak.svg",
     normed.freqs * T0,

@@ -22,7 +22,9 @@ it holds for any P(one) = p in absolute units. With integer t0 and
 delta the fronts sit on a lattice of g = gcd(t0, delta); lines could
 appear only at k/g, where |F|^2 = 0, so the density is the whole
 spectrum. Values exactly on clock harmonics are removable 0/0 forms;
-such grid points are dropped and reported, never interpolated.
+such grid points are dropped and reported, never interpolated. Both
+densities take one TrainParams, whose delta may be fractional (the forms
+are continuous-time), and a ``scale`` in (0, inf).
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import Any
 import numpy as np
 
 from . import charfn
-from .model import BlankLaw, TrainParams, Variant, interval_stats
+from .model import BlankLaw, TrainParams, Variant, interval_stats, require_variant
 
 __all__ = [
     "FrequencyGrid",
@@ -162,6 +164,11 @@ def _clamp_noise(values: np.ndarray, n_grid: int) -> tuple[np.ndarray, int]:
     return values, n_neg
 
 
+def _require_scale(scale: float) -> None:
+    if not 0.0 < scale < np.inf:
+        raise ValueError(f"scale must be positive and finite, got {scale!r}")
+
+
 def _harmonic_mask(freqs: np.ndarray, t0: float) -> np.ndarray:
     """True where a grid point sits within HARMONIC_TOL of some k/t0, k >= 1."""
     k_near = np.round(freqs * t0)
@@ -179,8 +186,8 @@ def continuous_psd_transition(
     factor-2 one-sided convention, 0.25 reproduces the quarter-amplitude
     convention some references use.
     """
-    if params.variant is not Variant.TRANSITION_STRETCH:
-        raise ValueError("continuous_psd_transition needs the transition-stretch variant")
+    require_variant(params, Variant.TRANSITION_STRETCH)
+    _require_scale(scale)
     f = grid.values
     drop = _harmonic_mask(f, params.t0)
     keep = ~drop
@@ -211,8 +218,7 @@ def discrete_lines_transition(k_max: int, params: TrainParams) -> DiscreteLineSe
     Powers are exactly zero whenever k*delta is a multiple of t0 (the
     sine factor vanishes), in particular for delta = 0 at every k.
     """
-    if params.variant is not Variant.TRANSITION_STRETCH:
-        raise ValueError("discrete_lines_transition needs the transition-stretch variant")
+    require_variant(params, Variant.TRANSITION_STRETCH)
     if k_max <= 0:
         raise ValueError(f"k_max must be positive, got {k_max}")
     k = np.arange(1, k_max + 1, dtype=np.int64)
@@ -224,20 +230,13 @@ def discrete_lines_transition(k_max: int, params: TrainParams) -> DiscreteLineSe
     return DiscreteLineSet(k=k, freq=k / float(params.t0), power=power)
 
 
-def psd_blank_shorten(
-    grid: FrequencyGrid,
-    t0: float,
-    delta: float,
-    law: BlankLaw = BlankLaw.PAPER_K_DELTA,
-    prob_one: float = 0.5,
-    scale: float = 1.0,
-) -> SpectrumGrid:
+def psd_blank_shorten(grid: FrequencyGrid, params: TrainParams, scale: float = 1.0) -> SpectrumGrid:
     """Blank-shorten PSD: scale/<T> * |F|^2 * Re[(1 + theta)/(1 - theta)].
 
     The front interval T has mean <T> = t0 + (q/p)(t0 - delta) under the
     generator law and p t0 + (t0 - delta)(1/p - p) under the paper law
-    (both -j theta'(0)), with p = ``prob_one`` and q = 1 - p. 1/<T> is
-    the pulse rate, so ``scale`` = 1 gives absolute units; ``scale``
+    (both -j theta'(0)), with p = ``params.prob_one`` and q = 1 - p. 1/<T>
+    is the pulse rate, so ``scale`` = 1 gives absolute units; ``scale``
     multiplies all values, as in :func:`continuous_psd_transition`.
     |F(w)|^2 = (2 sin(w t0 / 2) / w)^2 is the energy spectrum of the unit
     rectangular pulse of width t0; the grid starts above 0, so w > 0.
@@ -245,13 +244,12 @@ def psd_blank_shorten(
     whose shortening cancels a whole number of slots) are dropped and
     reported in ``meta["dropped_freqs"]``.
     """
-    if scale <= 0:
-        raise ValueError(f"scale must be positive, got {scale!r}")
+    _require_scale(scale)
     f = grid.values
     w = 2.0 * np.pi * f
-    theta = charfn.theta_blank(w, t0, delta, law, prob_one)
-    p, q = prob_one, 1.0 - prob_one
-    if law is BlankLaw.GENERATOR_K_MINUS_ONE_DELTA:
+    theta = charfn.theta_blank(w, params)
+    t0, delta, p, q = params.t0, params.delta, params.prob_one, params.prob_zero
+    if params.blank_law is BlankLaw.GENERATOR_K_MINUS_ONE_DELTA:
         mean_interval = t0 + (q / p) * (t0 - delta)
     else:
         mean_interval = p * t0 + (t0 - delta) * (1.0 / p - p)
@@ -264,11 +262,11 @@ def psd_blank_shorten(
     values, n_clamped = _clamp_noise(values, int(keep.sum()))
     meta = {
         "kind": "continuous",
-        "model": Variant.BLANK_SHORTEN.value,
+        "model": params.variant.value,
         "t0": t0,
         "delta": delta,
-        "prob_one": prob_one,
-        "law": law.value,
+        "prob_one": p,
+        "law": params.blank_law.value,
         "scale": scale,
         "dropped_freqs": tuple(float(x) for x in f[drop]),
         "clamped_points": n_clamped,

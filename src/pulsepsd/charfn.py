@@ -10,15 +10,18 @@ closed forms
 with q = 1 - p. For the blank-shorten model the front-to-front interval
 covers k symbol slots with probability p q^(k-1) and lasts t0*k minus a
 shortening that depends on the chosen law; both closed forms are
-geometric-series limits. All functions accept a scalar
-or array ``omega`` in rad/sample and are pure.
+geometric-series limits. Every function takes its model through one
+:class:`~pulsepsd.model.TrainParams`, which has already checked the
+parameter ranges; ``delta`` may be any real in [0, t0), since the forms
+are continuous-time. All functions accept a scalar or array ``omega``
+in rad/sample and are pure.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .model import BlankLaw, TrainParams, Variant
+from .model import BlankLaw, TrainParams, Variant, require_variant
 
 __all__ = [
     "NearSingularError",
@@ -40,11 +43,6 @@ class NearSingularError(ArithmeticError):
         self.omega = omega
 
 
-def _require_transition(params: TrainParams) -> None:
-    if params.variant is not Variant.TRANSITION_STRETCH:
-        raise ValueError(f"params.variant must be TRANSITION_STRETCH, got {params.variant}")
-
-
 def _check_denominator(den: np.ndarray, omega: np.ndarray, what: str) -> None:
     bad = np.abs(den) <= _DENOM_FLOOR
     if np.any(bad):
@@ -54,7 +52,7 @@ def _check_denominator(den: np.ndarray, omega: np.ndarray, what: str) -> None:
 
 def _geometric(omega, params: TrainParams, first: float, repeat: float, shift: float, what: str):
     """first * exp(jw shift) * z / (1 - repeat z) with z = exp(jw t0)."""
-    _require_transition(params)
+    require_variant(params, Variant.TRANSITION_STRETCH)
     w = np.asarray(omega, dtype=float)
     z = np.exp(1j * w * params.t0)
     den = 1.0 - repeat * z
@@ -73,14 +71,13 @@ def theta2(omega, params: TrainParams):
     return _geometric(omega, params, params.prob_one, params.prob_zero, -params.delta, "theta2")
 
 
-def theta_blank(
-    omega, t0: float, delta: float, law: BlankLaw = BlankLaw.PAPER_K_DELTA, prob_one: float = 0.5
-):
+def theta_blank(omega, params: TrainParams):
     """Characteristic function of the blank-shorten front-to-front interval.
 
     A front is followed by j >= 0 zeros and then a one, with probability
-    p q^j (p = ``prob_one``, q = 1 - p), so the interval covers k = j + 1
-    symbol slots. With z = exp(jw t0) and v = exp(jw(t0-delta)):
+    p q^j (p = ``params.prob_one``, q = 1 - p), so the interval covers
+    k = j + 1 symbol slots. With z = exp(jw t0) and v = exp(jw(t0-delta)),
+    ``params.blank_law`` picks the form:
 
     * PAPER_K_DELTA: interval over k slots shortened by k*delta for k >= 2,
       single slot unshortened: theta = p z + p q v^2 / (1 - q v).
@@ -90,23 +87,18 @@ def theta_blank(
     Both laws coincide at delta = 0 with the fixed-slot renewal form
     p z/(1 - q z), and theta(0) = 1 for either law.
     """
-    if not 0 <= delta < t0:
-        raise ValueError(f"need 0 <= delta < t0, got delta={delta!r}, t0={t0!r}")
-    if not 0.0 < prob_one < 1.0:
-        raise ValueError(f"prob_one must lie in (0, 1), got {prob_one!r}")
+    require_variant(params, Variant.BLANK_SHORTEN)
     w = np.asarray(omega, dtype=float)
-    p, q = prob_one, 1.0 - prob_one
-    z = np.exp(1j * w * t0)
-    u = q * np.exp(1j * w * (t0 - delta))
+    p, q = params.prob_one, params.prob_zero
+    z = np.exp(1j * w * params.t0)
+    u = q * np.exp(1j * w * (params.t0 - params.delta))
     den = 1.0 - u
     _check_denominator(den, w, "theta_blank")
     # p q v^2 = (p/q) u^2; the factors p and p/q are exact at p = 1/2
-    if law is BlankLaw.PAPER_K_DELTA:
+    if params.blank_law is BlankLaw.PAPER_K_DELTA:
         out = p * z + (p / q) * u * u / den
-    elif law is BlankLaw.GENERATOR_K_MINUS_ONE_DELTA:
-        out = p * z / den
     else:
-        raise ValueError(f"unknown blank law {law!r}")
+        out = p * z / den
     return complex(out) if np.isscalar(omega) else out
 
 
@@ -121,7 +113,7 @@ def discrete_component_detector(
     delta = 0 the periodicity condition still holds but every line
     vanishes.
     """
-    _require_transition(params)
+    require_variant(params, Variant.TRANSITION_STRETCH)
     if k_max <= 0:
         raise ValueError(f"k_max must be positive, got {k_max}")
     k = np.arange(1, k_max + 1)

@@ -6,9 +6,9 @@ recording the flags, the produced files, and the wall clock, which is
 enough to reproduce the run; simulate and compare add the estimator
 config they resolved and the worker count they used, analytic and
 compare the frequencies the closed form dropped and the points it
-clamped. Output frequencies are normalized to f0 = 1/t0 unless --hz is
-given. A flat key = value config file can stand in for any flag;
-explicit flags win.
+clamped. Output frequencies are normalized to f0 = 1/t0 unless analytic
+or simulate is given --hz. A flat key = value config file can stand in
+for any flag; explicit flags win.
 
 Exit codes: 0 success, 1 usage or validation error, 2 numerical
 detection failure.
@@ -178,8 +178,6 @@ def _add_symbol_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out-dir", type=Path, default=Path("."))
-    p.add_argument("--hz", action="store_true",
-                   help="emit absolute cycles/sample instead of f/f0")
     p.add_argument("--svg", action="store_true", help="also write a quick-look chart")
     p.add_argument("--config", type=Path, default=None,
                    help="flat key = value file mirroring any flag (flags win)")
@@ -195,14 +193,12 @@ def _add_sim_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _train_params(args, variant: Variant, delta: float, simulated: bool) -> TrainParams:
-    """Validated model parameters from the shared flags, at the given delta.
+    """Model parameters from the shared flags, at the given delta.
 
-    Refuses a flag the model would ignore. Resolves an unset --law in place,
-    so the manifest records it: paper for closed forms, generator (the only
-    law synthesized) for simulations.
+    Refuses a flag the model would ignore; TrainParams checks the values.
+    Resolves an unset --law in place, so the manifest records it: paper
+    for closed forms, generator (the only law synthesized) for simulations.
     """
-    if not float(delta).is_integer():
-        raise CliUsageError(f"--delta must be an integer sample count here, got {delta!r}")
     if variant is Variant.TRANSITION_STRETCH:
         if args.law is not None:
             raise CliUsageError("--law applies to --model blank only")
@@ -212,7 +208,7 @@ def _train_params(args, variant: Variant, delta: float, simulated: bool) -> Trai
         args.law = "generator" if simulated else "paper"
     elif simulated and args.law == "paper":
         raise CliUsageError("--law paper has no synthesizer yet; simulations use --law generator")
-    return TrainParams(variant, args.t0, int(delta), args.prob_one, BlankLaw(args.law or "paper"))
+    return TrainParams(variant, args.t0, delta, args.prob_one, BlankLaw(args.law or "paper"))
 
 
 def _sim_config(args, params: TrainParams) -> SimConfig:
@@ -267,10 +263,8 @@ def _svg_of_spectrum(path: Path, spectrum: SpectrumGrid, t0: float, hz: bool, ti
 
 def cmd_analytic(args) -> tuple[list[Path], dict]:
     t0 = float(args.t0)
-    variant = Variant(args.model)
-    blank = variant is Variant.BLANK_SHORTEN
-    # a blank delta may be fractional; theta_blank range-checks it
-    params = _train_params(args, variant, 0 if blank else args.delta, simulated=False)
+    params = _train_params(args, Variant(args.model), args.delta, simulated=False)
+    blank = params.variant is Variant.BLANK_SHORTEN
     fmax_norm = args.fmax_norm if args.fmax_norm is not None else (3.0 if blank else 10.0)
     points = args.points if args.points is not None else (20001 if blank else 4096)
     grid = FrequencyGrid.offset_linspace(fmax_norm / t0, points)
@@ -282,10 +276,7 @@ def cmd_analytic(args) -> tuple[list[Path], dict]:
             raise CliUsageError(
                 "default second-lobe normalization needs --fmax-norm >= 2; pass --scale to skip"
             )
-        spectrum = psd_blank_shorten(
-            grid, t0, float(args.delta), law=params.blank_law, prob_one=params.prob_one,
-            scale=scale,
-        )
+        spectrum = psd_blank_shorten(grid, params, scale=scale)
         if args.scale is None:
             spectrum = normalize_second_lobe(spectrum, t0)
     else:
@@ -335,11 +326,7 @@ def analytic_on_fft_grid(params: TrainParams, fft_size: int, k_max: int | None =
         k_in_span = int(np.floor(binned.freqs[-1] * params.t0))
         k_use = max(1, min(k_max if k_max is not None else 40, k_in_span))
         return combine(binned, discrete_lines_transition(k_use, params))
-    blank = psd_blank_shorten(
-        grid, float(params.t0), float(params.delta), law=params.blank_law,
-        prob_one=params.prob_one,
-    )
-    return bin_power(blank)
+    return bin_power(psd_blank_shorten(grid, params))
 
 
 def compare_on_common_bins(
@@ -476,6 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analytic", help="closed-form spectra to CSV")
     _add_model_flags(p)
     _add_output_flags(p)
+    p.add_argument("--hz", action="store_true", help="emit cycles/sample instead of f/f0")
     p.add_argument("--fmax-norm", type=float, default=None,
                    help="grid extent as f/f0 (default 10 transition, 3 blank)")
     p.add_argument("--points", type=int, default=None,
@@ -489,6 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="averaged-periodogram estimate to CSV")
     _add_model_flags(p)
     _add_output_flags(p)
+    p.add_argument("--hz", action="store_true", help="emit cycles/sample instead of f/f0")
     _add_sim_flags(p)
     p.add_argument("--dump-first-signal", type=Path, default=None,
                    help="also write realization 0 as one sample per line")

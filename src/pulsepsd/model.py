@@ -61,35 +61,52 @@ class InsufficientDataError(ValueError):
 
 @dataclass(frozen=True)
 class TrainParams:
-    """Model parameters shared by every module.
+    """Model parameters shared by every module, validated once here.
 
-    ``t0`` and ``delta`` are integer sample counts so synthesis is
-    bit-exact; analytic formulas receive them as reals. ``prob_one`` is
-    the i.i.d. probability of a "one" symbol; the complementary
-    probability is always derived, never stored. Every closed form and
-    the simulator honour any ``prob_one`` in (0, 1) for both variants;
-    ``blank_law`` matters only to the blank-shorten closed forms.
+    ``t0`` is a positive integer sample count. ``delta`` is any real in
+    [0, t0): the closed forms are continuous-time and take it as is,
+    while synthesis works in whole samples and refuses a fractional
+    ``delta`` through :func:`whole_sample_delta`. ``prob_one`` is the
+    i.i.d. probability of a "one" symbol; the complementary probability
+    is always derived, never stored. Every closed form and the simulator
+    honour any ``prob_one`` in (0, 1) for both variants; ``blank_law``
+    matters only to the blank-shorten closed forms.
     """
 
     variant: Variant
     t0: int
-    delta: int = 0
+    delta: float = 0
     prob_one: float = 0.5
     blank_law: BlankLaw = BlankLaw.PAPER_K_DELTA
 
     def __post_init__(self) -> None:
         if not isinstance(self.t0, (int, np.integer)) or self.t0 <= 0:
             raise ValueError(f"t0 must be a positive integer, got {self.t0!r}")
-        if not isinstance(self.delta, (int, np.integer)) or not 0 <= self.delta < self.t0:
+        if not 0 <= self.delta < self.t0:
             raise ValueError(
-                f"delta must be an integer with 0 <= delta < t0, got delta={self.delta!r}, t0={self.t0}"
+                f"delta must satisfy 0 <= delta < t0, got delta={self.delta!r}, t0={self.t0}"
             )
         if not 0.0 < self.prob_one < 1.0:
             raise ValueError(f"prob_one must lie in (0, 1), got {self.prob_one!r}")
+        if not isinstance(self.blank_law, BlankLaw):
+            raise ValueError(f"blank_law must be a BlankLaw, got {self.blank_law!r}")
 
     @property
     def prob_zero(self) -> float:
         return 1.0 - self.prob_one
+
+
+def require_variant(params: TrainParams, variant: Variant) -> None:
+    """Refuse parameters of the other model variant."""
+    if params.variant is not variant:
+        raise ValueError(f"params.variant must be {variant.name}, got {params.variant}")
+
+
+def whole_sample_delta(params: TrainParams) -> int:
+    """``params.delta`` as a sample count; synthesis needs a whole number."""
+    if not float(params.delta).is_integer():
+        raise ValueError(f"synthesis needs a whole-sample delta, got delta={params.delta!r}")
+    return int(params.delta)
 
 
 @dataclass(frozen=True)
@@ -131,10 +148,9 @@ def synth_transition_stretch(bits: np.ndarray, params: TrainParams) -> np.ndarra
     "zero" contributes ``t0`` zeros. The symbol preceding the stream is
     defined to be 0, so output length is exactly ``len(bits) * t0``.
     """
-    if params.variant is not Variant.TRANSITION_STRETCH:
-        raise ValueError(f"params.variant must be TRANSITION_STRETCH, got {params.variant}")
+    require_variant(params, Variant.TRANSITION_STRETCH)
     b = np.asarray(bits, dtype=bool)
-    t0, delta = params.t0, params.delta
+    t0, delta = params.t0, whole_sample_delta(params)
     out = np.zeros((len(b), t0), dtype=np.float64)
     out[b, :] = 1.0
     prev = np.empty(len(b), dtype=bool)
@@ -149,10 +165,10 @@ def synth_blank_shorten(bits: np.ndarray, params: TrainParams) -> np.ndarray:
 
     Output length is (#ones)*t0 + (#zeros)*(t0 - delta) exactly.
     """
-    if params.variant is not Variant.BLANK_SHORTEN:
-        raise ValueError(f"params.variant must be BLANK_SHORTEN, got {params.variant}")
+    require_variant(params, Variant.BLANK_SHORTEN)
     b = np.asarray(bits, dtype=bool)
-    return np.repeat(b.astype(np.float64), np.where(b, params.t0, params.t0 - params.delta))
+    zero_len = params.t0 - whole_sample_delta(params)
+    return np.repeat(b.astype(np.float64), np.where(b, params.t0, zero_len))
 
 
 def interval_stats(params: TrainParams) -> IntervalStats:
@@ -161,8 +177,7 @@ def interval_stats(params: TrainParams) -> IntervalStats:
     mean_tau = t0/(1-p) + delta, mean_l = t0/p - delta, and their sum
     t0*(2 + p/q + q/p) = t0/(p(1-p)) is independent of delta.
     """
-    if params.variant is not Variant.TRANSITION_STRETCH:
-        raise ValueError("interval_stats applies to the transition-stretch variant only")
+    require_variant(params, Variant.TRANSITION_STRETCH)
     p = params.prob_one
     q = params.prob_zero
     t0 = float(params.t0)

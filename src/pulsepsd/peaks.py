@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .analytic import FrequencyGrid, SpectrumGrid, psd_blank_shorten
-from .model import TrainParams, Variant
+from .model import TrainParams, Variant, require_variant
 from .sim import SimConfig, estimate_psd
 
 __all__ = [
@@ -169,39 +169,35 @@ def sweep_delta(
 ) -> list[tuple[float, PeakReport]]:
     """Measure the clock peak across a set of delta values.
 
-    With ``sim`` the spectra are estimated by simulation (integer deltas
-    only, ``workers`` passed on to :func:`estimate_psd`); otherwise they
-    are the closed form at ``base.prob_one`` and ``base.blank_law``, in
-    absolute units, on ``grid``, by default :func:`default_sweep_grid`.
+    With ``sim`` the spectra are estimated by simulation (whole-sample
+    deltas only, ``workers`` passed on to :func:`estimate_psd`); otherwise
+    they are the closed form at ``base.prob_one`` and ``base.blank_law``,
+    in absolute units, on ``grid``, by default :func:`default_sweep_grid`.
     All sweep items share one grid (analytic) or one seed and fft size
     (simulated), so reports are comparable item to item, and peak
-    heights can be compared directly via ``report.peak_height``.
-    Detection failures propagate tagged with their delta.
+    heights can be compared directly via ``report.peak_height``. Every
+    delta is validated, through ``TrainParams`` and ``SimConfig``, before
+    any spectrum is computed. Detection failures propagate tagged with
+    their delta.
+
+    Height, center and FWHM are read off the grid points, so a caller's
+    ``grid`` must put several steps inside the narrowest FWHM of the
+    sweep; a coarser grid reports a quantized, lower peak.
     """
-    if base.variant is not Variant.BLANK_SHORTEN:
-        raise ValueError("sweep_delta characterizes the blank-shorten model")
+    require_variant(base, Variant.BLANK_SHORTEN)
     if len(deltas) == 0:
         raise ValueError("deltas must be non-empty")
-    for d in deltas:
-        if not 0 <= d < base.t0:
-            raise ValueError(f"every delta must satisfy 0 <= delta < t0, got {d!r}")
+    if sim is not None and grid is not None:
+        raise ValueError("a simulated sweep uses the FFT grid; pass sim or grid, not both")
+    items = [dataclasses.replace(base, delta=d) for d in deltas]
     if sim is not None:
-        if grid is not None:
-            raise ValueError("a simulated sweep uses the FFT grid; pass sim or grid, not both")
-        if any(float(d) != int(d) for d in deltas):
-            raise ValueError("simulated sweeps need integer deltas (sample counts)")
+        items = [dataclasses.replace(sim, params=params) for params in items]
     elif grid is None:
         grid = default_sweep_grid(base.t0)
 
     out: list[tuple[float, PeakReport]] = []
-    for d in deltas:
-        if sim is None:
-            spectrum = psd_blank_shorten(
-                grid, float(base.t0), float(d), law=base.blank_law, prob_one=base.prob_one
-            )
-        else:
-            params = dataclasses.replace(base, delta=int(d))
-            spectrum = estimate_psd(dataclasses.replace(sim, params=params), workers=workers)
+    for d, item in zip(deltas, items):
+        spectrum = psd_blank_shorten(grid, item) if sim is None else estimate_psd(item, workers=workers)
         try:
             report = find_clock_peak(spectrum, base.t0, window, lobe_window)
         except PeakDetectionError as err:

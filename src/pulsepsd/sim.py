@@ -35,6 +35,7 @@ from .model import (
     gen_bits,
     synth_blank_shorten,
     synth_transition_stretch,
+    whole_sample_delta,
 )
 
 __all__ = [
@@ -50,7 +51,7 @@ _BLOCK = 32
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Full recipe for one reproducible spectrum estimate."""
+    """Full recipe for one reproducible spectrum estimate; ``params.delta`` must be whole."""
 
     n_symbols: int
     n_realizations: int
@@ -67,6 +68,7 @@ class SimConfig:
             raise ValueError(f"fft_size must be a power of two >= 4, got {self.fft_size}")
         if self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
+        whole_sample_delta(self.params)
         if (
             self.params.variant is Variant.TRANSITION_STRETCH
             and self.n_symbols * self.params.t0 > self.fft_size

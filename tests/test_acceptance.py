@@ -131,11 +131,16 @@ def test_criterion_3_fine_fft_configuration_converges_and_coarse_does_not():
 def test_criterion_4_blank_shorten_clock_peak_stands_about_twice_the_lobe():
     grid = default_sweep_grid(100.0)
     rep_gen = find_clock_peak(
-        psd_blank_shorten(grid, 100.0, 10.0, law=BlankLaw.GENERATOR_K_MINUS_ONE_DELTA),
+        psd_blank_shorten(
+            grid,
+            TrainParams(
+                Variant.BLANK_SHORTEN, 100, 10, blank_law=BlankLaw.GENERATOR_K_MINUS_ONE_DELTA
+            ),
+        ),
         100.0,
     )
     rep_paper = find_clock_peak(
-        psd_blank_shorten(grid, 100.0, 10.0, law=BlankLaw.PAPER_K_DELTA), 100.0
+        psd_blank_shorten(grid, TrainParams(Variant.BLANK_SHORTEN, 100, 10)), 100.0
     )
     cfg = SimConfig(
         n_symbols=2000,
@@ -192,12 +197,13 @@ def test_criterion_6_characteristic_function_invariants():
         p = float(rng.uniform(0.05, 0.95))
         w = float(rng.uniform(1e-3, 40.0) * 2.0 * np.pi / t0)
         params = _transition(t0, delta, p)
+        blank = {law: TrainParams(Variant.BLANK_SHORTEN, t0, delta, blank_law=law) for law in BlankLaw}
         worst_zero = max(
             worst_zero,
             abs(theta1(0.0, params) - 1.0),
             abs(theta2(0.0, params) - 1.0),
-            abs(theta_blank(0.0, t0, delta, law=BlankLaw.PAPER_K_DELTA) - 1.0),
-            abs(theta_blank(0.0, t0, delta, law=BlankLaw.GENERATOR_K_MINUS_ONE_DELTA) - 1.0),
+            abs(theta_blank(0.0, blank[BlankLaw.PAPER_K_DELTA]) - 1.0),
+            abs(theta_blank(0.0, blank[BlankLaw.GENERATOR_K_MINUS_ONE_DELTA]) - 1.0),
         )
         q, m = 1.0 - p, max(p, 1.0 - p)
         n = int(np.ceil(np.log(1e-16) / np.log(m))) + 1
@@ -213,8 +219,8 @@ def test_criterion_6_characteristic_function_invariants():
             worst_series,
             abs(theta1(w, params) - s1),
             abs(theta2(w, params) - s2),
-            abs(theta_blank(w, t0, delta, law=BlankLaw.PAPER_K_DELTA) - sb_paper),
-            abs(theta_blank(w, t0, delta, law=BlankLaw.GENERATOR_K_MINUS_ONE_DELTA) - sb_gen),
+            abs(theta_blank(w, blank[BlankLaw.PAPER_K_DELTA]) - sb_paper),
+            abs(theta_blank(w, blank[BlankLaw.GENERATOR_K_MINUS_ONE_DELTA]) - sb_gen),
         )
     worst_prod = 0.0
     for _ in range(20):

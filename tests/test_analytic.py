@@ -17,12 +17,18 @@ from pulsepsd import (
     continuous_psd_transition,
     discrete_lines_transition,
     psd_blank_shorten,
+    theta1,
+    theta2,
     theta_blank,
 )
 
 
 def _params(t0=64, delta=3, p=0.55) -> TrainParams:
     return TrainParams(Variant.TRANSITION_STRETCH, t0=t0, delta=delta, prob_one=p)
+
+
+def _blank(t0=100, delta=10, law=BlankLaw.PAPER_K_DELTA, p=0.5) -> TrainParams:
+    return TrainParams(Variant.BLANK_SHORTEN, t0=t0, delta=delta, prob_one=p, blank_law=law)
 
 
 # --- grids and containers ---
@@ -132,10 +138,31 @@ def test_continuous_is_finite_near_harmonics():
     assert np.all(spec.psd < 1.0)
 
 
-def test_continuous_rejects_blank_params():
-    grid = FrequencyGrid.offset_linspace(0.1, 8)
-    with pytest.raises(ValueError):
-        continuous_psd_transition(grid, TrainParams(Variant.BLANK_SHORTEN, t0=100, delta=10))
+_GRID = FrequencyGrid.offset_linspace(0.1, 8)
+
+
+@pytest.mark.parametrize(
+    "closed_form, params",
+    [
+        (lambda p: theta_blank(0.1, p), _params()),
+        (lambda p: psd_blank_shorten(_GRID, p), _params()),
+        (lambda p: theta1(0.1, p), _blank()),
+        (lambda p: theta2(0.1, p), _blank()),
+        (lambda p: continuous_psd_transition(_GRID, p), _blank()),
+    ],
+    ids=["theta_blank", "psd_blank_shorten", "theta1", "theta2", "continuous_psd_transition"],
+)
+def test_closed_forms_refuse_the_other_variant(closed_form, params):
+    with pytest.raises(ValueError, match="params.variant"):
+        closed_form(params)
+
+
+@pytest.mark.parametrize("scale", [-1.0, 0.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("model", ["transition", "blank"])
+def test_both_densities_refuse_a_scale_outside_zero_to_inf(model, scale):
+    density = continuous_psd_transition if model == "transition" else psd_blank_shorten
+    with pytest.raises(ValueError, match="scale"):
+        density(_GRID, _params() if model == "transition" else _blank(), scale=scale)
 
 
 # --- discrete lines ---
@@ -179,15 +206,15 @@ def test_lines_vanish_without_predistortion():
 def test_blank_density_is_nonnegative_for_both_laws():
     grid = FrequencyGrid.offset_linspace(3.0 / 100.0, 5000)
     for law in BlankLaw:
-        spec = psd_blank_shorten(grid, 100.0, 10.0, law=law)
+        spec = psd_blank_shorten(grid, _blank(law=law))
         assert np.all(spec.psd >= 0.0)
         assert spec.meta["kind"] == "continuous"
 
 
 def test_blank_laws_coincide_at_zero_delta():
     grid = FrequencyGrid.offset_linspace(3.0 / 64.0, 2000)
-    a = psd_blank_shorten(grid, 64.0, 0.0, law=BlankLaw.PAPER_K_DELTA)
-    b = psd_blank_shorten(grid, 64.0, 0.0, law=BlankLaw.GENERATOR_K_MINUS_ONE_DELTA)
+    a = psd_blank_shorten(grid, _blank(64, 0, BlankLaw.PAPER_K_DELTA))
+    b = psd_blank_shorten(grid, _blank(64, 0, BlankLaw.GENERATOR_K_MINUS_ONE_DELTA))
     np.testing.assert_allclose(a.psd, b.psd, rtol=1e-10)
 
 
@@ -195,7 +222,7 @@ def test_blank_drops_points_where_denominator_collapses():
     # without shortening the resonant factor blows up at every harmonic
     t0 = 64
     grid = FrequencyGrid(np.array([0.7 / t0, 1.0 / t0, 1.3 / t0]))
-    spec = psd_blank_shorten(grid, float(t0), 0.0)
+    spec = psd_blank_shorten(grid, _blank(t0, 0))
     assert len(spec.freqs) == 2
     assert spec.meta["dropped_freqs"] == (1.0 / t0,)
 
@@ -216,11 +243,11 @@ def test_blank_scale_is_linear_and_the_level_is_one_over_the_mean_interval():
     rng = np.random.default_rng(3)
     for p in (0.5, *rng.uniform(0.05, 0.95, 4)):
         for law in BlankLaw:
-            base = psd_blank_shorten(grid, 100.0, 10.0, law=law, prob_one=p)
-            scaled = psd_blank_shorten(grid, 100.0, 10.0, law=law, prob_one=p, scale=2.5)
+            base = psd_blank_shorten(grid, _blank(law=law, p=p))
+            scaled = psd_blank_shorten(grid, _blank(law=law, p=p), scale=2.5)
             np.testing.assert_allclose(scaled.psd, 2.5 * base.psd, rtol=1e-14)
             w = 2.0 * np.pi * base.freqs
-            theta = theta_blank(w, 100.0, 10.0, law=law, prob_one=p)
+            theta = theta_blank(w, _blank(law=law, p=p))
             rate = 1.0 / _series_mean_interval(100.0, 10.0, law, p)
             expected = (
                 rate * 4.0 * np.sin(w * 50.0) ** 2 / w**2

@@ -21,6 +21,10 @@ def _params(t0=64, delta=3, p=0.55) -> TrainParams:
     return TrainParams(Variant.TRANSITION_STRETCH, t0=t0, delta=delta, prob_one=p)
 
 
+def _blank(t0=100, delta=10.0, law=BlankLaw.PAPER_K_DELTA, p=0.5) -> TrainParams:
+    return TrainParams(Variant.BLANK_SHORTEN, t0=t0, delta=delta, prob_one=p, blank_law=law)
+
+
 # Series oracles built straight from the interval distributions. A pulse
 # lasting k symbol slots has probability q*p^(k-1) and duration k*t0 +
 # delta; a gap lasting k slots has probability p*q^(k-1) and duration
@@ -68,7 +72,7 @@ def test_all_characteristic_functions_are_one_at_zero():
     assert theta1(0.0, params) == pytest.approx(1.0, abs=1e-12)
     assert theta2(0.0, params) == pytest.approx(1.0, abs=1e-12)
     for law in BlankLaw:
-        assert theta_blank(0.0, 100.0, 10.0, law=law) == pytest.approx(1.0, abs=1e-12)
+        assert theta_blank(0.0, _blank(law=law)) == pytest.approx(1.0, abs=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -84,7 +88,7 @@ def test_magnitudes_never_exceed_one(w, p, t0, data):
     assert abs(theta1(w, params)) <= 1 + 1e-12
     assert abs(theta2(w, params)) <= 1 + 1e-12
     for law in BlankLaw:
-        assert abs(theta_blank(w, t0, delta, law=law, prob_one=p)) <= 1 + 1e-12
+        assert abs(theta_blank(w, _blank(t0, delta, law, p))) <= 1 + 1e-12
 
 
 def test_scalar_and_array_inputs_agree():
@@ -95,9 +99,9 @@ def test_scalar_and_array_inputs_agree():
     for i, wi in enumerate(w):
         assert theta1(float(wi), params) == pytest.approx(vec1[i], abs=1e-14)
         assert theta2(float(wi), params) == pytest.approx(vec2[i], abs=1e-14)
-    vecb = theta_blank(w, 100.0, 10.0)
+    vecb = theta_blank(w, _blank())
     for i, wi in enumerate(w):
-        assert theta_blank(float(wi), 100.0, 10.0) == pytest.approx(vecb[i], abs=1e-14)
+        assert theta_blank(float(wi), _blank()) == pytest.approx(vecb[i], abs=1e-14)
 
 
 # --- closed forms vs series oracles ---
@@ -110,19 +114,21 @@ def test_closed_forms_match_series_oracles():
         delta = int(rng.integers(0, t0))
         p = float(rng.uniform(0.05, 0.95))
         w = float(rng.uniform(1e-3, 40.0) / t0 * 2 * np.pi)
-        params = _params(t0=t0, delta=delta, p=p)
-        assert theta1(w, params) == pytest.approx(_series_theta1(w, params), abs=1e-12)
-        assert theta2(w, params) == pytest.approx(_series_theta2(w, params), abs=1e-12)
-        for law in BlankLaw:
-            assert theta_blank(w, t0, delta, law=law, prob_one=p) == pytest.approx(
-                _series_blank(w, t0, delta, law, p), abs=1e-12
-            )
+        # the forms are continuous-time, so a fractional delta must match too
+        for d in (delta, delta + 0.37):
+            params = _params(t0=t0, delta=d, p=p)
+            assert theta1(w, params) == pytest.approx(_series_theta1(w, params), abs=1e-12)
+            assert theta2(w, params) == pytest.approx(_series_theta2(w, params), abs=1e-12)
+            for law in BlankLaw:
+                assert theta_blank(w, _blank(t0, d, law, p)) == pytest.approx(
+                    _series_blank(w, t0, d, law, p), abs=1e-12
+                )
 
 
 def test_blank_laws_coincide_at_zero_delta():
     w = np.linspace(0.001, 0.6, 500)
-    paper = theta_blank(w, 64.0, 0.0, law=BlankLaw.PAPER_K_DELTA)
-    gen = theta_blank(w, 64.0, 0.0, law=BlankLaw.GENERATOR_K_MINUS_ONE_DELTA)
+    paper = theta_blank(w, _blank(64, 0.0, BlankLaw.PAPER_K_DELTA))
+    gen = theta_blank(w, _blank(64, 0.0, BlankLaw.GENERATOR_K_MINUS_ONE_DELTA))
     expected = np.exp(1j * w * 64.0) / (2.0 - np.exp(1j * w * 64.0))
     np.testing.assert_allclose(paper, expected, atol=1e-12)
     np.testing.assert_allclose(gen, expected, atol=1e-12)
@@ -132,21 +138,21 @@ def test_blank_theta_at_half_is_bit_identical_to_the_equiprobable_form():
     # the equiprobable closed forms this package shipped before it took p
     rng = np.random.default_rng(7)
     w = rng.uniform(-5.0, 5.0, 1000)
-    for t0, delta in ((100.0, 10.0), (32.0, 3.0), (64.0, 0.0), (100.0, 10.5)):
+    for t0, delta in ((100, 10.0), (32, 3.0), (64, 0.0), (100, 10.5)):
         z = np.exp(1j * w * t0)
         u = 0.5 * np.exp(1j * w * (t0 - delta))
         paper = 0.5 * z + u * u / (1.0 - u)
         generator = z / (2.0 - 2.0 * u)
-        np.testing.assert_array_equal(theta_blank(w, t0, delta, BlankLaw.PAPER_K_DELTA), paper)
+        np.testing.assert_array_equal(theta_blank(w, _blank(t0, delta)), paper)
         np.testing.assert_array_equal(
-            theta_blank(w, t0, delta, BlankLaw.GENERATOR_K_MINUS_ONE_DELTA), generator
+            theta_blank(w, _blank(t0, delta, BlankLaw.GENERATOR_K_MINUS_ONE_DELTA)), generator
         )
 
 
 def test_blank_laws_differ_for_positive_delta():
     w = 2 * np.pi * 0.7 / 100.0
-    a = theta_blank(w, 100.0, 10.0, law=BlankLaw.PAPER_K_DELTA)
-    b = theta_blank(w, 100.0, 10.0, law=BlankLaw.GENERATOR_K_MINUS_ONE_DELTA)
+    a = theta_blank(w, _blank(law=BlankLaw.PAPER_K_DELTA))
+    b = theta_blank(w, _blank(law=BlankLaw.GENERATOR_K_MINUS_ONE_DELTA))
     assert abs(a - b) > 1e-3
 
 
@@ -187,9 +193,3 @@ def test_near_singular_denominator_raises():
         theta1(0.0, params)
     assert exc.value.omega == 0.0
 
-
-def test_transition_thetas_reject_blank_params():
-    blank = TrainParams(Variant.BLANK_SHORTEN, t0=100, delta=10)
-    for fn in (theta1, theta2):
-        with pytest.raises(ValueError):
-            fn(0.1, blank)

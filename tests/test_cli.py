@@ -400,6 +400,9 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         (sweep + ["--realizations", "10"], "--realizations"),
         (sweep + ["--seed", "3"], "--seed"),
         (sweep + ["--workers", "0"], "workers"),
+        # only analytic and simulate write raw frequencies
+        (["compare", "--model", "transition", *small, "--hz"], "--hz"),
+        (sweep + ["--hz"], "--hz"),
         # the paper law has no synthesizer yet
         (["simulate", *blank, "--fft", "1024", "--realizations", "4", "--law", "paper"], "--law"),
         (["compare", *blank, "--fft", "1024", "--realizations", "4", "--law", "paper"], "--law"),
@@ -427,6 +430,34 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "--band" in err and err.count("\n") == 1
     assert not (band_out / "compare.csv").exists()
+
+
+@pytest.mark.parametrize("model", ["transition", "blank"])
+def test_analytic_scale_outside_zero_to_inf_exits_one(tmp_path, capsys, model):
+    for scale in ("-1", "0", "nan"):
+        out = tmp_path / scale
+        argv = ["analytic", "--model", model, "--t0", "64", "--delta", "3", "--scale", scale]
+        assert main(argv + ["--out-dir", str(out)]) == 1, scale
+        err = capsys.readouterr().err
+        assert "scale" in err and err.count("\n") == 1, err
+        assert not any(out.glob("*.csv"))
+
+
+def test_fractional_delta_runs_closed_forms_and_is_refused_by_synthesis(tmp_path, capsys):
+    for model in ("transition", "blank"):
+        argv = ["analytic", "--model", model, "--t0", "64", "--delta", "2.5", "--scale", "1"]
+        assert main(argv + ["--out-dir", str(tmp_path / model)]) == 0
+    for argv in (
+        ["simulate", "--model", "transition", "--t0", "16", "--delta", "2.5", "--fft", "1024",
+         "--realizations", "4"],
+        ["peaks-sweep", "--t0", "32", "--deltas", "1.5", "--source", "simulated",
+         "--fft", "1024", "--realizations", "4"],
+    ):
+        out = tmp_path / "refused"
+        assert main(argv + ["--out-dir", str(out)]) == 1, argv
+        err = capsys.readouterr().err
+        assert "delta" in err and err.count("\n") == 1, err
+        assert not any(out.glob("*.csv"))
 
 
 def test_detection_failures_exit_two(tmp_path, capsys):

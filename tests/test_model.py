@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from pulsepsd import (
     InsufficientDataError,
+    SimConfig,
     TrainParams,
     Variant,
     gen_bits,
@@ -38,10 +39,27 @@ def test_params_reject_bad_t0(t0):
         TrainParams(Variant.TRANSITION_STRETCH, t0=t0)
 
 
-@pytest.mark.parametrize("delta", [-1, 64, 65, 2.5])
+@pytest.mark.parametrize("delta", [-1, 64, 65])
 def test_params_reject_bad_delta(delta):
     with pytest.raises(ValueError):
         TrainParams(Variant.TRANSITION_STRETCH, t0=64, delta=delta)
+
+
+def test_fractional_delta_is_refused_only_where_samples_are_made():
+    # the closed forms are continuous-time; synthesis needs whole samples
+    transition, blank = _transition(delta=2.5), _blank(delta=2.5)
+    assert transition.delta == blank.delta == 2.5
+    bits = _stream([1, 0, 1, 0])
+    for synth, params in ((synth_transition_stretch, transition), (synth_blank_shorten, blank)):
+        with pytest.raises(ValueError, match="delta"):
+            synth(bits, params)
+        with pytest.raises(ValueError, match="delta"):
+            SimConfig(n_symbols=4, n_realizations=1, fft_size=1024, seed=0, params=params)
+
+
+def test_params_reject_a_blank_law_that_is_not_a_blank_law():
+    with pytest.raises(ValueError, match="blank_law"):
+        TrainParams(Variant.BLANK_SHORTEN, t0=100, delta=10, blank_law="paper")
 
 
 @pytest.mark.parametrize("p", [0.0, 1.0, -0.2, 1.7])

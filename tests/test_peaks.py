@@ -26,9 +26,9 @@ from pulsepsd.peaks import default_sweep_grid
 GEN = BlankLaw.GENERATOR_K_MINUS_ONE_DELTA
 
 
-def _blank_spectrum(t0=100.0, delta=10.0, n=40_001, law=GEN) -> SpectrumGrid:
+def _blank_spectrum(t0=100, delta=10.0, n=40_001, law=GEN) -> SpectrumGrid:
     grid = FrequencyGrid(np.linspace(0.3, 3.0, n) / t0)
-    return psd_blank_shorten(grid, t0, delta, law=law)
+    return psd_blank_shorten(grid, TrainParams(Variant.BLANK_SHORTEN, t0, delta, blank_law=law))
 
 
 # --- peak detection ---
@@ -158,7 +158,7 @@ def test_simulated_peak_lands_within_two_bins_of_analytic():
     (delta, sim_rep), = items
     assert delta == 3.0
     sim_spec = estimate_psd(cfg)
-    ana_spec = psd_blank_shorten(FrequencyGrid(sim_spec.freqs), 32.0, 3.0, law=GEN)
+    ana_spec = psd_blank_shorten(FrequencyGrid(sim_spec.freqs), params)
     ana_rep = find_clock_peak(ana_spec, 32.0)
     bin_width = 32.0 / 32_768
     assert abs(sim_rep.center_freq_norm - ana_rep.center_freq_norm) <= 2 * bin_width

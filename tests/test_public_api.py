@@ -4,7 +4,10 @@ import ast
 import importlib
 import inspect
 import re
+import runpy
 from pathlib import Path
+
+import pytest
 
 import pulsepsd
 
@@ -101,3 +104,11 @@ def test_every_demo_call_binds_to_the_current_signature():
             checked.add(label)
     # the join the convergence demo runs is among the calls checked
     assert {"compare_on_common_bins", "analytic_on_fft_grid", "estimate_psd"} <= checked
+
+
+@pytest.mark.parametrize("demo", sorted(path.name for path in DEMOS.glob("*.py")))
+def test_every_demo_runs_and_writes_only_into_demo_out(demo, tmp_path, monkeypatch):
+    # binding a call checks its signature only; running the demo checks what it does
+    monkeypatch.chdir(tmp_path)
+    runpy.run_path(str(DEMOS / demo), run_name="__main__")
+    assert {path.name for path in tmp_path.iterdir()} <= {"demo_out"}

@@ -194,8 +194,8 @@ def test_biased_blank_estimate_sits_on_the_absolute_closed_form(p):
     params = TrainParams(Variant.BLANK_SHORTEN, t0=t0, delta=delta, prob_one=p)
     analytic = bin_power(
         psd_blank_shorten(
-            FrequencyGrid.fft_bins(fft), float(t0), float(delta),
-            law=BlankLaw.GENERATOR_K_MINUS_ONE_DELTA, prob_one=p,
+            FrequencyGrid.fft_bins(fft),
+            TrainParams(Variant.BLANK_SHORTEN, t0, delta, p, BlankLaw.GENERATOR_K_MINUS_ONE_DELTA),
         )
     )
     x = analytic.freqs * t0
