@@ -318,13 +318,14 @@ def analytic_on_fft_grid(params: TrainParams, fft_size: int, k_max: int | None =
     nearest retained bin, mirroring how an averaged periodogram receives
     them; harmonic bins themselves are dropped by the continuum
     evaluation (removable singularities), so line power lands one bin
-    over, inside any sensible null-exclusion band.
+    over, inside any sensible null-exclusion band. ``k_max`` (default 40)
+    is cut to the harmonics inside the FFT span; below 1 it is refused.
     """
     grid = FrequencyGrid.fft_bins(fft_size)
     if params.variant is Variant.TRANSITION_STRETCH:
         binned = bin_power(continuous_psd_transition(grid, params))
         k_in_span = int(np.floor(binned.freqs[-1] * params.t0))
-        k_use = max(1, min(k_max if k_max is not None else 40, k_in_span))
+        k_use = min(40 if k_max is None else k_max, max(1, k_in_span))
         return combine(binned, discrete_lines_transition(k_use, params))
     return bin_power(psd_blank_shorten(grid, params))
 
@@ -374,8 +375,8 @@ def cmd_compare(args) -> tuple[list[Path], dict]:
     band = _parse_pair(args.band, "--band")
     params = _train_params(args, Variant(args.model), args.delta, simulated=True)
     config = _sim_config(args, params)
-    simulated = estimate_psd(config, workers=args.workers)
     analytic_spec = analytic_on_fft_grid(params, config.fft_size, args.k_max)
+    simulated = estimate_psd(config, workers=args.workers)
     rows, stats = compare_on_common_bins(analytic_spec, simulated, float(params.t0), band)
     if stats["bins_used"] == 0:
         raise CliUsageError(f"--band {args.band} selects no bins away from the continuum nulls")

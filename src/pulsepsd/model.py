@@ -1,16 +1,16 @@
 """Random binary pulse-train models with non-uniform symbol durations.
 
-Two unit-amplitude NRZ variants sampled at 1 sample per unit time:
+Two unit-amplitude NRZ variants sampled at 1 sample per unit time, each
+a sequence of high and low runs:
 
-* transition-stretch: every symbol occupies ``t0`` samples; a "one" is
-  ``t0`` ones, and a "zero" that immediately follows a "one" keeps the
-  line high for ``delta`` extra samples before dropping. Symbol
-  boundaries stay on the ``t0`` grid.
-* blank-shorten: a "one" occupies ``t0`` samples, every "zero" occupies
-  ``t0 - delta`` samples, so the symbol grid itself is irregular.
+* transition-stretch: every symbol is a high run then a low run, ``t0``
+  samples in all; the high run is ``t0`` for a "one", ``delta`` for a
+  "zero" right after a "one", and 0 otherwise.
+* blank-shorten: a "one" is a high run of ``t0``, every "zero" a low run
+  of ``t0 - delta``, so the symbol grid itself is irregular.
 
-Both variants turn a deterministic seeded bit stream into a 0/1 sample
-array. All randomness flows through :func:`gen_bits`; synthesis is pure.
+Synthesis repeats 0/1 levels over these runs, :func:`measure_intervals` reads
+them back from the edges, and all randomness flows through :func:`gen_bits`.
 """
 
 from __future__ import annotations
@@ -141,23 +141,21 @@ def gen_bits(n_symbols: int, prob_one: float, seed) -> np.ndarray:
 
 
 def synth_transition_stretch(bits: np.ndarray, params: TrainParams) -> np.ndarray:
-    """Expand a bit stream into transition-stretch samples.
+    """Expand a bit stream into transition-stretch samples, run by run.
 
-    A "one" contributes ``t0`` ones. A "zero" right after a "one"
-    contributes ``delta`` ones then ``t0 - delta`` zeros; any other
-    "zero" contributes ``t0`` zeros. The symbol preceding the stream is
-    defined to be 0, so output length is exactly ``len(bits) * t0``.
+    The stream is taken to follow a "zero", so a leading "zero" is never
+    stretched and output length is exactly ``len(bits) * t0``.
     """
     require_variant(params, Variant.TRANSITION_STRETCH)
     b = np.asarray(bits, dtype=bool)
     t0, delta = params.t0, whole_sample_delta(params)
-    out = np.zeros((len(b), t0), dtype=np.float64)
-    out[b, :] = 1.0
-    prev = np.empty(len(b), dtype=bool)
-    prev[0] = False
-    prev[1:] = b[:-1]
-    out[prev & ~b, :delta] = 1.0
-    return out.reshape(-1)
+    runs = np.empty((len(b), 2), dtype=np.intp)  # per symbol: high run, low run
+    runs[:, 0] = t0 * b
+    runs[1:, 0] += delta * (b[:-1] & ~b[1:])
+    runs[:, 1] = t0 - runs[:, 0]
+    levels = np.zeros(runs.shape)
+    levels[:, 0] = 1.0
+    return np.repeat(levels.reshape(-1), runs.reshape(-1))
 
 
 def synth_blank_shorten(bits: np.ndarray, params: TrainParams) -> np.ndarray:
@@ -189,21 +187,21 @@ def interval_stats(params: TrainParams) -> IntervalStats:
 def measure_intervals(signal: np.ndarray) -> IntervalStats:
     """Empirical interval means from one realization.
 
-    Uses complete duration/gap pairs only (front i to front i+1), so the
-    identity mean_g = mean_tau + mean_l holds exactly. Raises
+    Uses complete duration/gap pairs only (front i to front i+1); the line
+    is taken as low around the signal, so edges alternate rise, fall. Raises
     :class:`InsufficientDataError` when fewer than 2 pulse fronts exist.
     """
     x = np.asarray(signal) > 0.5
-    padded = np.concatenate(([False], x, [False]))
-    rises = np.flatnonzero(padded[1:] & ~padded[:-1])
-    falls = np.flatnonzero(~padded[1:] & padded[:-1])
-    if len(rises) < 2:
+    if x.ndim != 1:
+        raise ValueError(f"signal must be a 1-D array, got shape {x.shape}")
+    inner = np.flatnonzero(x[1:] != x[:-1]) + 1
+    edges = np.concatenate((np.flatnonzero(x[:1]), inner, np.flatnonzero(x[-1:]) + len(x)))
+    if len(edges) < 4:
         raise InsufficientDataError(
-            f"need at least 2 pulse fronts to measure intervals, found {len(rises)}"
+            f"need at least 2 pulse fronts to measure intervals, found {len(edges) // 2}"
         )
-    tau = (falls - rises)[:-1].astype(np.float64)
-    g = np.diff(rises).astype(np.float64)
-    ell = g - tau
+    runs = np.diff(edges).astype(np.float64)  # high, low, high, ..., high
+    tau, ell = runs[:-1:2], runs[1::2]
     return IntervalStats(
-        mean_tau=float(tau.mean()), mean_l=float(ell.mean()), mean_g=float(g.mean())
+        mean_tau=float(tau.mean()), mean_l=float(ell.mean()), mean_g=float((tau + ell).mean())
     )

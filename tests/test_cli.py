@@ -408,6 +408,9 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         (["compare", *blank, "--fft", "1024", "--realizations", "4", "--law", "paper"], "--law"),
         (["peaks-sweep", "--t0", "32", "--deltas", "3", "--source", "simulated",
           "--fft", "1024", "--law", "paper"], "--law"),
+        # a harmonic count below 1 is refused, not raised to 1
+        (["compare", "--model", "transition", *small, "--k-max", "0"], "k_max"),
+        (["compare", "--model", "transition", *small, "--k-max=-3"], "k_max"),
     ):
         out = tmp_path / "y"
         assert main(argv + ["--out-dir", str(out)]) == 1, argv

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from pulsepsd import (
     InsufficientDataError,
+    IntervalStats,
     SimConfig,
     TrainParams,
     Variant,
@@ -162,6 +163,35 @@ def test_transition_length_and_alphabet_law(bits, t0, data):
         assert np.all(blocks[k, delta:] == b)
 
 
+def _transition_by_matrix(bits: np.ndarray, t0: int, delta: int) -> np.ndarray:
+    """Reference transition-stretch synthesis: one (n, t0) row per symbol, masked writes."""
+    b = bits.astype(bool)
+    out = np.zeros((len(b), t0), dtype=np.float64)
+    out[b, :] = 1.0
+    prev = np.concatenate(([False], b[:-1]))
+    out[prev & ~b, :delta] = 1.0
+    return out.reshape(-1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    bits=st.lists(st.integers(0, 1), min_size=1, max_size=200),
+    t0=st.integers(1, 40),
+    delta=st.integers(0, 39),
+)
+@example(bits=[1], t0=4, delta=3)
+@example(bits=[0], t0=4, delta=3)
+@example(bits=[1, 0, 1, 1, 0, 0, 1], t0=5, delta=0)
+@example(bits=[0, 1, 0, 0, 1, 1], t0=3, delta=2)
+def test_transition_run_length_synthesis_equals_matrix(bits, t0, delta):
+    assume(delta < t0)
+    stream = _stream(bits)
+    out = synth_transition_stretch(stream, _transition(t0=t0, delta=delta))
+    ref = _transition_by_matrix(stream, t0, delta)
+    assert out.dtype == ref.dtype == np.float64
+    np.testing.assert_array_equal(out, ref)
+
+
 def test_transition_rejects_blank_params():
     with pytest.raises(ValueError):
         synth_transition_stretch(_stream([1, 0]), _blank(t0=4, delta=1))
@@ -289,6 +319,12 @@ def test_measure_intervals_needs_two_fronts(sig):
         measure_intervals(sig)
 
 
+@pytest.mark.parametrize("sig", [np.ones((4, 8)), np.array(1.0)])
+def test_measure_intervals_refuses_a_signal_that_is_not_1d(sig):
+    with pytest.raises(ValueError, match="1-D"):
+        measure_intervals(sig)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.integers(0, 1), min_size=8, max_size=200))
 def test_measured_front_spacing_is_sum_of_parts(bits):
@@ -298,6 +334,44 @@ def test_measured_front_spacing_is_sum_of_parts(bits):
         return  # too few fronts to measure; covered by the error test
     stats = measure_intervals(sig)
     assert stats.mean_g == pytest.approx(stats.mean_tau + stats.mean_l, abs=1e-12)
+
+
+def _intervals_by_padded_masks(signal: np.ndarray) -> IntervalStats:
+    """Reference interval measurement: rises and falls from two masks on a zero-padded copy."""
+    padded = np.concatenate(([False], np.asarray(signal) > 0.5, [False]))
+    rises = np.flatnonzero(padded[1:] & ~padded[:-1])
+    falls = np.flatnonzero(~padded[1:] & padded[:-1])
+    if len(rises) < 2:
+        raise InsufficientDataError(
+            f"need at least 2 pulse fronts to measure intervals, found {len(rises)}"
+        )
+    tau = (falls - rises)[:-1].astype(np.float64)
+    g = np.diff(rises).astype(np.float64)
+    ell = g - tau
+    return IntervalStats(
+        mean_tau=float(tau.mean()), mean_l=float(ell.mean()), mean_g=float(g.mean())
+    )
+
+
+def _stats_or_error(measure, signal):
+    try:
+        return measure(signal)
+    except InsufficientDataError as err:
+        return f"InsufficientDataError: {err}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([0.0, 0.2, 0.5, 0.51, 0.9, 1.0]), max_size=150))
+@example([])
+@example([1.0] * 9)
+@example([0.9, 0.9, 0.1, 0.8, 0.0, 0.7])  # starts and ends high
+@example([0.0, 0.0, 1.0, 1.0, 0.0])  # one front
+@example([0.0, 1.0, 1.0, 1.0])  # one front, ends high
+@example([0.5, 1.0, 0.5, 1.0, 0.5])  # 0.5 is low
+def test_measure_intervals_equals_padded_masks(levels):
+    sig = np.asarray(levels, dtype=np.float64)
+    out = _stats_or_error(measure_intervals, sig)
+    assert out == _stats_or_error(_intervals_by_padded_masks, sig)
 
 
 def test_measured_means_approach_closed_forms():

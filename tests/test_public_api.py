@@ -111,4 +111,5 @@ def test_every_demo_runs_and_writes_only_into_demo_out(demo, tmp_path, monkeypat
     # binding a call checks its signature only; running the demo checks what it does
     monkeypatch.chdir(tmp_path)
     runpy.run_path(str(DEMOS / demo), run_name="__main__")
-    assert {path.name for path in tmp_path.iterdir()} <= {"demo_out"}
+    assert {path.name for path in tmp_path.iterdir()} == {"demo_out"}
+    assert any((tmp_path / "demo_out").iterdir()), f"{demo} wrote no file"
