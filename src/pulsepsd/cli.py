@@ -57,6 +57,8 @@ from .peaks import (
 from .sim import SimConfig, estimate_psd, resolve_workers, synthesize_realization
 
 SCHEMA_VERSION = 1
+# a peaks-sweep longer than this is a typo in --deltas, not a run
+MAX_DELTAS = 10_000
 
 
 class CliUsageError(Exception):
@@ -93,9 +95,12 @@ def _parse_deltas(text: str) -> list[float]:
             start, stop, step = (float(p) for p in parts)
         except ValueError:
             raise CliUsageError(f"--deltas range must hold numbers, got {text!r}") from None
-        if step <= 0 or stop < start:
+        if not (step > 0 and stop >= start):  # nan fails both
             raise CliUsageError(f"--deltas range needs STOP >= START and STEP > 0, got {text!r}")
-        n = int(round((stop - start) / step))
+        steps = (stop - start) / step
+        if not steps < MAX_DELTAS:  # counted before any list is built; inf fails too
+            raise CliUsageError(f"--deltas range {text!r} holds more than {MAX_DELTAS} deltas")
+        n = int(round(steps))
         values = [start + i * step for i in range(n + 1) if start + i * step <= stop + 1e-9]
     else:
         try:
@@ -104,6 +109,8 @@ def _parse_deltas(text: str) -> list[float]:
             raise CliUsageError(f"--deltas must be a comma list or START:STOP:STEP, got {text!r}") from None
     if not values:
         raise CliUsageError("--deltas resolved to an empty list")
+    if len(values) > MAX_DELTAS:
+        raise CliUsageError(f"--deltas holds {len(values)} deltas, more than {MAX_DELTAS}")
     return values
 
 

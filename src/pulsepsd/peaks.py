@@ -5,6 +5,14 @@ The clock peak is searched in [0.8, 1.3] and referenced against the
 sinc-squared second lobe found in (1.0, 2.0); both windows are
 overridable. The reported quantities are ratios and frequencies only, so
 a PeakReport never depends on the absolute scale of the input spectrum.
+
+A given spectrum, such as a Monte Carlo estimate, is read off its grid
+points by :func:`find_clock_peak`. An analytic sweep measures the closed
+form itself: the sweep grid's points inside the peak window bracket the
+peak, and the center, the half-height crossings and the second lobe are
+refined on the closed form to 1e-12 f/f0 by nested zoom grids and
+bisection (after Brent 1973, Algorithms for Minimization without
+Derivatives), so the results are not quantized to a grid step.
 """
 
 from __future__ import annotations
@@ -33,10 +41,17 @@ PEAK_WINDOW = (0.8, 1.3)
 LOBE_WINDOW = (1.0, 2.0)
 # fixed normalization window; sits past any clock peak the sweeps produce
 NORMALIZE_WINDOW = (1.25, 2.0)
-# analytic sweeps evaluate on this normalized span, dense enough to
-# resolve the half-height width down to delta = 0.5% of t0
+# analytic sweeps bracket on this normalized grid: its points inside the
+# peak window locate the clock peak as a full read of the grid would,
+# and the closed form is then refined between neighbouring points
 SWEEP_SPAN = (0.3, 3.0)
 SWEEP_POINTS = 400001
+# the second lobe is broad, so every 16th grid point brackets it
+LOBE_STRIDE = 16
+# refinement stops once a bracket is this narrow, in f/f0; each level
+# evaluates REFINE_POINTS points across the bracket
+REFINE_TOL = 1e-12
+REFINE_POINTS = 33
 
 
 class PeakDetectionError(RuntimeError):
@@ -83,6 +98,21 @@ def _half_crossing(x: np.ndarray, s: np.ndarray, ipk: int, half: float, step: in
     return float(x[i] + (x[j] - x[i]) * (half - s[i]) / (s[j] - s[i]))
 
 
+def _peak_index(x: np.ndarray, s: np.ndarray, window: tuple[float, float]) -> int:
+    """Index of the largest s over the points x inside ``window``, off its edges."""
+    inside = np.flatnonzero((x >= window[0]) & (x <= window[1]))
+    if len(inside) == 0:
+        raise PeakDetectionError(f"no grid points inside the peak window {window}")
+    ipk = int(inside[np.argmax(s[inside])])
+    if ipk == inside[0] or ipk == inside[-1]:
+        raise PeakDetectionError(
+            f"peak sits on the boundary of the search window {window} at x={x[ipk]:.6g}"
+        )
+    if s[ipk] <= 0.0:
+        raise PeakDetectionError("peak value is not positive")
+    return ipk
+
+
 def find_clock_peak(
     spectrum: SpectrumGrid,
     t0: float,
@@ -101,17 +131,8 @@ def find_clock_peak(
     """
     x = spectrum.freqs * t0
     s = spectrum.psd
-    inside = np.flatnonzero((x >= window[0]) & (x <= window[1]))
-    if len(inside) == 0:
-        raise PeakDetectionError(f"no grid points inside the peak window {window}")
-    ipk = int(inside[np.argmax(s[inside])])
-    if ipk == inside[0] or ipk == inside[-1]:
-        raise PeakDetectionError(
-            f"peak sits on the boundary of the search window {window} at x={x[ipk]:.6g}"
-        )
+    ipk = _peak_index(x, s, window)
     peak_value = float(s[ipk])
-    if peak_value <= 0.0:
-        raise PeakDetectionError("peak value is not positive")
     half = peak_value / 2.0
     left = _half_crossing(x, s, ipk, half, -1)
     right = _half_crossing(x, s, ipk, half, +1)
@@ -153,16 +174,136 @@ def normalize_second_lobe(
 
 
 def default_sweep_grid(t0: float) -> FrequencyGrid:
-    """Dense normalized-span grid used by analytic sweeps."""
+    """Dense normalized-span grid that brackets analytic sweeps."""
     x = np.linspace(SWEEP_SPAN[0], SWEEP_SPAN[1], SWEEP_POINTS)
     return FrequencyGrid(x / t0)
+
+
+def _closed_form(params: TrainParams, freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized frequencies kept by the closed form, and its values there."""
+    spectrum = psd_blank_shorten(FrequencyGrid(freqs), params)
+    return spectrum.freqs * params.t0, spectrum.psd
+
+
+def _refine_max(params: TrainParams, x: np.ndarray, s: np.ndarray, k: int) -> tuple[float, float]:
+    """Maximum of the closed form between the neighbours of x[k], the argmax of s.
+
+    Nested zoom grids: each level evaluates REFINE_POINTS points across
+    the bracket and keeps the two neighbours of their argmax, until the
+    bracket is under REFINE_TOL. Returns the best (x, value) seen, so
+    the result never falls below s[k].
+    """
+    best = (float(x[k]), float(s[k]))
+    a, b = x[max(k - 1, 0)], x[min(k + 1, len(x) - 1)]
+    while b - a > REFINE_TOL:
+        x, s = _closed_form(params, np.linspace(a, b, REFINE_POINTS) / params.t0)
+        k = int(np.argmax(s))
+        if s[k] > best[1]:
+            best = (float(x[k]), float(s[k]))
+        a, b = x[max(k - 1, 0)], x[min(k + 1, len(x) - 1)]
+    return best
+
+
+def _refine_crossing(params: TrainParams, inner: float, outer: float, half: float) -> float:
+    """Where the closed form falls to ``half`` between ``inner`` (above it) and ``outer``.
+
+    Bisection with REFINE_POINTS - 1 sections per level, keeping the
+    section where the value first drops to ``half`` or below.
+    """
+    while abs(outer - inner) > REFINE_TOL:
+        a, b = sorted((inner, outer))
+        x, s = _closed_form(params, np.linspace(a, b, REFINE_POINTS) / params.t0)
+        if outer < inner:
+            x, s = x[::-1], s[::-1]
+        past = s <= half
+        past[0], past[-1] = False, True
+        m = int(np.argmax(past))
+        inner, outer = x[m - 1], x[m]
+    return float(0.5 * (inner + outer))
+
+
+def _half_height(
+    params: TrainParams,
+    center: float,
+    half: float,
+    x: np.ndarray,
+    s: np.ndarray,
+    beyond: np.ndarray,
+    side: int,
+) -> float:
+    """Half-height crossing on ``side`` (-1 or +1) of ``center``.
+
+    Walks out from the center over the evaluated points (x, s), then over
+    the sweep-grid frequencies ``beyond`` the window, to the first point
+    at or below ``half``, and refines between it and the point before.
+    """
+    out = (x - center) * side > 0
+    xs, ss = x[out][::side], s[out][::side]
+    if not np.any(ss <= half) and len(beyond):
+        xb, sb = _closed_form(params, beyond)
+        xs, ss = np.concatenate([xs, xb[::side]]), np.concatenate([ss, sb[::side]])
+    hit = np.flatnonzero(ss <= half)
+    if len(hit) == 0:
+        raise PeakDetectionError("half height never crossed inside the grid")
+    j = int(hit[0])
+    return _refine_crossing(params, xs[j - 1] if j > 0 else center, float(xs[j]), half)
+
+
+def _refined_peak(
+    params: TrainParams,
+    freqs: np.ndarray,
+    window: tuple[float, float],
+    lobe_window: tuple[float, float],
+) -> PeakReport:
+    """:func:`find_clock_peak` of the closed form, refined off the grid.
+
+    ``freqs`` is the sweep grid. The peak is bracketed by the argmax of
+    its points inside ``window``, so detection and its boundary failure
+    are those of :func:`find_clock_peak` on the full grid; the center,
+    the half-height crossings and the second lobe are then refined on the
+    closed form to REFINE_TOL. The lobe is bracketed on every
+    LOBE_STRIDE-th grid point of each side of the exclusion, plus the
+    exclusion boundary itself.
+    """
+    t0 = params.t0
+    grid_x = freqs * t0
+    i0, i1 = np.searchsorted(grid_x, window[0]), np.searchsorted(grid_x, window[1], "right")
+    x, s = _closed_form(params, freqs[i0:i1]) if i1 > i0 else (grid_x[:0], grid_x[:0])
+    k = _peak_index(x, s, window)
+    center, peak_value = _refine_max(params, x, s, k)
+    half = peak_value / 2.0
+    left = _half_height(params, center, half, x, s, freqs[:i0], -1)
+    right = _half_height(params, center, half, x, s, freqs[i1:], +1)
+    fwhm = right - left
+    step = (SWEEP_SPAN[1] - SWEEP_SPAN[0]) / (SWEEP_POINTS - 1)
+    exclusion = max(3.0 * step, 1.5 * fwhm)
+    lo, hi = lobe_window
+    lobes = []
+    for a, b, edge in ((lo, min(hi, center - exclusion), center - exclusion),
+                       (max(lo, center + exclusion), hi, center + exclusion)):
+        pts = freqs[np.searchsorted(grid_x, a, "right"):np.searchsorted(grid_x, b):LOBE_STRIDE]
+        if max(lo, SWEEP_SPAN[0]) < edge < min(hi, SWEEP_SPAN[1]):
+            pts = np.unique(np.append(pts, edge / t0))
+        if len(pts):
+            xl, sl = _closed_form(params, pts)
+            lobes.append(_refine_max(params, xl, sl, int(np.argmax(sl)))[1])
+    if not lobes:
+        raise PeakDetectionError(f"no grid points left in the lobe window {lobe_window}")
+    second_lobe = max(lobes)
+    if second_lobe <= 0.0:
+        raise PeakDetectionError("second lobe value is not positive")
+    return PeakReport(
+        center_freq_norm=center,
+        amplitude_linear=peak_value / second_lobe,
+        fwhm_norm=fwhm,
+        second_lobe_max=second_lobe,
+    )
 
 
 def sweep_delta(
     base: TrainParams,
     deltas: Sequence[float],
     sim: Optional[SimConfig] = None,
-    grid: Optional[FrequencyGrid] = None,
     window: tuple[float, float] = PEAK_WINDOW,
     lobe_window: tuple[float, float] = LOBE_WINDOW,
     workers: Optional[int] = None,
@@ -170,36 +311,35 @@ def sweep_delta(
     """Measure the clock peak across a set of delta values.
 
     With ``sim`` the spectra are estimated by simulation (whole-sample
-    deltas only, ``workers`` passed on to :func:`estimate_psd`); otherwise
-    they are the closed form at ``base.prob_one`` and ``base.blank_law``,
-    in absolute units, on ``grid``, by default :func:`default_sweep_grid`.
-    All sweep items share one grid (analytic) or one seed and fft size
-    (simulated), so reports are comparable item to item, and peak
-    heights can be compared directly via ``report.peak_height``. Every
-    delta is validated, through ``TrainParams`` and ``SimConfig``, before
-    any spectrum is computed. Detection failures propagate tagged with
-    their delta.
-
-    Height, center and FWHM are read off the grid points, so a caller's
-    ``grid`` must put several steps inside the narrowest FWHM of the
-    sweep; a coarser grid reports a quantized, lower peak.
+    deltas only, ``workers`` passed on to :func:`estimate_psd`) and read
+    by :func:`find_clock_peak` on the FFT bins. Otherwise the closed form
+    at ``base.prob_one`` and ``base.blank_law``, in absolute units, is
+    bracketed on the points of :func:`default_sweep_grid` and refined off
+    the grid: center, height, FWHM and second lobe are those of the
+    closed form to REFINE_TOL in f/f0, not of a grid. All simulated
+    items share one seed and fft size, so reports are comparable item
+    to item, and peak heights can be compared directly via
+    ``report.peak_height``. Every delta is validated, through
+    ``TrainParams`` and ``SimConfig``, before any spectrum is computed.
+    Detection failures propagate tagged with their delta.
     """
     require_variant(base, Variant.BLANK_SHORTEN)
     if len(deltas) == 0:
         raise ValueError("deltas must be non-empty")
-    if sim is not None and grid is not None:
-        raise ValueError("a simulated sweep uses the FFT grid; pass sim or grid, not both")
     items = [dataclasses.replace(base, delta=d) for d in deltas]
     if sim is not None:
         items = [dataclasses.replace(sim, params=params) for params in items]
-    elif grid is None:
-        grid = default_sweep_grid(base.t0)
+    else:
+        freqs = default_sweep_grid(base.t0).values
 
     out: list[tuple[float, PeakReport]] = []
     for d, item in zip(deltas, items):
-        spectrum = psd_blank_shorten(grid, item) if sim is None else estimate_psd(item, workers=workers)
         try:
-            report = find_clock_peak(spectrum, base.t0, window, lobe_window)
+            if sim is None:
+                report = _refined_peak(item, freqs, window, lobe_window)
+            else:
+                spectrum = estimate_psd(item, workers=workers)
+                report = find_clock_peak(spectrum, base.t0, window, lobe_window)
         except PeakDetectionError as err:
             raise PeakDetectionError(str(err), delta=float(d)) from err
         out.append((float(d), report))

@@ -16,7 +16,13 @@ from pulsepsd import (
     db10,
     discrete_lines_transition,
 )
-from pulsepsd.cli import analytic_on_fft_grid, compare_on_common_bins, main
+from pulsepsd.cli import (
+    CliUsageError,
+    _parse_deltas,
+    analytic_on_fft_grid,
+    compare_on_common_bins,
+    main,
+)
 
 
 def _read_csv(path):
@@ -323,6 +329,23 @@ def test_peaks_sweep_simulated_passes_workers_on_and_is_byte_identical(tmp_path,
     assert (outs[0] / "sweep.csv").read_bytes() == (outs[1] / "sweep.csv").read_bytes()
 
 
+def test_peaks_sweep_windows_are_clipped_to_the_sweep_span(tmp_path, capsys):
+    sweep = ["peaks-sweep", "--t0", "100", "--deltas", "2,6", "--source", "analytic"]
+    runs = {name: tmp_path / name for name in ("default", "window", "lobe")}
+    assert main(sweep + ["--out-dir", str(runs["default"])]) == 0
+    assert main(sweep + ["--window", "0.8:inf", "--out-dir", str(runs["window"])]) == 0
+    assert main(sweep + ["--lobe-window", "1:inf", "--out-dir", str(runs["lobe"])]) == 0
+    # the clock peak is the maximum over all of (0.8, 3], so nothing moves
+    default_csv = (runs["default"] / "sweep.csv").read_bytes()
+    assert (runs["window"] / "sweep.csv").read_bytes() == default_csv
+    assert [row[0] for row in _read_csv(runs["lobe"] / "sweep.csv")[1:]] == ["2.0", "6.0"]
+    out = tmp_path / "outside"
+    assert main(sweep + ["--window", "5:6", "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "no grid points inside the peak window" in err and err.count("\n") == 1
+    assert not (out / "sweep.csv").exists()
+
+
 def test_blank_closed_forms_take_any_p(tmp_path):
     for p in ("0.3", "0.7"):
         argv = ["analytic", "--model", "blank", "--t0", "100", "--delta", "10", "--p", p]
@@ -425,6 +448,12 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "workers" in err and err.count("\n") == 1
     assert not (tmp_path / "w" / "simulated_spectrum.csv").exists()
+    # a runaway --deltas range is refused from its count, before any list is built
+    for text in ("0:1:1e-6", "0:1:1e-9", "0:inf:1", "0:10000:1"):
+        with pytest.raises(CliUsageError, match="--deltas") as exc:
+            _parse_deltas(text)
+        assert "\n" not in str(exc.value)
+    assert len(_parse_deltas("0:9999:1")) == 10_000
     # a summary band with no usable bins exits before writing any file
     band_out = tmp_path / "band"
     code = main(["compare", "--model", "transition", *small, "--band", "50:60",
