@@ -4,11 +4,12 @@ Every command is pure with respect to its flags and seed; rerunning
 writes byte-identical data files. Each run also writes a manifest JSON
 recording the flags, the produced files, and the wall clock, which is
 enough to reproduce the run; simulate and compare add the estimator
-config they resolved and the worker count they used, analytic and
-compare the frequencies the closed form dropped and the points it
-clamped. Output frequencies are normalized to f0 = 1/t0 unless analytic
-or simulate is given --hz. A flat key = value config file can stand in
-for any flag; explicit flags win.
+config they resolved, the worker count they used and the lattice their
+periodograms were taken at, analytic and compare the frequencies the
+closed form dropped and the points it clamped. Output frequencies are
+normalized to f0 = 1/t0 unless analytic or simulate is given --hz. A
+flat key = value config file can stand in for any flag; explicit flags
+win.
 
 Exit codes: 0 success, 1 usage or validation error, 2 numerical
 detection failure.
@@ -48,6 +49,7 @@ from .io import (
 )
 from .model import BlankLaw, TrainParams, Variant
 from .peaks import (
+    SWEEP_SPAN,
     PeakDetectionError,
     find_clock_peak,
     linear_fit,
@@ -81,6 +83,11 @@ def _parse_pair(text: str, what: str) -> tuple[float, float]:
     if not lo < hi:
         raise CliUsageError(f"{what} needs LO < HI, got {text!r}")
     return lo, hi
+
+
+def _clipped(pair: tuple[float, float], span: tuple[float, float]) -> list[float]:
+    """The part of a LO:HI flag inside the span searched, as a report records it."""
+    return [max(pair[0], span[0]), min(pair[1], span[1])]
 
 
 def _parse_deltas(text: str) -> list[float]:
@@ -233,8 +240,8 @@ def _sim_config(args, params: TrainParams) -> SimConfig:
 
 
 def _sim_record(simulated: SpectrumGrid) -> dict:
-    """The estimator config estimate_psd resolved, and the workers it used."""
-    keys = ("fft_size", "n_symbols", "n_realizations", "seed", "seed_scheme", "workers")
+    """The estimator config estimate_psd resolved, the workers it used and its lattice."""
+    keys = ("fft_size", "n_symbols", "n_realizations", "seed", "seed_scheme", "workers", "lattice")
     return {key: simulated.meta[key] for key in keys}
 
 
@@ -351,7 +358,8 @@ def compare_on_common_bins(
     simulated dB, diff dB) form one (n, 4) array with a row for every
     analytic bin, excluded or not. The summary's max |diff| is taken over
     the normalized band and skips bins within 2 bin widths of a continuum
-    null (integer f/f0).
+    null (integer f/f0); it records the band clipped to the FFT span,
+    0 to t0/2 f/f0.
     """
     f_a, f_s = analytic_spec.freqs, simulated.freqs
     idx = np.searchsorted(f_s, f_a).clip(max=len(f_s) - 1)
@@ -369,7 +377,7 @@ def compare_on_common_bins(
     in_band = (x > band[0]) & (x < band[1])
     use = in_band & ~near_null
     stats = {
-        "band_norm": [band[0], band[1]],
+        "band_norm": _clipped(band, (0.0, float(t0 * f_s[-1]))),
         "bins_in_band": int(np.count_nonzero(in_band)),
         "bins_used": int(np.count_nonzero(use)),
         "max_abs_diff_db": float(np.max(np.abs(diff[use]))) if np.any(use) else None,
@@ -416,6 +424,8 @@ def cmd_peaks_sweep(args) -> tuple[list[Path], dict]:
     if given and not simulated:
         raise CliUsageError(f"--{given[0]} applies to --source simulated only")
     sim_config = _sim_config(args, base) if simulated else None
+    # the f/f0 span searched: the FFT bins up to t0/2, or the analytic sweep grid
+    span = (0.0, args.t0 / 2) if simulated else SWEEP_SPAN
     results = sweep_delta(
         base, deltas, sim=sim_config, window=window, lobe_window=lobe_window,
         workers=args.workers,
@@ -429,8 +439,8 @@ def cmd_peaks_sweep(args) -> tuple[list[Path], dict]:
         "t0": args.t0,
         "law": base.blank_law.value,
         "deltas": column["delta"],
-        "window_norm": list(window),
-        "lobe_window_norm": list(lobe_window),
+        "window_norm": _clipped(window, span),
+        "lobe_window_norm": _clipped(lobe_window, span),
         "items": items,
         "monotonicity": {
             "peak_height_nonincreasing": _nonincreasing(column["peak_height"]),

@@ -98,9 +98,9 @@ def write_sweep_csv(path: Path, rows: Sequence[Sequence[float]]) -> None:
 
 
 def write_json(path: Path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """Sorted, indented JSON; a NaN or infinity, which JSON cannot hold, is a ValueError."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    Path(path).write_text(text + "\n")
 
 
 def write_signal_txt(path: Path, samples: np.ndarray) -> None:

@@ -11,6 +11,19 @@ A real signal's transform is conjugate-symmetric, so the upper half of a
 full complex FFT carries no extra information; only
 :func:`periodogram_bins` rebuilds it, by mirroring.
 
+Every edge of a realization sits on a lattice of g samples, g the largest
+power of two dividing both t0 and delta (capped at fft_size/4). The
+realization is then a g-sample hold of the realization of a model g times
+shorter (t0/g, delta/g, the same bits), so the estimator transforms that
+signal on M = fft_size/g points and applies the hold once to the mean:
+
+    |X_k / L|^2 = |Y_j / L'|^2 * (sin(pi k g / N) / (g sin(pi k / N)))^2
+
+with N = fft_size, L' = L/g and j = k mod M folded into 0 .. M/2
+(Oppenheim & Schafer, Discrete-Time Signal Processing, ch. 4). The
+hold's nulls, k a nonzero multiple of M, are exactly 0. For odd
+gcd(t0, delta), g = 1 and this is the direct transform.
+
 Realization i of a run with seed s draws its bits from
 ``numpy.random.SeedSequence((s, i))``. That scheme is part of the public
 contract: estimates are bit-identical for a given config regardless of
@@ -24,7 +37,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -105,7 +118,12 @@ def periodogram_bins(signal: np.ndarray, fft_size: int) -> np.ndarray:
 
 
 def synthesize_realization(config: SimConfig, index: int) -> np.ndarray:
-    """The exact signal realization the estimator uses at this index."""
+    """The signal realization at this index, whose periodogram the estimator computes.
+
+    The estimator transforms the realization of the config reduced by its
+    lattice (:func:`_lattice_config`); this signal is that one with every
+    sample held for g samples.
+    """
     params = config.params
     seed = (config.seed, index)
     if params.variant is Variant.TRANSITION_STRETCH:
@@ -116,6 +134,35 @@ def synthesize_realization(config: SimConfig, index: int) -> np.ndarray:
     n_draw = math.ceil(config.fft_size / (params.t0 - params.delta))
     bits = gen_bits(n_draw, params.prob_one, seed)
     return synth_blank_shorten(bits, params)[: config.fft_size]
+
+
+def _lattice_config(config: SimConfig) -> tuple[SimConfig, int]:
+    """The config g times shorter whose realizations, held g samples, are config's; and g.
+
+    g is the largest power of two dividing t0 and delta (t0 alone when
+    delta is 0), at most fft_size/4 so the reduced FFT keeps 4 points.
+    It divides fft_size, every transition length n_symbols*t0 and every
+    run length, so the reduced model draws the same bits and cuts
+    blank-shorten realizations at fft_size/g.
+    """
+    params = config.params
+    both = params.t0 | whole_sample_delta(params)
+    g = min(both & -both, config.fft_size // 4)
+    reduced = replace(params, t0=params.t0 // g, delta=params.delta // g)
+    return replace(config, fft_size=config.fft_size // g, params=reduced), g
+
+
+def _hold_response(fft_size: int, g: int) -> np.ndarray:
+    """(sin(pi k g / N) / (g sin(pi k / N)))^2 of a g-sample hold, k = 1 .. N/2.
+
+    The numerator's angle is reduced to [0, pi/2] in integers first, so
+    the response is accurate to rounding next to its nulls, which are
+    exactly 0; for g = 1 it is exactly 1.
+    """
+    k = np.arange(1, fft_size // 2 + 1)
+    r = k * g % fft_size
+    num = np.sin(np.pi * np.minimum(r, fft_size - r) / fft_size)
+    return (num / (g * np.sin(np.pi * k / fft_size))) ** 2
 
 
 def _block_sum(config: SimConfig, start: int, stop: int) -> np.ndarray:
@@ -149,26 +196,32 @@ def estimate_psd(config: SimConfig, workers: int | None = None) -> SpectrumGrid:
     """Ensemble-average periodogram for the configured model.
 
     Returns the one-sided estimate on bins k/fft_size, k = 1 .. fft_size/2.
-    Blocks of 32 realizations are evaluated (possibly in parallel) and
-    their partial sums added in index order, so the result is
-    bit-identical for any worker count. ``meta["workers"]`` records how
-    many workers actually ran: the request, capped by PULSEPSD_THREADS
-    and by the block count.
+    The periodograms are taken at the lattice rate, fft_size/g points
+    each, and expanded with the hold response once (module docstring);
+    ``meta["lattice"]`` records g. Blocks of 32 realizations are
+    evaluated (possibly in parallel) and their partial sums added in
+    index order, so the result is bit-identical for any worker count.
+    ``meta["workers"]`` records how many workers actually ran: the
+    request, capped by PULSEPSD_THREADS and by the block count.
     """
+    reduced, g = _lattice_config(config)
     blocks = [
         (start, min(start + _BLOCK, config.n_realizations))
         for start in range(0, config.n_realizations, _BLOCK)
     ]
     n_workers = min(resolve_workers(workers), len(blocks))
     if n_workers <= 1:
-        partials = [_block_sum(config, a, b) for a, b in blocks]
+        partials = [_block_sum(reduced, a, b) for a, b in blocks]
     else:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            partials = list(pool.map(lambda ab: _block_sum(config, *ab), blocks))
-    total = np.zeros(config.fft_size // 2 + 1)
+            partials = list(pool.map(lambda ab: _block_sum(reduced, *ab), blocks))
+    m = reduced.fft_size
+    total = np.zeros(m // 2 + 1)
     for part in partials:
         total += part
     mean = total / config.n_realizations
+    j = np.arange(1, config.fft_size // 2 + 1) % m
+    psd = mean[np.minimum(j, m - j)] * _hold_response(config.fft_size, g)
     params = config.params
     meta = {
         "kind": "simulated",
@@ -182,5 +235,6 @@ def estimate_psd(config: SimConfig, workers: int | None = None) -> SpectrumGrid:
         "seed": config.seed,
         "seed_scheme": "SeedSequence((seed, realization_index))",
         "workers": n_workers,
+        "lattice": g,
     }
-    return SpectrumGrid(grid=FrequencyGrid.fft_bins(config.fft_size), psd=mean[1:], meta=meta)
+    return SpectrumGrid(grid=FrequencyGrid.fft_bins(config.fft_size), psd=psd, meta=meta)

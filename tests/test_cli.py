@@ -34,6 +34,15 @@ def _load(path):
     return json.loads(path.read_text())
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def _load_strict(path):
+    """JSON as RFC 8259 defines it: NaN, Infinity and -Infinity are refused."""
+    return json.loads(path.read_text(), parse_constant=_refuse_constant)
+
+
 # --- analytic subcommand ---
 
 
@@ -185,6 +194,7 @@ def test_manifest_records_the_resolved_config_and_workers_used(tmp_path, monkeyp
         "seed": 5,
         "seed_scheme": "SeedSequence((seed, realization_index))",
         "workers": 2,
+        "lattice": 2,  # gcd(16, 2) = 2: each periodogram is taken on 1024 points
     }
 
 
@@ -339,11 +349,40 @@ def test_peaks_sweep_windows_are_clipped_to_the_sweep_span(tmp_path, capsys):
     default_csv = (runs["default"] / "sweep.csv").read_bytes()
     assert (runs["window"] / "sweep.csv").read_bytes() == default_csv
     assert [row[0] for row in _read_csv(runs["lobe"] / "sweep.csv")[1:]] == ["2.0", "6.0"]
+    # the report records the windows searched, clipped to the 0.3..3 f/f0 span
+    for name, window, lobe in (
+        ("default", [0.8, 1.3], [1.0, 2.0]),
+        ("window", [0.8, 3.0], [1.0, 2.0]),
+        ("lobe", [0.8, 1.3], [1.0, 3.0]),
+    ):
+        for path in runs[name].glob("*.json"):
+            _load_strict(path)
+        report = _load_strict(runs[name] / "sweep_report.json")
+        assert (report["window_norm"], report["lobe_window_norm"]) == (window, lobe)
     out = tmp_path / "outside"
     assert main(sweep + ["--window", "5:6", "--out-dir", str(out)]) == 2
     err = capsys.readouterr().err
     assert "no grid points inside the peak window" in err and err.count("\n") == 1
     assert not (out / "sweep.csv").exists()
+
+
+def test_open_ended_windows_and_bands_are_recorded_clipped_as_json(tmp_path):
+    # a simulated sweep searches FFT bins up to t0/2 f/f0; compare's band
+    # is clipped to the same span
+    sim = ["--fft", "4096", "--realizations", "8", "--seed", "3", "--workers", "1"]
+    sweep = tmp_path / "sweep"
+    argv = ["peaks-sweep", "--t0", "32", "--deltas", "4,8", "--source", "simulated",
+            "--window", "0.8:inf", "--lobe-window=-inf:2", "--out-dir", str(sweep)]
+    assert main(argv + sim) == 0
+    report = _load_strict(sweep / "sweep_report.json")
+    assert (report["window_norm"], report["lobe_window_norm"]) == ([0.8, 16.0], [0.0, 2.0])
+    compare = tmp_path / "compare"
+    argv = ["compare", "--model", "transition", "--t0", "32", "--delta", "2", "--p", "0.55",
+            "--band", "0.2:inf", "--out-dir", str(compare)]
+    assert main(argv + sim) == 0
+    assert _load_strict(compare / "compare_summary.json")["band_norm"] == [0.2, 16.0]
+    for path in [*sweep.glob("*.json"), *compare.glob("*.json")]:
+        _load_strict(path)
 
 
 def test_blank_closed_forms_take_any_p(tmp_path):

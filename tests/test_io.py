@@ -106,6 +106,14 @@ def test_json_output_is_canonical(tmp_path):
     assert list(payload) == ["alpha", "mid", "zeta"]
 
 
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_json_refuses_values_json_cannot_hold(tmp_path, value):
+    path = tmp_path / "bad.json"
+    with pytest.raises(ValueError, match="JSON compliant"):
+        write_json(path, {"window_norm": [0.8, value]})
+    assert not path.exists()
+
+
 def test_signal_txt_one_sample_per_line(tmp_path):
     path = tmp_path / "sig.txt"
     write_signal_txt(path, np.array([1.0, 0.0, 1.0]))

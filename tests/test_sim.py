@@ -1,8 +1,13 @@
 """Monte Carlo estimator: periodograms, seeding, parallel determinism."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import pulsepsd.sim
 from pulsepsd import (
     BlankLaw,
     FrequencyGrid,
@@ -15,7 +20,7 @@ from pulsepsd import (
     psd_blank_shorten,
     synthesize_realization,
 )
-from pulsepsd.sim import _half_bins, resolve_workers
+from pulsepsd.sim import _half_bins, _hold_response, resolve_workers
 
 
 def _transition(t0=64, delta=3, p=0.55) -> TrainParams:
@@ -130,11 +135,85 @@ def test_estimate_equals_manual_periodogram_mean():
     np.testing.assert_array_equal(est.psd, (acc / 8.0)[1:1025])
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    blank=st.booleans(),
+    odd=st.sampled_from([1, 3, 5]),
+    twos=st.integers(1, 5),
+    half_delta=st.integers(0, 79),
+    n_symbols=st.integers(1, 8),
+    spare=st.integers(0, 8),
+    n=st.integers(1, 4),
+    seed=st.integers(0, 999),
+)
+# t0 = 32 against fft 16, and one 16-sample symbol in fft 16: g capped at 4
+@example(blank=True, odd=1, twos=5, half_delta=0, n_symbols=1, spare=2, n=2, seed=0)
+@example(blank=False, odd=1, twos=4, half_delta=0, n_symbols=1, spare=0, n=2, seed=0)
+def test_lattice_estimate_equals_the_full_rate_periodogram_mean(
+    blank, odd, twos, half_delta, n_symbols, spare, n, seed
+):
+    # whole delta with gcd(t0, delta) even, so the estimator transforms
+    # fft_size/g points and expands them with the hold response
+    t0 = odd << twos
+    delta = 2 * (half_delta % (t0 // 2))
+    if blank:
+        params, fft = _blank(t0=t0, delta=delta), 4 << spare
+    else:
+        params = _transition(t0=t0, delta=delta)
+        fft = max(4, 1 << (n_symbols * t0 - 1).bit_length() + spare % 3)
+    cfg = SimConfig(n_symbols=n_symbols, n_realizations=n, fft_size=fft, seed=seed, params=params)
+    est = estimate_psd(cfg, workers=1)
+    shared = math.gcd(t0, delta)
+    g = min(shared & -shared, fft // 4)
+    assert est.meta["lattice"] == g
+    manual = np.zeros(fft // 2)
+    for i in range(n):
+        manual += periodogram_bins(synthesize_realization(cfg, i), fft)[1 : fft // 2 + 1]
+    manual /= n
+    np.testing.assert_allclose(est.psd, manual, rtol=1e-9, atol=1e-15 * manual.max())
+    nulls = np.arange(fft // g, fft // 2 + 1, fft // g)  # the hold's nulls, k = m fft/g
+    assert np.all(est.psd[nulls - 1] == 0.0)
+
+
+def test_hold_response_is_accurate_next_to_its_nulls():
+    # a 2-sample hold has response cos^2(pi k / N) = sin^2(pi (N/2 - k) / N),
+    # which the second form evaluates to rounding up to the null at N/2
+    n = 262144
+    k = np.arange(1, n // 2 + 1)
+    expected = np.sin(np.pi * (n // 2 - k) / n) ** 2
+    np.testing.assert_allclose(_hold_response(n, 2), expected, rtol=1e-14, atol=0)
+    np.testing.assert_array_equal(_hold_response(n, 1), np.ones(n // 2))
+
+
 def test_estimate_is_bit_identical_for_any_worker_count():
-    cfg = SimConfig(n_symbols=32, n_realizations=70, fft_size=2048, seed=5, params=_transition())
-    serial = estimate_psd(cfg, workers=1)
-    threaded = estimate_psd(cfg, workers=4)
-    np.testing.assert_array_equal(serial.psd, threaded.psd)
+    for cfg in (
+        SimConfig(n_symbols=32, n_realizations=70, fft_size=2048, seed=5, params=_transition()),
+        SimConfig(n_symbols=64, n_realizations=70, fft_size=2048, seed=5,
+                  params=_blank(t0=32, delta=4)),  # lattice g = 4
+    ):
+        serial = estimate_psd(cfg, workers=1)
+        threaded = estimate_psd(cfg, workers=4)
+        np.testing.assert_array_equal(serial.psd, threaded.psd)
+
+
+def test_periodograms_are_taken_at_the_lattice_rate(monkeypatch):
+    # criterion 4's gcd(100, 10) = 10 holds one factor 2, so its 262144-point
+    # realizations are transformed on 131072 points; gcd(64, 3) = 1 keeps 8192
+    seen = []
+
+    def counting(x, fft_size):
+        seen.append((len(x), fft_size))
+        return _half_bins(x, fft_size)
+
+    monkeypatch.setattr(pulsepsd.sim, "_half_bins", counting)
+    criterion4 = SimConfig(n_symbols=2000, n_realizations=2, fft_size=262144, seed=1,
+                           params=_blank(t0=100, delta=10))
+    assert estimate_psd(criterion4, workers=1).meta["lattice"] == 2
+    assert seen == [(131072, 131072)] * 2
+    seen.clear()
+    odd = SimConfig(n_symbols=128, n_realizations=2, fft_size=8192, seed=1, params=_transition())
+    assert estimate_psd(odd, workers=1).meta["lattice"] == 1
+    assert seen == [(8192, 8192)] * 2
 
 
 def test_estimate_meta_documents_the_seed_scheme():
@@ -143,6 +222,7 @@ def test_estimate_meta_documents_the_seed_scheme():
     assert meta["seed_scheme"] == "SeedSequence((seed, realization_index))"
     assert meta["n_realizations"] == 2
     assert meta["kind"] == "simulated"
+    assert meta["lattice"] == 1  # gcd(64, 3) = 1
     assert estimate_psd(cfg, workers=4).meta["workers"] == 1  # one block, one worker
 
 
