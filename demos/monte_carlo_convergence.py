@@ -9,7 +9,8 @@ skips bins right at the continuum nulls, where both curves plunge.
 from pathlib import Path
 
 from pulsepsd import SimConfig, TrainParams, Variant, estimate_psd, write_json
-from pulsepsd.cli import analytic_on_fft_grid, compare_on_common_bins
+from pulsepsd.analytic import analytic_on_fft_grid
+from pulsepsd.sim import compare_on_common_bins
 
 OUT = Path("demo_out")
 OUT.mkdir(exist_ok=True)

@@ -30,7 +30,6 @@ are continuous-time), and a ``scale`` in (0, inf).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
 
 import numpy as np
 
@@ -313,3 +312,22 @@ def combine(binned_continuous: SpectrumGrid, lines: DiscreteLineSet) -> Spectrum
     meta["kind"] = "combined"
     meta["lines_k_max"] = int(lines.k.max()) if len(lines) else 0
     return SpectrumGrid(grid=binned_continuous.grid, psd=psd, meta=meta)
+
+
+def analytic_on_fft_grid(params: TrainParams, fft_size: int, k_max: int | None = None) -> SpectrumGrid:
+    """Binned analytic spectrum on the simulator's one-sided FFT bins.
+
+    For the transition model the discrete lines are folded into the
+    nearest retained bin, mirroring how an averaged periodogram receives
+    them; harmonic bins themselves are dropped by the continuum
+    evaluation (removable singularities), so line power lands one bin
+    over, inside any sensible null-exclusion band. ``k_max`` (default 40)
+    is cut to the harmonics inside the FFT span; below 1 it is refused.
+    """
+    grid = FrequencyGrid.fft_bins(fft_size)
+    if params.variant is Variant.TRANSITION_STRETCH:
+        binned = bin_power(continuous_psd_transition(grid, params))
+        k_in_span = int(np.floor(binned.freqs[-1] * params.t0))
+        k_use = min(40 if k_max is None else k_max, max(1, k_in_span))
+        return combine(binned, discrete_lines_transition(k_use, params))
+    return bin_power(psd_blank_shorten(grid, params))

@@ -102,9 +102,7 @@ def theta_blank(omega, params: TrainParams):
     return complex(out) if np.isscalar(omega) else out
 
 
-def discrete_component_detector(
-    params: TrainParams, k_max: int, tol: float = DETECTOR_TOL
-) -> list[tuple[int, bool]]:
+def discrete_component_detector(params: TrainParams, k_max: int) -> list[tuple[int, bool]]:
     """Decide which clock harmonics k/t0 carry a discrete spectral line.
 
     A line exists at harmonic k iff |theta1*theta2| at w_k = 2 pi k / t0
@@ -120,5 +118,5 @@ def discrete_component_detector(
     w_k = 2.0 * np.pi * k / params.t0
     product_mag = np.abs(theta1(w_k, params) * theta2(w_k, params))
     sin_sq = np.sin(np.pi * k * params.delta / params.t0) ** 2
-    exists = (product_mag >= 1.0 - tol) & (sin_sq > tol)
+    exists = (product_mag >= 1.0 - DETECTOR_TOL) & (sin_sq > DETECTOR_TOL)
     return [(int(ki), bool(ei)) for ki, ei in zip(k, exists)]

@@ -11,7 +11,7 @@ normalized to f0 = 1/t0 unless analytic or simulate is given --hz. A
 flat key = value config file can stand in for any flag; explicit flags
 win.
 
-Exit codes: 0 success, 1 usage or validation error, 2 numerical
+Exit codes: 0 success, 1 usage, validation or file error, 2 numerical
 detection failure.
 """
 
@@ -26,9 +26,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analytic import (
+from .analytic import (  # bin_power, combine: perfbench/tracing.py patches them here
     FrequencyGrid,
     SpectrumGrid,
+    analytic_on_fft_grid,
     bin_power,
     combine,
     continuous_psd_transition,
@@ -51,12 +52,17 @@ from .model import BlankLaw, TrainParams, Variant
 from .peaks import (
     SWEEP_SPAN,
     PeakDetectionError,
-    find_clock_peak,
     linear_fit,
     normalize_second_lobe,
     sweep_delta,
 )
-from .sim import SimConfig, estimate_psd, resolve_workers, synthesize_realization
+from .sim import (
+    SimConfig,
+    compare_on_common_bins,
+    estimate_psd,
+    resolve_workers,
+    synthesize_realization,
+)
 
 SCHEMA_VERSION = 1
 # a peaks-sweep longer than this is a typo in --deltas, not a run
@@ -143,37 +149,26 @@ def _load_config_args(path: Path) -> list[str]:
         value = value.strip()
         if not key:
             raise CliUsageError(f"{path}:{ln}: empty key")
+        if "config".startswith(key):  # argparse would take any prefix for --config
+            raise CliUsageError(f"{path}:{ln}: a config file cannot name another config file")
         if value.lower() == "true":
             out.append(f"--{key}")
-        elif value.lower() == "false":
-            pass
-        else:
+        elif value.lower() != "false":
             out.extend([f"--{key}", value])
     return out
 
 
 def _expand_config(argv: list[str]) -> list[str]:
-    """Splice config-file flags right after the subcommand so CLI flags win."""
+    """Splice config-file flags, file by file, right after the subcommand so CLI flags win.
+
+    A pre-parse knowing only --config lets argparse take --config=FILE, repeats and prefixes.
+    """
     if not argv or argv[0].startswith("-"):
         return argv
-    head, rest = argv[0], argv[1:]
-    passthrough: list[str] = []
-    from_config: list[str] = []
-    i = 0
-    while i < len(rest):
-        tok = rest[i]
-        if tok == "--config":
-            if i + 1 >= len(rest):
-                raise CliUsageError("--config needs a file path")
-            from_config.extend(_load_config_args(Path(rest[i + 1])))
-            i += 2
-        elif tok.startswith("--config="):
-            from_config.extend(_load_config_args(Path(tok.split("=", 1)[1])))
-            i += 1
-        else:
-            passthrough.append(tok)
-            i += 1
-    return [head] + from_config + passthrough
+    pre = _Parser(add_help=False)
+    pre.add_argument("--config", type=Path, action="append", default=[])
+    known, rest = pre.parse_known_args(argv[1:])
+    return [argv[0], *(tok for path in known.config for tok in _load_config_args(path)), *rest]
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
@@ -311,79 +306,18 @@ def cmd_analytic(args) -> tuple[list[Path], dict]:
 def cmd_simulate(args) -> tuple[list[Path], dict]:
     params = _train_params(args, Variant(args.model), args.delta, simulated=True)
     config = _sim_config(args, params)
-    spectrum = estimate_psd(config, workers=args.workers)
     outputs = [args.out_dir / "simulated_spectrum.csv"]
-    write_spectrum_csv(outputs[0], spectrum, float(params.t0), hz=args.hz)
-    if args.dump_first_signal is not None:
+    if args.dump_first_signal is not None:  # first, so a bad path fails before the long run
         write_signal_txt(args.dump_first_signal, synthesize_realization(config, 0))
         outputs.append(args.dump_first_signal)
+    spectrum = estimate_psd(config, workers=args.workers)
+    write_spectrum_csv(outputs[0], spectrum, float(params.t0), hz=args.hz)
     if args.svg:
         svg_path = args.out_dir / "simulated_spectrum.svg"
         _svg_of_spectrum(svg_path, spectrum, float(params.t0), args.hz,
                          f"simulated {args.model} PSD")
         outputs.append(svg_path)
     return outputs, {"sim": _sim_record(spectrum)}
-
-
-def analytic_on_fft_grid(params: TrainParams, fft_size: int, k_max: int | None = None) -> SpectrumGrid:
-    """Binned analytic spectrum on the simulator's one-sided FFT bins.
-
-    For the transition model the discrete lines are folded into the
-    nearest retained bin, mirroring how an averaged periodogram receives
-    them; harmonic bins themselves are dropped by the continuum
-    evaluation (removable singularities), so line power lands one bin
-    over, inside any sensible null-exclusion band. ``k_max`` (default 40)
-    is cut to the harmonics inside the FFT span; below 1 it is refused.
-    """
-    grid = FrequencyGrid.fft_bins(fft_size)
-    if params.variant is Variant.TRANSITION_STRETCH:
-        binned = bin_power(continuous_psd_transition(grid, params))
-        k_in_span = int(np.floor(binned.freqs[-1] * params.t0))
-        k_use = min(40 if k_max is None else k_max, max(1, k_in_span))
-        return combine(binned, discrete_lines_transition(k_use, params))
-    return bin_power(psd_blank_shorten(grid, params))
-
-
-def compare_on_common_bins(
-    analytic_spec: SpectrumGrid,
-    simulated: SpectrumGrid,
-    t0: float,
-    band: tuple[float, float],
-) -> tuple[np.ndarray, dict]:
-    """Join analytic and simulated spectra bin for bin and summarize.
-
-    The analytic bins must be simulated FFT bins, as those of
-    :func:`analytic_on_fft_grid` are: the same k/fft_size values minus
-    the harmonics the closed form drops. Rows (f/f0, analytic dB,
-    simulated dB, diff dB) form one (n, 4) array with a row for every
-    analytic bin, excluded or not. The summary's max |diff| is taken over
-    the normalized band and skips bins within 2 bin widths of a continuum
-    null (integer f/f0); it records the band clipped to the FFT span,
-    0 to t0/2 f/f0.
-    """
-    f_a, f_s = analytic_spec.freqs, simulated.freqs
-    idx = np.searchsorted(f_s, f_a).clip(max=len(f_s) - 1)
-    if not np.array_equal(f_s[idx], f_a):
-        raise ValueError(
-            f"grid mismatch: analytic bins {f_a[0]}..{f_a[-1]} are not among "
-            f"the simulated bins {f_s[0]}..{f_s[-1]}"
-        )
-    a_db = db10(analytic_spec.psd)
-    s_db = db10(simulated.psd[idx])
-    diff = a_db - s_db
-    x = f_a * t0
-    bin_width_norm = t0 * f_s[0]  # f_s[0] = 1/fft_size, exact for power-of-two sizes
-    near_null = (np.round(x) >= 1.0) & (np.abs(x - np.round(x)) <= 2.0 * bin_width_norm + 1e-12)
-    in_band = (x > band[0]) & (x < band[1])
-    use = in_band & ~near_null
-    stats = {
-        "band_norm": _clipped(band, (0.0, float(t0 * f_s[-1]))),
-        "bins_in_band": int(np.count_nonzero(in_band)),
-        "bins_used": int(np.count_nonzero(use)),
-        "max_abs_diff_db": float(np.max(np.abs(diff[use]))) if np.any(use) else None,
-        "mean_abs_diff_db": float(np.mean(np.abs(diff[use]))) if np.any(use) else None,
-    }
-    return np.column_stack((x, a_db, s_db, diff)), stats
 
 
 def cmd_compare(args) -> tuple[list[Path], dict]:
@@ -530,7 +464,7 @@ def main(argv: list[str] | None = None) -> int:
         args.out_dir.mkdir(parents=True, exist_ok=True)
         outputs, extra = args.func(args)
         _manifest(args, args.command, outputs, extra, started)
-    except (CliUsageError, ValueError) as err:
+    except (CliUsageError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except (PeakDetectionError, NearSingularError, RuntimeError) as err:

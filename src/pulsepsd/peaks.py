@@ -153,18 +153,17 @@ def find_clock_peak(
     )
 
 
-def normalize_second_lobe(
-    spectrum: SpectrumGrid, t0: float, window: tuple[float, float] = NORMALIZE_WINDOW
-) -> SpectrumGrid:
+def normalize_second_lobe(spectrum: SpectrumGrid, t0: float) -> SpectrumGrid:
     """Rescale so the second-lobe maximum becomes exactly 1 (idempotent).
 
-    Uses a fixed window past the clock-peak region, independent of peak
-    detection, so it also applies to spectra without any isolated peak.
+    Uses the fixed window NORMALIZE_WINDOW past the clock-peak region,
+    independent of peak detection, so it also applies to spectra without
+    any isolated peak.
     """
     x = spectrum.freqs * t0
-    sel = (x >= window[0]) & (x <= window[1])
+    sel = (x >= NORMALIZE_WINDOW[0]) & (x <= NORMALIZE_WINDOW[1])
     if not np.any(sel):
-        raise ValueError(f"no grid points inside the normalization window {window}")
+        raise ValueError(f"no grid points inside the normalization window {NORMALIZE_WINDOW}")
     ref = float(np.max(spectrum.psd[sel]))
     if ref <= 0.0:
         raise ValueError("second-lobe maximum is not positive; cannot normalize")

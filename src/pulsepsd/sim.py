@@ -30,6 +30,9 @@ contract: estimates are bit-identical for a given config regardless of
 scheduling, worker count, or process boundaries. Accumulation happens in
 fixed 32-realization blocks combined in index order, so thread-level
 parallelism cannot perturb floating-point results.
+
+:func:`compare_on_common_bins` joins a closed form binned on these FFT
+bins with an estimate, bin for bin; the ``compare`` command runs it.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analytic import FrequencyGrid, SpectrumGrid
+from .io import db10
 from .model import (
     TrainParams,
     Variant,
@@ -238,3 +242,45 @@ def estimate_psd(config: SimConfig, workers: int | None = None) -> SpectrumGrid:
         "lattice": g,
     }
     return SpectrumGrid(grid=FrequencyGrid.fft_bins(config.fft_size), psd=psd, meta=meta)
+
+
+def compare_on_common_bins(
+    analytic_spec: SpectrumGrid,
+    simulated: SpectrumGrid,
+    t0: float,
+    band: tuple[float, float],
+) -> tuple[np.ndarray, dict]:
+    """Join analytic and simulated spectra bin for bin and summarize.
+
+    The analytic bins must be simulated FFT bins, as those of
+    :func:`pulsepsd.analytic.analytic_on_fft_grid` are: the same
+    k/fft_size values minus the harmonics the closed form drops. Rows
+    (f/f0, analytic dB, simulated dB, diff dB) form one (n, 4) array with
+    a row for every analytic bin, excluded or not. The summary's max
+    |diff| is taken over the normalized band and skips bins within 2 bin
+    widths of a continuum null (integer f/f0); it records the band
+    clipped to the FFT span, 0 to t0/2 f/f0.
+    """
+    f_a, f_s = analytic_spec.freqs, simulated.freqs
+    idx = np.searchsorted(f_s, f_a).clip(max=len(f_s) - 1)
+    if not np.array_equal(f_s[idx], f_a):
+        raise ValueError(
+            f"grid mismatch: analytic bins {f_a[0]}..{f_a[-1]} are not among "
+            f"the simulated bins {f_s[0]}..{f_s[-1]}"
+        )
+    a_db = db10(analytic_spec.psd)
+    s_db = db10(simulated.psd[idx])
+    diff = a_db - s_db
+    x = f_a * t0
+    bin_width_norm = t0 * f_s[0]  # f_s[0] = 1/fft_size, exact for power-of-two sizes
+    near_null = (np.round(x) >= 1.0) & (np.abs(x - np.round(x)) <= 2.0 * bin_width_norm + 1e-12)
+    in_band = (x > band[0]) & (x < band[1])
+    use = in_band & ~near_null
+    stats = {
+        "band_norm": [max(band[0], 0.0), min(band[1], float(t0 * f_s[-1]))],
+        "bins_in_band": int(np.count_nonzero(in_band)),
+        "bins_used": int(np.count_nonzero(use)),
+        "max_abs_diff_db": float(np.max(np.abs(diff[use]))) if np.any(use) else None,
+        "mean_abs_diff_db": float(np.mean(np.abs(diff[use]))) if np.any(use) else None,
+    }
+    return np.column_stack((x, a_db, s_db, diff)), stats

@@ -21,6 +21,7 @@ from pulsepsd import (
     theta2,
     theta_blank,
 )
+from pulsepsd.analytic import analytic_on_fft_grid
 
 
 def _params(t0=64, delta=3, p=0.55) -> TrainParams:
@@ -256,6 +257,29 @@ def test_blank_scale_is_linear_and_the_level_is_one_over_the_mean_interval():
             np.testing.assert_allclose(base.psd, expected, rtol=1e-12)
 
 
+@pytest.mark.parametrize("t0, delta, p", [(100, 10, 0.5), (32, 5, 0.8), (100, 60, 0.5)])
+@pytest.mark.parametrize("law", list(BlankLaw))
+def test_blank_density_equals_the_alternating_run_form(t0, delta, p, law):
+    # blank-shorten is also a train of independent alternating runs: a high
+    # run of M ones lasts t0 M, a low run of K zeros (t0 - delta) K - b, with
+    # b = delta under the paper law (its first zero lasts t0 - 2 delta) and
+    # 0 under the generator law; M and K are geometric
+    grid = FrequencyGrid.offset_linspace(3.0 / t0, 20001)
+    spec = psd_blank_shorten(grid, _blank(t0, delta, law, p))
+    w = 2.0 * np.pi * spec.freqs
+    q = 1.0 - p
+    b = delta if law is BlankLaw.PAPER_K_DELTA else 0.0
+    z, v = np.exp(1j * w * t0), np.exp(1j * w * (t0 - delta))
+    theta_high = q * z / (1.0 - p * z)
+    theta_low = p * np.exp(-1j * w * b) * v / (1.0 - q * v)
+    mean_period = t0 / q + (t0 - delta) / p - b
+    expected = (
+        2.0 / (w**2 * mean_period)
+        * np.real((1.0 - theta_high) * (1.0 - theta_low) / (1.0 - theta_high * theta_low))
+    )
+    assert np.max(np.abs(spec.psd - expected)) <= 1e-8 * np.max(spec.psd)
+
+
 # --- binning and line placement ---
 
 
@@ -295,6 +319,19 @@ def test_combine_reports_out_of_span_lines_by_harmonic_index():
     )
     with pytest.raises(ValueError, match="k = 9"):
         combine(spec, lines)
+
+
+def test_analytic_on_fft_grid_keeps_line_power():
+    params = TrainParams(Variant.TRANSITION_STRETCH, t0=64, delta=3, prob_one=0.55)
+    spec = analytic_on_fft_grid(params, 4096)
+    assert spec.meta["kind"] == "combined"
+    # the bin nearest the clock frequency carries the k=1 line power plus
+    # a deep-null continuum sliver, so it is line-dominated
+    f = spec.freqs
+    i_line = int(np.argmin(np.abs(f - 1.0 / 64.0)))
+    line = discrete_lines_transition(1, params).power[0]
+    assert spec.psd[i_line] == pytest.approx(line, rel=0.05)
+    assert spec.psd[i_line] > 4 * spec.psd[i_line - 3]
 
 
 @settings(max_examples=30, deadline=None)

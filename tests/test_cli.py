@@ -7,22 +7,8 @@ import numpy as np
 import pytest
 
 import pulsepsd.peaks
-from pulsepsd import (
-    FrequencyGrid,
-    SpectrumGrid,
-    TrainParams,
-    Variant,
-    __version__,
-    db10,
-    discrete_lines_transition,
-)
-from pulsepsd.cli import (
-    CliUsageError,
-    _parse_deltas,
-    analytic_on_fft_grid,
-    compare_on_common_bins,
-    main,
-)
+from pulsepsd import __version__
+from pulsepsd.cli import CliUsageError, _parse_deltas, main
 
 
 def _read_csv(path):
@@ -220,54 +206,6 @@ def test_compare_runs_end_to_end(tmp_path, capsys):
     assert summary["max_abs_diff_db"] < 3.0  # loose: 300 runs on a coarse fft
 
 
-def test_compare_join_of_identical_spectra_is_zero():
-    fft = 1024
-    grid = FrequencyGrid.fft_bins(fft)
-    psd = np.linspace(1.0, 2.0, len(grid))
-    left = SpectrumGrid(grid=grid, psd=psd)
-    right = SpectrumGrid(grid=grid, psd=psd.copy())
-    rows, stats = compare_on_common_bins(left, right, 64.0, (0.1, 10.0))
-    assert stats["max_abs_diff_db"] == 0.0
-    assert all(r[3] == 0.0 for r in rows)
-    assert stats["bins_used"] < stats["bins_in_band"]  # null neighborhoods skipped
-    assert rows.shape == (len(grid), 4)
-    # an analytic side that dropped bins joins the simulated bins it kept
-    keep = np.ones(len(grid), dtype=bool)
-    keep[[0, 15, 16, 200, len(grid) - 1]] = False
-    subset = SpectrumGrid(grid=FrequencyGrid(grid.values[keep]), psd=psd[keep] * 2.0)
-    rows, _ = compare_on_common_bins(subset, right, 64.0, (0.1, 10.0))
-    assert rows.shape == (np.count_nonzero(keep), 4)
-    np.testing.assert_array_equal(rows[:, 0], grid.values[keep] * 64.0)
-    np.testing.assert_array_equal(rows[:, 2], db10(right.psd)[keep])
-
-
-def test_compare_rejects_mismatched_grids():
-    sim_grid = FrequencyGrid.fft_bins(256)
-    sim = SpectrumGrid(grid=sim_grid, psd=np.ones(len(sim_grid)))
-    ana = analytic_on_fft_grid(
-        TrainParams(Variant.TRANSITION_STRETCH, t0=64, delta=3, prob_one=0.55), 8192
-    )
-    with pytest.raises(ValueError, match="grid mismatch"):
-        compare_on_common_bins(ana, sim, 64.0, (0.1, 10.0))
-    # analytic bins past the last simulated bin do not join either
-    short = SpectrumGrid(grid=FrequencyGrid(sim_grid.values[:-1]), psd=np.ones(len(sim_grid) - 1))
-    with pytest.raises(ValueError, match="grid mismatch"):
-        compare_on_common_bins(SpectrumGrid(grid=sim_grid, psd=sim.psd), short, 64.0, (0.1, 10.0))
-
-
-def test_analytic_on_fft_grid_keeps_line_power(tmp_path):
-    params = TrainParams(Variant.TRANSITION_STRETCH, t0=64, delta=3, prob_one=0.55)
-    spec = analytic_on_fft_grid(params, 4096)
-    assert spec.meta["kind"] == "combined"
-    # the bin nearest the clock frequency carries the k=1 line power plus
-    # a deep-null continuum sliver, so it is line-dominated
-    f = spec.freqs
-    i_line = int(np.argmin(np.abs(f - 1.0 / 64.0)))
-    line = discrete_lines_transition(1, params).power[0]
-    assert spec.psd[i_line] == pytest.approx(line, rel=0.05)
-    assert spec.psd[i_line] > 4 * spec.psd[i_line - 3]
-
-
 # --- peaks-sweep subcommand ---
 
 
@@ -436,6 +374,56 @@ def test_config_file_fills_defaults_and_flags_win(tmp_path):
     assert (c / "simulated_spectrum.csv").read_bytes() != ref
 
 
+def test_config_flag_prefix_loads_the_file(tmp_path):
+    # argparse takes --conf for --config, so the file must be read, not dropped
+    conf = tmp_path / "run.conf"
+    conf.write_text("p = 0.55\ndelta = 3\n")
+    out = tmp_path / "out"
+    argv = ["analytic", "--model", "transition", "--t0", "64", "--conf", str(conf)]
+    assert main(argv + ["--out-dir", str(out)]) == 0
+    params = _load(out / "analytic_manifest.json")["params"]
+    assert (params["prob-one"], params["delta"]) == (0.55, 3.0)
+
+
+def test_config_files_splice_in_order_and_flags_still_win(tmp_path):
+    first, second = tmp_path / "first.conf", tmp_path / "second.conf"
+    first.write_text(
+        "model = transition\nt0 = 16\ndelta = 2\nfft = 1024\nrealizations = 4\nseed = 4\n"
+    )
+    second.write_text("realizations = 8\nseed = 6\n")
+    runs = []
+
+    def resolved(*argv):
+        out = tmp_path / f"run{len(runs)}"
+        runs.append(out)
+        assert main(["simulate", *argv, "--out-dir", str(out)]) == 0
+        params = _load(out / "simulate_manifest.json")["params"]
+        return params["delta"], params["realizations"], params["seed"]
+
+    assert resolved("--config", str(first), f"--config={second}") == (2.0, 8, 6)
+    assert resolved("--config", str(second), "--config", str(first)) == (2.0, 4, 4)
+    assert resolved("--config", str(first), "--config", str(second), "--seed", "9") == (2.0, 8, 9)
+    assert resolved("--seed", "9", "--config", str(first), "--config", str(second)) == (2.0, 8, 9)
+
+
+def test_config_without_a_path_or_nested_exits_one(tmp_path, capsys):
+    assert main(["simulate", "--config"]) == 1
+    err = capsys.readouterr().err
+    assert "--config" in err and err.count("\n") == 1, err
+    inner = tmp_path / "inner.conf"
+    inner.write_text("seed = 5\n")
+    nested = tmp_path / "nested.conf"
+    out = tmp_path / "out"
+    for key in ("config", "conf"):
+        nested.write_text(
+            f"model = transition\nt0 = 16\nfft = 1024\nrealizations = 4\n{key} = {inner}\n"
+        )
+        assert main(["simulate", "--config", str(nested), "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "nested.conf:5" in err and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 # --- exit codes ---
 
 
@@ -538,3 +526,20 @@ def test_detection_failures_exit_two(tmp_path, capsys):
     )
     assert code == 2
     assert "detection failure" in capsys.readouterr().err
+
+
+def test_unwritable_paths_exit_one(tmp_path, capsys):
+    small = ["simulate", "--model", "transition", "--t0", "16", "--delta", "2",
+             "--fft", "1024", "--realizations", "4"]
+    out = tmp_path / "out"
+    dump = tmp_path / "nodir" / "x.txt"
+    assert main(small + ["--out-dir", str(out), "--dump-first-signal", str(dump)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "nodir" in err and err.count("\n") == 1, err
+    assert not (out / "simulated_spectrum.csv").exists()
+    # an --out-dir naming an existing file
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(small + ["--out-dir", str(taken)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "taken" in err and err.count("\n") == 1, err

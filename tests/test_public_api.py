@@ -113,3 +113,35 @@ def test_every_demo_runs_and_writes_only_into_demo_out(demo, tmp_path, monkeypat
     runpy.run_path(str(DEMOS / demo), run_name="__main__")
     assert {path.name for path in tmp_path.iterdir()} == {"demo_out"}
     assert any((tmp_path / "demo_out").iterdir()), f"{demo} wrote no file"
+
+
+def _imported_modules(tree: ast.AST):
+    """Every module an import names, as pulsepsd.x for relative imports, with its submodules."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["pulsepsd" if node.level else "", node.module]))
+            yield base
+            yield from (f"{base}.{alias.name}" for alias in node.names)
+
+
+def test_the_library_stays_out_of_the_cli_and_the_cli_holds_no_library_logic():
+    import pulsepsd.cli
+
+    package = Path(pulsepsd.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name != "cli.py":
+            imported = set(_imported_modules(ast.parse(path.read_text())))
+            assert "pulsepsd.cli" not in imported, f"{path.name} imports pulsepsd.cli"
+    own = [
+        name
+        for name, fn in inspect.getmembers(pulsepsd.cli, inspect.isfunction)
+        if fn.__module__ == "pulsepsd.cli"
+    ]
+    assert "main" in own and "build_parser" in own
+    stray = [
+        name for name in own
+        if name not in ("main", "build_parser") and not name.startswith(("cmd_", "_"))
+    ]
+    assert not stray, f"library functions defined in pulsepsd.cli: {stray}"

@@ -12,15 +12,18 @@ from pulsepsd import (
     BlankLaw,
     FrequencyGrid,
     SimConfig,
+    SpectrumGrid,
     TrainParams,
     Variant,
     bin_power,
+    db10,
     estimate_psd,
     periodogram_bins,
     psd_blank_shorten,
     synthesize_realization,
 )
-from pulsepsd.sim import _half_bins, _hold_response, resolve_workers
+from pulsepsd.analytic import analytic_on_fft_grid
+from pulsepsd.sim import _half_bins, _hold_response, compare_on_common_bins, resolve_workers
 
 
 def _transition(t0=64, delta=3, p=0.55) -> TrainParams:
@@ -289,3 +292,41 @@ def test_biased_blank_estimate_sits_on_the_absolute_closed_form(p):
         # the ~3.5% left above 1 is aliasing: the simulator samples at 1 per
         # unit time while the closed form is continuous-time
         assert 0.98 <= ratio <= 1.08, (seed, ratio)
+
+
+# --- the analytic join ---
+
+
+def test_compare_join_of_identical_spectra_is_zero():
+    fft = 1024
+    grid = FrequencyGrid.fft_bins(fft)
+    psd = np.linspace(1.0, 2.0, len(grid))
+    left = SpectrumGrid(grid=grid, psd=psd)
+    right = SpectrumGrid(grid=grid, psd=psd.copy())
+    rows, stats = compare_on_common_bins(left, right, 64.0, (0.1, 10.0))
+    assert stats["max_abs_diff_db"] == 0.0
+    assert all(r[3] == 0.0 for r in rows)
+    assert stats["bins_used"] < stats["bins_in_band"]  # null neighborhoods skipped
+    assert rows.shape == (len(grid), 4)
+    # an analytic side that dropped bins joins the simulated bins it kept
+    keep = np.ones(len(grid), dtype=bool)
+    keep[[0, 15, 16, 200, len(grid) - 1]] = False
+    subset = SpectrumGrid(grid=FrequencyGrid(grid.values[keep]), psd=psd[keep] * 2.0)
+    rows, _ = compare_on_common_bins(subset, right, 64.0, (0.1, 10.0))
+    assert rows.shape == (np.count_nonzero(keep), 4)
+    np.testing.assert_array_equal(rows[:, 0], grid.values[keep] * 64.0)
+    np.testing.assert_array_equal(rows[:, 2], db10(right.psd)[keep])
+
+
+def test_compare_rejects_mismatched_grids():
+    sim_grid = FrequencyGrid.fft_bins(256)
+    sim = SpectrumGrid(grid=sim_grid, psd=np.ones(len(sim_grid)))
+    ana = analytic_on_fft_grid(
+        TrainParams(Variant.TRANSITION_STRETCH, t0=64, delta=3, prob_one=0.55), 8192
+    )
+    with pytest.raises(ValueError, match="grid mismatch"):
+        compare_on_common_bins(ana, sim, 64.0, (0.1, 10.0))
+    # analytic bins past the last simulated bin do not join either
+    short = SpectrumGrid(grid=FrequencyGrid(sim_grid.values[:-1]), psd=np.ones(len(sim_grid) - 1))
+    with pytest.raises(ValueError, match="grid mismatch"):
+        compare_on_common_bins(SpectrumGrid(grid=sim_grid, psd=sim.psd), short, 64.0, (0.1, 10.0))
