@@ -29,7 +29,7 @@ are continuous-time), and a ``scale`` in (0, inf).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -99,9 +99,13 @@ class FrequencyGrid:
 class SpectrumGrid:
     """A frequency grid, aligned nonnegative linear-power values, and meta.
 
-    ``meta`` carries the parameter echo, a normalization tag under
-    ``kind``, the dropped near-singular frequencies, and the count of
-    float-noise negative values clamped to zero.
+    ``meta`` holds only what is read: ``kind`` ("continuous", "binned",
+    "combined" or "simulated") labels the CSV rows; a closed form adds the
+    near-singular ``dropped_freqs`` and ``clamped_points``, its count of
+    float-noise negatives set to zero; :func:`combine` adds
+    ``lines_k_max``; :func:`pulsepsd.sim.estimate_psd` adds the config it
+    resolved. Derived spectra are ``dataclasses.replace``d from their
+    input, keeping its meta, and are validated again.
     """
 
     grid: FrequencyGrid
@@ -150,19 +154,6 @@ class DiscreteLineSet:
         return len(self.k)
 
 
-def _clamp_noise(values: np.ndarray, n_grid: int) -> tuple[np.ndarray, int]:
-    neg = values < 0.0
-    n_neg = int(np.count_nonzero(neg))
-    if n_neg >= CLAMP_BUDGET * n_grid and n_neg > 0:
-        raise RuntimeError(
-            f"{n_neg} of {n_grid} grid points came out negative; "
-            "that exceeds the float-noise clamping budget and signals a formula error"
-        )
-    if n_neg:
-        values = np.where(neg, 0.0, values)
-    return values, n_neg
-
-
 def _require_scale(scale: float) -> None:
     if not 0.0 < scale < np.inf:
         raise ValueError(f"scale must be positive and finite, got {scale!r}")
@@ -172,6 +163,27 @@ def _harmonic_mask(freqs: np.ndarray, t0: float) -> np.ndarray:
     """True where a grid point sits within HARMONIC_TOL of some k/t0, k >= 1."""
     k_near = np.round(freqs * t0)
     return (k_near >= 1.0) & (np.abs(freqs - k_near / t0) < HARMONIC_TOL)
+
+
+def _density(grid: FrequencyGrid, keep: np.ndarray, values: np.ndarray) -> SpectrumGrid:
+    """A closed form's ``values`` at the ``keep`` points of ``grid``, as a continuous spectrum.
+
+    Float-noise negatives are clamped to zero unless they reach
+    CLAMP_BUDGET of the kept points, which signals a formula error; the
+    dropped frequencies and the clamp count go into meta.
+    """
+    neg = values < 0.0
+    n_neg = int(np.count_nonzero(neg))
+    if n_neg >= CLAMP_BUDGET * len(values) and n_neg > 0:
+        raise RuntimeError(
+            f"{n_neg} of {len(values)} grid points came out negative; "
+            "that exceeds the float-noise clamping budget and signals a formula error"
+        )
+    if n_neg:
+        values = np.where(neg, 0.0, values)
+    dropped = tuple(grid.values[~keep].tolist())
+    meta = {"kind": "continuous", "dropped_freqs": dropped, "clamped_points": n_neg}
+    return SpectrumGrid(FrequencyGrid(grid.values[keep]), values, meta)
 
 
 def continuous_psd_transition(
@@ -187,28 +199,13 @@ def continuous_psd_transition(
     """
     require_variant(params, Variant.TRANSITION_STRETCH)
     _require_scale(scale)
-    f = grid.values
-    drop = _harmonic_mask(f, params.t0)
-    keep = ~drop
-    fk = f[keep]
-    w = 2.0 * np.pi * fk
+    keep = ~_harmonic_mask(grid.values, params.t0)
+    w = 2.0 * np.pi * grid.values[keep]
     t1 = charfn.theta1(w, params)
     t2 = charfn.theta2(w, params)
     g_mean = interval_stats(params).mean_g
     ratio = (1.0 - t1) * (1.0 - t2) / (1.0 - t1 * t2)
-    values = scale * 2.0 / (w * w * g_mean) * np.real(ratio)
-    values, n_clamped = _clamp_noise(values, len(fk))
-    meta = {
-        "kind": "continuous",
-        "model": params.variant.value,
-        "t0": params.t0,
-        "delta": params.delta,
-        "prob_one": params.prob_one,
-        "scale": scale,
-        "dropped_freqs": tuple(float(x) for x in f[drop]),
-        "clamped_points": n_clamped,
-    }
-    return SpectrumGrid(grid=FrequencyGrid(fk), psd=values, meta=meta)
+    return _density(grid, keep, scale * 2.0 / (w * w * g_mean) * np.real(ratio))
 
 
 def discrete_lines_transition(k_max: int, params: TrainParams) -> DiscreteLineSet:
@@ -244,8 +241,7 @@ def psd_blank_shorten(grid: FrequencyGrid, params: TrainParams, scale: float = 1
     reported in ``meta["dropped_freqs"]``.
     """
     _require_scale(scale)
-    f = grid.values
-    w = 2.0 * np.pi * f
+    w = 2.0 * np.pi * grid.values
     theta = charfn.theta_blank(w, params)
     t0, delta, p, q = params.t0, params.delta, params.prob_one, params.prob_zero
     if params.blank_law is BlankLaw.GENERATOR_K_MINUS_ONE_DELTA:
@@ -253,24 +249,11 @@ def psd_blank_shorten(grid: FrequencyGrid, params: TrainParams, scale: float = 1
     else:
         mean_interval = p * t0 + (t0 - delta) * (1.0 / p - p)
     one_minus = 1.0 - theta
-    drop = np.abs(one_minus) < SINGULAR_TOL
-    keep = ~drop
+    keep = ~(np.abs(one_minus) < SINGULAR_TOL)
     phi = np.real((1.0 + theta[keep]) / one_minus[keep])
     wk = w[keep]
     values = (2.0 * np.sin(wk * t0 / 2.0) / wk) ** 2 * phi * (scale / mean_interval)
-    values, n_clamped = _clamp_noise(values, int(keep.sum()))
-    meta = {
-        "kind": "continuous",
-        "model": params.variant.value,
-        "t0": t0,
-        "delta": delta,
-        "prob_one": p,
-        "law": params.blank_law.value,
-        "scale": scale,
-        "dropped_freqs": tuple(float(x) for x in f[drop]),
-        "clamped_points": n_clamped,
-    }
-    return SpectrumGrid(grid=FrequencyGrid(f[keep]), psd=values, meta=meta)
+    return _density(grid, keep, values)
 
 
 def bin_power(spectrum: SpectrumGrid) -> SpectrumGrid:
@@ -286,9 +269,7 @@ def bin_power(spectrum: SpectrumGrid) -> SpectrumGrid:
     widths = np.empty_like(f)
     widths[0] = f[0]
     widths[1:] = np.diff(f)
-    meta = dict(spectrum.meta)
-    meta["kind"] = "binned"
-    return SpectrumGrid(grid=spectrum.grid, psd=spectrum.psd * widths, meta=meta)
+    return replace(spectrum, psd=spectrum.psd * widths, meta={**spectrum.meta, "kind": "binned"})
 
 
 def combine(binned_continuous: SpectrumGrid, lines: DiscreteLineSet) -> SpectrumGrid:
@@ -308,10 +289,11 @@ def combine(binned_continuous: SpectrumGrid, lines: DiscreteLineSet) -> Spectrum
     left_closer = (lines.freq - f[idx - 1]) <= (f[idx] - lines.freq)
     nearest = np.where(left_closer, idx - 1, idx)
     np.add.at(psd, nearest, lines.power)
-    meta = dict(binned_continuous.meta)
-    meta["kind"] = "combined"
-    meta["lines_k_max"] = int(lines.k.max()) if len(lines) else 0
-    return SpectrumGrid(grid=binned_continuous.grid, psd=psd, meta=meta)
+    k_max = int(lines.k.max()) if len(lines) else 0
+    return replace(
+        binned_continuous, psd=psd,
+        meta={**binned_continuous.meta, "kind": "combined", "lines_k_max": k_max},
+    )
 
 
 def analytic_on_fft_grid(params: TrainParams, fft_size: int, k_max: int | None = None) -> SpectrumGrid:

@@ -132,7 +132,7 @@ def _next_pow2(n: int) -> int:
 
 
 def _load_config_args(path: Path) -> list[str]:
-    """Flat key = value lines to flag tokens; false booleans are dropped."""
+    """Flat key = value lines to flag tokens; true and false become --KEY and --no-KEY."""
     try:
         text = Path(path).read_text()
     except OSError as err:
@@ -151,9 +151,9 @@ def _load_config_args(path: Path) -> list[str]:
             raise CliUsageError(f"{path}:{ln}: empty key")
         if "config".startswith(key):  # argparse would take any prefix for --config
             raise CliUsageError(f"{path}:{ln}: a config file cannot name another config file")
-        if value.lower() == "true":
-            out.append(f"--{key}")
-        elif value.lower() != "false":
+        if value.lower() in ("true", "false"):
+            out.append(f"--{key}" if value.lower() == "true" else f"--no-{key}")
+        else:
             out.extend([f"--{key}", value])
     return out
 
@@ -187,7 +187,8 @@ def _add_symbol_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out-dir", type=Path, default=Path("."))
-    p.add_argument("--svg", action="store_true", help="also write a quick-look chart")
+    p.add_argument("--svg", action=argparse.BooleanOptionalAction, default=False,
+                   help="also write a quick-look chart")
     p.add_argument("--config", type=Path, default=None,
                    help="flat key = value file mirroring any flag (flags win)")
 
@@ -236,8 +237,7 @@ def _sim_config(args, params: TrainParams) -> SimConfig:
 
 def _sim_record(simulated: SpectrumGrid) -> dict:
     """The estimator config estimate_psd resolved, the workers it used and its lattice."""
-    keys = ("fft_size", "n_symbols", "n_realizations", "seed", "seed_scheme", "workers", "lattice")
-    return {key: simulated.meta[key] for key in keys}
+    return {key: value for key, value in simulated.meta.items() if key != "kind"}
 
 
 def _diagnostics(spectrum: SpectrumGrid) -> dict:
@@ -357,13 +357,10 @@ def cmd_peaks_sweep(args) -> tuple[list[Path], dict]:
     given = [f for f in ("fft", "symbols", "realizations", "seed") if getattr(args, f) is not None]
     if given and not simulated:
         raise CliUsageError(f"--{given[0]} applies to --source simulated only")
-    sim_config = _sim_config(args, base) if simulated else None
+    source = _sim_config(args, base) if simulated else base
     # the f/f0 span searched: the FFT bins up to t0/2, or the analytic sweep grid
     span = (0.0, args.t0 / 2) if simulated else SWEEP_SPAN
-    results = sweep_delta(
-        base, deltas, sim=sim_config, window=window, lobe_window=lobe_window,
-        workers=args.workers,
-    )
+    results = sweep_delta(source, deltas, window, lobe_window, args.workers)
     items = [{"delta": d, **asdict(r), "peak_height": r.peak_height} for d, r in results]
     column = {key: [item[key] for item in items] for key in items[0]}
     fit = linear_fit(column["delta"], column["center_freq_norm"]) if len(items) >= 3 else None
@@ -383,9 +380,9 @@ def cmd_peaks_sweep(args) -> tuple[list[Path], dict]:
         },
         "center_fit": None if fit is None else asdict(fit),
     }
-    if sim_config is not None:
+    if simulated:
         keys = ("fft_size", "n_symbols", "n_realizations", "seed")
-        report["sim"] = {key: getattr(sim_config, key) for key in keys}
+        report["sim"] = {key: getattr(source, key) for key in keys}
     outputs = [args.out_dir / "sweep.csv", args.out_dir / "sweep_report.json"]
     write_sweep_csv(outputs[0], [[item[key] for key in SWEEP_COLUMNS] for item in items])
     write_json(outputs[1], report)
@@ -415,7 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analytic", help="closed-form spectra to CSV")
     _add_model_flags(p)
     _add_output_flags(p)
-    p.add_argument("--hz", action="store_true", help="emit cycles/sample instead of f/f0")
+    p.add_argument("--hz", action=argparse.BooleanOptionalAction, default=False,
+                   help="emit cycles/sample instead of f/f0")
     p.add_argument("--fmax-norm", type=float, default=None,
                    help="grid extent as f/f0 (default 10 transition, 3 blank)")
     p.add_argument("--points", type=int, default=None,
@@ -429,7 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="averaged-periodogram estimate to CSV")
     _add_model_flags(p)
     _add_output_flags(p)
-    p.add_argument("--hz", action="store_true", help="emit cycles/sample instead of f/f0")
+    p.add_argument("--hz", action=argparse.BooleanOptionalAction, default=False,
+                   help="emit cycles/sample instead of f/f0")
     _add_sim_flags(p)
     p.add_argument("--dump-first-signal", type=Path, default=None,
                    help="also write realization 0 as one sample per line")

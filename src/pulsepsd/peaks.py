@@ -167,9 +167,7 @@ def normalize_second_lobe(spectrum: SpectrumGrid, t0: float) -> SpectrumGrid:
     ref = float(np.max(spectrum.psd[sel]))
     if ref <= 0.0:
         raise ValueError("second-lobe maximum is not positive; cannot normalize")
-    meta = dict(spectrum.meta)
-    meta["normalization"] = "second-lobe"
-    return SpectrumGrid(grid=spectrum.grid, psd=spectrum.psd / ref, meta=meta)
+    return dataclasses.replace(spectrum, psd=spectrum.psd / ref)
 
 
 def default_sweep_grid(t0: float) -> FrequencyGrid:
@@ -300,28 +298,29 @@ def _refined_peak(
 
 
 def sweep_delta(
-    base: TrainParams,
+    source: TrainParams | SimConfig,
     deltas: Sequence[float],
-    sim: Optional[SimConfig] = None,
     window: tuple[float, float] = PEAK_WINDOW,
     lobe_window: tuple[float, float] = LOBE_WINDOW,
     workers: Optional[int] = None,
 ) -> list[tuple[float, PeakReport]]:
     """Measure the clock peak across a set of delta values.
 
-    With ``sim`` the spectra are estimated by simulation (whole-sample
-    deltas only, ``workers`` passed on to :func:`estimate_psd`) and read
-    by :func:`find_clock_peak` on the FFT bins. Otherwise the closed form
-    at ``base.prob_one`` and ``base.blank_law``, in absolute units, is
-    bracketed on the points of :func:`default_sweep_grid` and refined off
-    the grid: center, height, FWHM and second lobe are those of the
-    closed form to REFINE_TOL in f/f0, not of a grid. All simulated
-    items share one seed and fft size, so reports are comparable item
-    to item, and peak heights can be compared directly via
-    ``report.peak_height``. Every delta is validated, through
-    ``TrainParams`` and ``SimConfig``, before any spectrum is computed.
-    Detection failures propagate tagged with their delta.
+    A ``TrainParams`` source sweeps the closed form at its ``prob_one``
+    and ``blank_law``, in absolute units, bracketed on the points of
+    :func:`default_sweep_grid` and refined off the grid: center, height,
+    FWHM and second lobe are those of the closed form to REFINE_TOL in
+    f/f0. A ``SimConfig`` source estimates each spectrum at its
+    ``params`` (whole-sample deltas only, ``workers`` passed on to
+    :func:`estimate_psd`), with one seed and fft size for all items, and
+    reads it by :func:`find_clock_peak` on the FFT bins. Peak heights
+    compare item to item via ``report.peak_height``. Every delta is
+    validated, through ``TrainParams`` and ``SimConfig``, before any
+    spectrum is computed. Detection failures propagate tagged with their
+    delta.
     """
+    sim = source if isinstance(source, SimConfig) else None
+    base = source if sim is None else sim.params
     require_variant(base, Variant.BLANK_SHORTEN)
     if len(deltas) == 0:
         raise ValueError("deltas must be non-empty")

@@ -226,13 +226,8 @@ def estimate_psd(config: SimConfig, workers: int | None = None) -> SpectrumGrid:
     mean = total / config.n_realizations
     j = np.arange(1, config.fft_size // 2 + 1) % m
     psd = mean[np.minimum(j, m - j)] * _hold_response(config.fft_size, g)
-    params = config.params
     meta = {
         "kind": "simulated",
-        "model": params.variant.value,
-        "t0": params.t0,
-        "delta": params.delta,
-        "prob_one": params.prob_one,
         "n_symbols": config.n_symbols,
         "n_realizations": config.n_realizations,
         "fft_size": config.fft_size,

@@ -9,6 +9,7 @@ from pulsepsd import (
     BlankLaw,
     DiscreteLineSet,
     FrequencyGrid,
+    SimConfig,
     SpectrumGrid,
     TrainParams,
     Variant,
@@ -16,6 +17,8 @@ from pulsepsd import (
     combine,
     continuous_psd_transition,
     discrete_lines_transition,
+    estimate_psd,
+    normalize_second_lobe,
     psd_blank_shorten,
     theta1,
     theta2,
@@ -319,6 +322,27 @@ def test_combine_reports_out_of_span_lines_by_harmonic_index():
     )
     with pytest.raises(ValueError, match="k = 9"):
         combine(spec, lines)
+
+
+def test_every_producer_keeps_only_the_meta_keys_that_are_read():
+    closed = {"kind", "dropped_freqs", "clamped_points"}
+    grid = FrequencyGrid.offset_linspace(3.0 / 64, 601)
+    transition = continuous_psd_transition(grid, _params())
+    assert set(transition.meta) == closed
+    for law in BlankLaw:
+        blank = psd_blank_shorten(grid, _blank(law=law), scale=2.0)
+        assert set(blank.meta) == closed
+        normed = normalize_second_lobe(blank, 100.0)
+        assert normed.meta == blank.meta
+    binned = bin_power(transition)
+    assert binned.meta == {**transition.meta, "kind": "binned"}
+    combined = combine(binned, discrete_lines_transition(2, _params()))
+    assert combined.meta == {**binned.meta, "kind": "combined", "lines_k_max": 2}
+    cfg = SimConfig(n_symbols=16, n_realizations=2, fft_size=1024, seed=3, params=_params())
+    assert set(estimate_psd(cfg, workers=1).meta) == {
+        "kind", "fft_size", "n_symbols", "n_realizations", "seed", "seed_scheme",
+        "workers", "lattice",
+    }
 
 
 def test_analytic_on_fft_grid_keeps_line_power():

@@ -424,6 +424,29 @@ def test_config_without_a_path_or_nested_exits_one(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_config_booleans_switch_both_ways(tmp_path, capsys):
+    on, off = tmp_path / "on.conf", tmp_path / "off.conf"
+    on.write_text("model = blank\nt0 = 100\ndelta = 10\nsvg = true\nhz = true\n")
+    off.write_text("svg = false\nhz = false\n")
+
+    def run(*argv):
+        out = tmp_path / f"run{len(list(tmp_path.glob('run*')))}"
+        assert main(["analytic", *argv, "--out-dir", str(out)]) == 0
+        params = _load(out / "analytic_manifest.json")["params"]
+        assert (out / "analytic_spectrum.svg").exists() == params["svg"]
+        return params["svg"], params["hz"]
+
+    assert run("--config", str(on)) == (True, True)
+    assert run("--config", str(on), "--no-svg") == (False, True)
+    assert run("--config", str(on), "--config", str(off)) == (False, False)
+    assert run("--config", str(off), "--config", str(on)) == (True, True)
+    law = tmp_path / "law.conf"
+    law.write_text("law = false\n")
+    argv = ["analytic", "--model", "blank", "--t0", "100", "--config", str(law)]
+    assert main(argv + ["--out-dir", str(tmp_path / "law")]) == 1
+    assert "--no-law" in capsys.readouterr().err
+
+
 # --- exit codes ---
 
 

@@ -197,7 +197,7 @@ def test_sweep_validates_inputs():
         sweep_delta(base, (120,))
     cfg = SimConfig(n_symbols=8, n_realizations=1, fft_size=1024, seed=0, params=base)
     with pytest.raises(ValueError):
-        sweep_delta(base, (2.5,), sim=cfg)
+        sweep_delta(cfg, (2.5,))
     transition = TrainParams(Variant.TRANSITION_STRETCH, t0=100, delta=1)
     with pytest.raises(ValueError):
         sweep_delta(transition, (2,))
@@ -206,7 +206,7 @@ def test_sweep_validates_inputs():
 def test_simulated_peak_lands_within_two_bins_of_analytic():
     params = TrainParams(Variant.BLANK_SHORTEN, t0=32, delta=3, blank_law=GEN)
     cfg = SimConfig(n_symbols=512, n_realizations=150, fft_size=32_768, seed=5, params=params)
-    items = sweep_delta(params, (3,), sim=cfg)
+    items = sweep_delta(cfg, (3,))
     (delta, sim_rep), = items
     assert delta == 3.0
     sim_spec = estimate_psd(cfg)
