@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import charfn
-from .model import BlankLaw, TrainParams, Variant, interval_stats, require_variant
+from .model import TrainParams, Variant, front_head, interval_stats, require_variant
 
 __all__ = [
     "FrequencyGrid",
@@ -229,11 +229,10 @@ def discrete_lines_transition(k_max: int, params: TrainParams) -> DiscreteLineSe
 def psd_blank_shorten(grid: FrequencyGrid, params: TrainParams, scale: float = 1.0) -> SpectrumGrid:
     """Blank-shorten PSD: scale/<T> * |F|^2 * Re[(1 + theta)/(1 - theta)].
 
-    The front interval T has mean <T> = t0 + (q/p)(t0 - delta) under the
-    generator law and p t0 + (t0 - delta)(1/p - p) under the paper law
-    (both -j theta'(0)), with p = ``params.prob_one`` and q = 1 - p. 1/<T>
-    is the pulse rate, so ``scale`` = 1 gives absolute units; ``scale``
-    multiplies all values, as in :func:`continuous_psd_transition`.
+    The front interval T has mean <T> = p t0 + q head + (q/p)(t0 - delta)
+    = -j theta'(0), head the :func:`~pulsepsd.model.front_head` of the law,
+    p = ``params.prob_one``, q = 1 - p. 1/<T> is the pulse rate, so
+    ``scale`` = 1 gives absolute units; ``scale`` multiplies all values.
     |F(w)|^2 = (2 sin(w t0 / 2) / w)^2 is the energy spectrum of the unit
     rectangular pulse of width t0; the grid starts above 0, so w > 0.
     Grid points where |1 - theta| < 1e-9 (exactly the clock harmonics
@@ -243,11 +242,9 @@ def psd_blank_shorten(grid: FrequencyGrid, params: TrainParams, scale: float = 1
     _require_scale(scale)
     w = 2.0 * np.pi * grid.values
     theta = charfn.theta_blank(w, params)
-    t0, delta, p, q = params.t0, params.delta, params.prob_one, params.prob_zero
-    if params.blank_law is BlankLaw.GENERATOR_K_MINUS_ONE_DELTA:
-        mean_interval = t0 + (q / p) * (t0 - delta)
-    else:
-        mean_interval = p * t0 + (t0 - delta) * (1.0 / p - p)
+    t0, slot, p, q = params.t0, params.t0 - params.delta, params.prob_one, params.prob_zero
+    # <T> in the form whose last term is exactly 0 under the paper law
+    mean_interval = p * t0 + slot * (1.0 / p - p) + q * (front_head(params) - slot)
     one_minus = 1.0 - theta
     keep = ~(np.abs(one_minus) < SINGULAR_TOL)
     phi = np.real((1.0 + theta[keep]) / one_minus[keep])
@@ -260,15 +257,15 @@ def bin_power(spectrum: SpectrumGrid) -> SpectrumGrid:
     """Integrate a density into per-bin power on the same axis.
 
     Bin k receives S(f_k) * (f_k - f_{k-1}) with f_0 = 0, the Hz form of
-    the angular rule S(w_k)(w_k - w_{k-1}) / (2 pi). Matches the
+    the angular rule S(w_k)(w_k - w_{k-1}) / (2 pi); f_{k-1} may be one of
+    the ascending ``meta["dropped_freqs"]``, whose bin stays empty. Matches the
     |X_k / L|^2 normalization of the averaged periodogram bin for bin.
     """
     f = spectrum.freqs
     if len(f) < 2:
         raise ValueError("bin_power needs a grid with at least 2 points")
-    widths = np.empty_like(f)
-    widths[0] = f[0]
-    widths[1:] = np.diff(f)
+    dropped = np.array((0.0, *spectrum.meta.get("dropped_freqs", ())))
+    widths = f - np.maximum(np.r_[0.0, f[:-1]], dropped[np.searchsorted(dropped, f) - 1])
     return replace(spectrum, psd=spectrum.psd * widths, meta={**spectrum.meta, "kind": "binned"})
 
 

@@ -9,8 +9,8 @@ closed forms
 
 with q = 1 - p. For the blank-shorten model the front-to-front interval
 covers k symbol slots with probability p q^(k-1) and lasts t0*k minus a
-shortening that depends on the chosen law; both closed forms are
-geometric-series limits. Every function takes its model through one
+shortening set by the law's head slot; one geometric-series limit covers
+both laws. Every function takes its model through one
 :class:`~pulsepsd.model.TrainParams`, which has already checked the
 parameter ranges; ``delta`` may be any real in [0, t0), since the forms
 are continuous-time. All functions accept a scalar or array ``omega``
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import BlankLaw, TrainParams, Variant, require_variant
+from .model import TrainParams, Variant, front_head, require_variant
 
 __all__ = [
     "NearSingularError",
@@ -76,29 +76,25 @@ def theta_blank(omega, params: TrainParams):
 
     A front is followed by j >= 0 zeros and then a one, with probability
     p q^j (p = ``params.prob_one``, q = 1 - p), so the interval covers
-    k = j + 1 symbol slots. With z = exp(jw t0) and v = exp(jw(t0-delta)),
-    ``params.blank_law`` picks the form:
-
-    * PAPER_K_DELTA: interval over k slots shortened by k*delta for k >= 2,
-      single slot unshortened: theta = p z + p q v^2 / (1 - q v).
-    * GENERATOR_K_MINUS_ONE_DELTA: shortened by (k-1)*delta, k >= 1, which
-      sums to theta = p z / (1 - q v).
-
-    Both laws coincide at delta = 0 with the fixed-slot renewal form
-    p z/(1 - q z), and theta(0) = 1 for either law.
+    k = j + 1 symbol slots: t0 for k = 1, else a head of
+    :func:`~pulsepsd.model.front_head` and k - 1 slots of t0 - delta. With
+    z = exp(jw t0), u = q exp(jw(t0 - delta)), h = q exp(jw head), that is
+    theta = p z + (p/q) u h / (1 - u): p z / (1 - u) under the generator
+    law (head t0), u^2 for u h under the paper law (head t0 - delta). At
+    delta = 0 both are p z/(1 - q z); theta(0) = 1 for either law.
     """
     require_variant(params, Variant.BLANK_SHORTEN)
     w = np.asarray(omega, dtype=float)
     p, q = params.prob_one, params.prob_zero
     z = np.exp(1j * w * params.t0)
-    u = q * np.exp(1j * w * (params.t0 - params.delta))
+    slot, head = params.t0 - params.delta, front_head(params)
+    # a head one slot long (the paper law) shares the slot's array: two exponentials
+    step = {x: q * np.exp(1j * w * x) for x in {slot, head}}
+    u, h = step[slot], step[head]
     den = 1.0 - u
     _check_denominator(den, w, "theta_blank")
-    # p q v^2 = (p/q) u^2; the factors p and p/q are exact at p = 1/2
-    if params.blank_law is BlankLaw.PAPER_K_DELTA:
-        out = p * z + (p / q) * u * u / den
-    else:
-        out = p * z / den
+    # the factors p and p/q are exact at p = 1/2
+    out = p * z + (p / q) * u * h / den
     return complex(out) if np.isscalar(omega) else out
 
 

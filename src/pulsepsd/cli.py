@@ -207,7 +207,7 @@ def _train_params(args, variant: Variant, delta: float, simulated: bool) -> Trai
 
     Refuses a flag the model would ignore; TrainParams checks the values.
     Resolves an unset --law in place, so the manifest records it: paper
-    for closed forms, generator (the only law synthesized) for simulations.
+    for closed forms, generator for simulations; either law runs on both.
     """
     if variant is Variant.TRANSITION_STRETCH:
         if args.law is not None:
@@ -216,8 +216,6 @@ def _train_params(args, variant: Variant, delta: float, simulated: bool) -> Trai
         raise CliUsageError("--k-max applies to --model transition only")
     elif args.law is None:
         args.law = "generator" if simulated else "paper"
-    elif simulated and args.law == "paper":
-        raise CliUsageError("--law paper has no synthesizer yet; simulations use --law generator")
     return TrainParams(variant, args.t0, delta, args.prob_one, BlankLaw(args.law or "paper"))
 
 

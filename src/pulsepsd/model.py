@@ -6,8 +6,8 @@ a sequence of high and low runs:
 * transition-stretch: every symbol is a high run then a low run, ``t0``
   samples in all; the high run is ``t0`` for a "one", ``delta`` for a
   "zero" right after a "one", and 0 otherwise.
-* blank-shorten: a "one" is a high run of ``t0``, every "zero" a low run
-  of ``t0 - delta``, so the symbol grid itself is irregular.
+* blank-shorten: a "one" is a high run of ``t0``, a "zero" a low run of
+  ``t0 - delta``, or ``t0 - 2 delta`` right after a "one" under the paper law.
 
 Synthesis repeats 0/1 levels over these runs, :func:`measure_intervals` reads
 them back from the edges, and all randomness flows through :func:`gen_bits`.
@@ -39,16 +39,14 @@ class Variant(enum.Enum):
 
 
 class BlankLaw(enum.Enum):
-    """Front-interval shortening law for the blank-shorten closed forms.
+    """Front-interval law of the blank-shorten train.
 
     An interval between consecutive pulse fronts spans one "one" plus
     j >= 0 "zeros", so it covers k = j + 1 symbol slots with probability
-    p q^j for any P(one) = p. PAPER_K_DELTA treats the interval covering
-    k slots as shortened by k*delta (single-slot interval unshortened);
-    GENERATOR_K_MINUS_ONE_DELTA shortens it by (k-1)*delta, which is what
-    the synthesized waveform actually produces: a one followed by j zeros
-    puts the next front at (j+1)*t0 - j*delta. Only the generator law has
-    a synthesizer.
+    p q^j for any P(one) = p. One slot lasts t0; over k >= 2 slots all but
+    the first last t0 - delta, and the first, the :func:`front_head`, lasts
+    t0 - delta (PAPER_K_DELTA) or t0 (GENERATOR_K_MINUS_ONE_DELTA). Both
+    are synthesized, the paper law for delta <= t0/2.
     """
 
     PAPER_K_DELTA = "paper"
@@ -70,7 +68,7 @@ class TrainParams:
     i.i.d. probability of a "one" symbol; the complementary probability
     is always derived, never stored. Every closed form and the simulator
     honour any ``prob_one`` in (0, 1) for both variants; ``blank_law``
-    matters only to the blank-shorten closed forms.
+    matters only to the blank-shorten variant, through :func:`front_head`.
     """
 
     variant: Variant
@@ -102,10 +100,17 @@ def require_variant(params: TrainParams, variant: Variant) -> None:
         raise ValueError(f"params.variant must be {variant.name}, got {params.variant}")
 
 
+def front_head(params: TrainParams) -> float:
+    """First slot of a blank front interval over k >= 2 slots; the only reading of the law."""
+    return params.t0 - params.delta if params.blank_law is BlankLaw.PAPER_K_DELTA else params.t0
+
+
 def whole_sample_delta(params: TrainParams) -> int:
-    """``params.delta`` as a sample count; synthesis needs a whole number."""
+    """``params.delta`` as a sample count; synthesis needs it whole and no blank run < 0."""
     if not float(params.delta).is_integer():
         raise ValueError(f"synthesis needs a whole-sample delta, got delta={params.delta!r}")
+    if params.variant is Variant.BLANK_SHORTEN and front_head(params) < params.delta:
+        raise ValueError(f"paper-law synthesis needs delta <= t0/2, got delta={params.delta!r}")
     return int(params.delta)
 
 
@@ -161,12 +166,15 @@ def synth_transition_stretch(bits: np.ndarray, params: TrainParams) -> np.ndarra
 def synth_blank_shorten(bits: np.ndarray, params: TrainParams) -> np.ndarray:
     """Expand a bit stream into blank-shorten samples.
 
-    Output length is (#ones)*t0 + (#zeros)*(t0 - delta) exactly.
+    A "zero" right after a "one" lasts front_head - delta, not t0 - delta;
+    a leading "zero" is taken to follow a "zero".
     """
     require_variant(params, Variant.BLANK_SHORTEN)
     b = np.asarray(bits, dtype=bool)
-    zero_len = params.t0 - whole_sample_delta(params)
-    return np.repeat(b.astype(np.float64), np.where(b, params.t0, zero_len))
+    t0 = params.t0
+    runs = np.where(b, t0, t0 - whole_sample_delta(params))
+    runs[1:] -= int(t0 - front_head(params)) * (b[:-1] & ~b[1:])
+    return np.repeat(b.astype(np.float64), runs)
 
 
 def interval_stats(params: TrainParams) -> IntervalStats:

@@ -134,7 +134,8 @@ def synthesize_realization(config: SimConfig, index: int) -> np.ndarray:
         bits = gen_bits(config.n_symbols, params.prob_one, seed)
         return synth_transition_stretch(bits, params)
     # blank-shorten: draw enough symbols to certainly cover fft_size samples
-    # (zeros are the shortest), then truncate so every realization shares L
+    # (n symbols last n*(t0 - delta) or more: a cut zero follows a full one),
+    # then truncate so every realization shares L
     n_draw = math.ceil(config.fft_size / (params.t0 - params.delta))
     bits = gen_bits(n_draw, params.prob_one, seed)
     return synth_blank_shorten(bits, params)[: config.fft_size]

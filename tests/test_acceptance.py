@@ -130,25 +130,15 @@ def test_criterion_3_fine_fft_configuration_converges_and_coarse_does_not():
 
 def test_criterion_4_blank_shorten_clock_peak_stands_about_twice_the_lobe():
     grid = default_sweep_grid(100.0)
-    rep_gen = find_clock_peak(
-        psd_blank_shorten(
-            grid,
-            TrainParams(
-                Variant.BLANK_SHORTEN, 100, 10, blank_law=BlankLaw.GENERATOR_K_MINUS_ONE_DELTA
-            ),
-        ),
-        100.0,
+    generator = TrainParams(
+        Variant.BLANK_SHORTEN, 100, 10, blank_law=BlankLaw.GENERATOR_K_MINUS_ONE_DELTA
     )
+    rep_gen = find_clock_peak(psd_blank_shorten(grid, generator), 100.0)
     rep_paper = find_clock_peak(
         psd_blank_shorten(grid, TrainParams(Variant.BLANK_SHORTEN, 100, 10)), 100.0
     )
-    cfg = SimConfig(
-        n_symbols=2000,
-        n_realizations=500,
-        fft_size=262144,
-        seed=7,
-        params=TrainParams(Variant.BLANK_SHORTEN, t0=100, delta=10),
-    )
+    # the generator law, which this criterion has always simulated
+    cfg = SimConfig(n_symbols=2000, n_realizations=500, fft_size=262144, seed=7, params=generator)
     rep_sim = find_clock_peak(estimate_psd(cfg), 100.0)
     in_band = 0.8 < rep_gen.center_freq_norm < 1.3 and 0.8 < rep_sim.center_freq_norm < 1.3
     amp_ok = 1.5 <= rep_gen.amplitude_linear <= 2.5 and 1.5 <= rep_sim.amplitude_linear <= 2.5

@@ -294,6 +294,20 @@ def test_bin_power_first_bin_reaches_down_to_dc():
     assert binned.meta["kind"] == "binned"
 
 
+def test_bin_power_takes_widths_from_the_evaluated_grid():
+    # the closed form drops the 32 clock harmonics k/64 among the FFT bins
+    # k/8192; the bin just above each keeps its own 1/8192 width
+    n = 8192
+    params = TrainParams(Variant.TRANSITION_STRETCH, t0=64, delta=3, prob_one=0.55)
+    density = continuous_psd_transition(FrequencyGrid.fft_bins(n), params)
+    assert len(density.meta["dropped_freqs"]) == 32
+    np.testing.assert_allclose(bin_power(density).psd, density.psd / n, rtol=1e-9)
+    # a dropped lowest point is a width too
+    g = FrequencyGrid(np.array([0.5, 1.0]))
+    spec = SpectrumGrid(grid=g, psd=np.array([4.0, 8.0]), meta={"dropped_freqs": (0.25,)})
+    np.testing.assert_allclose(bin_power(spec).psd, [1.0, 4.0], rtol=1e-15)
+
+
 def test_bin_power_needs_two_points():
     g = FrequencyGrid(np.array([0.25]))
     with pytest.raises(ValueError):

@@ -135,7 +135,10 @@ def test_blank_laws_coincide_at_zero_delta():
 
 
 def test_blank_theta_at_half_is_bit_identical_to_the_equiprobable_form():
-    # the equiprobable closed forms this package shipped before it took p
+    # the equiprobable closed forms this package shipped before it took p;
+    # the one-formula theta keeps the paper law bit for bit, and reaches the
+    # generator form p z / (1 - u) as p z + p z u / (1 - u), within 4 ULP
+    # (4.8e-16 relative measured)
     rng = np.random.default_rng(7)
     w = rng.uniform(-5.0, 5.0, 1000)
     for t0, delta in ((100, 10.0), (32, 3.0), (64, 0.0), (100, 10.5)):
@@ -144,8 +147,9 @@ def test_blank_theta_at_half_is_bit_identical_to_the_equiprobable_form():
         paper = 0.5 * z + u * u / (1.0 - u)
         generator = z / (2.0 - 2.0 * u)
         np.testing.assert_array_equal(theta_blank(w, _blank(t0, delta)), paper)
-        np.testing.assert_array_equal(
-            theta_blank(w, _blank(t0, delta, BlankLaw.GENERATOR_K_MINUS_ONE_DELTA)), generator
+        np.testing.assert_allclose(
+            theta_blank(w, _blank(t0, delta, BlankLaw.GENERATOR_K_MINUS_ONE_DELTA)), generator,
+            rtol=4 * np.finfo(float).eps, atol=0,
         )
 
 

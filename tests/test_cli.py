@@ -348,6 +348,23 @@ def test_blank_compare_defaults_to_the_synthesized_law_in_absolute_units(tmp_pat
     assert _load(unset / "compare_manifest.json")["params"]["law"] == "generator"
     # K = 1/<T> puts the closed form on the simulated level (17 dB off without it)
     assert _load(unset / "compare_summary.json")["mean_abs_diff_db"] < 1.0
+    # and the paper law's closed form sits on the paper-law synthesizer
+    paper = tmp_path / "paper"
+    assert main(argv + ["--law", "paper", "--out-dir", str(paper)]) == 0
+    assert _load(paper / "compare_summary.json")["mean_abs_diff_db"] < 1.0
+
+
+def test_blank_simulations_run_the_paper_law(tmp_path):
+    # compare runs it above; delta up to t0/2, at 16 every zero after a one is empty
+    paper = ["--t0", "32", "--realizations", "16", "--seed", "9", "--law", "paper"]
+    for name, argv in (
+        ("simulate", ["simulate", "--model", "blank", "--delta", "3", "--fft", "2048", *paper]),
+        ("peaks_sweep", ["peaks-sweep", "--source", "simulated", "--deltas", "2,4,16",
+                         "--fft", "8192", *paper]),
+    ):
+        out = tmp_path / name
+        assert main(argv + ["--out-dir", str(out)]) == 0, argv
+        assert _load(out / f"{name}_manifest.json")["params"]["law"] == "paper"
 
 
 # --- config files and precedence ---
@@ -462,6 +479,7 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     small = ["--t0", "16", "--delta", "2", "--fft", "1024", "--realizations", "4"]
     blank = ["--model", "blank", "--t0", "32", "--delta", "3"]
     sweep = ["peaks-sweep", "--t0", "100", "--deltas", "2,6,10", "--source", "analytic"]
+    paper_over = ["--t0", "32", "--fft", "1024", "--law", "paper"]
     # a flag the chosen model or source would ignore is refused, not dropped
     for argv, flag in (
         (["analytic", *blank, "--k-max", "5"], "--k-max"),
@@ -476,11 +494,10 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         # only analytic and simulate write raw frequencies
         (["compare", "--model", "transition", *small, "--hz"], "--hz"),
         (sweep + ["--hz"], "--hz"),
-        # the paper law has no synthesizer yet
-        (["simulate", *blank, "--fft", "1024", "--realizations", "4", "--law", "paper"], "--law"),
-        (["compare", *blank, "--fft", "1024", "--realizations", "4", "--law", "paper"], "--law"),
-        (["peaks-sweep", "--t0", "32", "--deltas", "3", "--source", "simulated",
-          "--fft", "1024", "--law", "paper"], "--law"),
+        # the paper law cuts a zero after a one to t0 - 2 delta samples
+        (["simulate", *paper_over, "--model", "blank", "--delta", "17"], "delta"),
+        (["compare", *paper_over, "--model", "blank", "--delta", "17"], "delta"),
+        (["peaks-sweep", *paper_over, "--deltas", "2,17", "--source", "simulated"], "delta"),
         # a harmonic count below 1 is refused, not raised to 1
         (["compare", "--model", "transition", *small, "--k-max", "0"], "k_max"),
         (["compare", "--model", "transition", *small, "--k-max=-3"], "k_max"),

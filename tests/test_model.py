@@ -6,6 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pulsepsd import (
+    BlankLaw,
     InsufficientDataError,
     IntervalStats,
     SimConfig,
@@ -25,6 +26,9 @@ def _transition(t0=64, delta=3, p=0.55, **kw) -> TrainParams:
 
 def _blank(t0=100, delta=10, **kw) -> TrainParams:
     return TrainParams(Variant.BLANK_SHORTEN, t0=t0, delta=delta, **kw)
+
+
+GEN = BlankLaw.GENERATOR_K_MINUS_ONE_DELTA
 
 
 def _stream(bits) -> np.ndarray:
@@ -201,12 +205,20 @@ def test_transition_rejects_blank_params():
 
 
 def test_blank_worked_example():
-    out = synth_blank_shorten(_stream([1, 0, 1]), _blank(t0=4, delta=1))
+    out = synth_blank_shorten(_stream([1, 0, 1]), _blank(t0=4, delta=1, blank_law=GEN))
     assert out.tolist() == [1, 1, 1, 1, 0, 0, 0, 1, 1, 1, 1]
 
 
+def test_blank_paper_law_worked_example():
+    # a zero right after a one is cut by delta more: 10 - 2*3 = 4 samples
+    bits = _stream([1, 0, 0, 1, 1, 0, 1])
+    out = synth_blank_shorten(bits, _blank(t0=10, delta=3, blank_law=BlankLaw.PAPER_K_DELTA))
+    runs = [10, 4, 7, 10, 10, 4, 10]
+    np.testing.assert_array_equal(out, np.repeat(bits.astype(np.float64), runs))
+
+
 def test_blank_gap_between_pulses():
-    out = synth_blank_shorten(_stream([1, 0, 0, 1]), _blank(t0=4, delta=2))
+    out = synth_blank_shorten(_stream([1, 0, 0, 1]), _blank(t0=4, delta=2, blank_law=GEN))
     assert out.tolist() == [1, 1, 1, 1, 0, 0, 0, 0, 1, 1, 1, 1]
 
 
@@ -215,17 +227,32 @@ def test_blank_adjacent_ones_merge_without_gap():
     assert out.tolist() == [1] * 8
 
 
+def test_paper_law_synthesis_refuses_delta_above_half_t0():
+    # the zero after a one would last t0 - 2 delta < 0 samples
+    paper = _blank(t0=10, delta=6)
+    with pytest.raises(ValueError, match="delta <= t0/2"):
+        synth_blank_shorten(_stream([1, 0]), paper)
+    with pytest.raises(ValueError, match="delta <= t0/2"):
+        SimConfig(n_symbols=4, n_realizations=1, fft_size=1024, seed=0, params=paper)
+    # delta = t0/2 leaves that zero empty; the generator law takes any delta
+    assert synth_blank_shorten(_stream([1, 0, 1]), _blank(t0=10, delta=5)).tolist() == [1] * 20
+    assert len(synth_blank_shorten(_stream([1, 0]), _blank(t0=10, delta=9, blank_law=GEN))) == 11
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     bits=st.lists(st.integers(0, 1), min_size=1, max_size=60),
     t0=st.integers(2, 12),
+    law=st.sampled_from(list(BlankLaw)),
     data=st.data(),
 )
-def test_blank_length_law(bits, t0, data):
-    delta = data.draw(st.integers(0, t0 - 1))
-    out = synth_blank_shorten(_stream(bits), _blank(t0=t0, delta=delta))
+def test_blank_length_law(bits, t0, law, data):
+    # the paper law cuts each zero right after a one by delta more
+    delta = data.draw(st.integers(0, t0 // 2 if law is BlankLaw.PAPER_K_DELTA else t0 - 1))
+    out = synth_blank_shorten(_stream(bits), _blank(t0=t0, delta=delta, blank_law=law))
     n_ones = sum(bits)
-    assert len(out) == n_ones * t0 + (len(bits) - n_ones) * (t0 - delta)
+    cut = sum(a > b for a, b in zip(bits, bits[1:])) if law is BlankLaw.PAPER_K_DELTA else 0
+    assert len(out) == n_ones * t0 + (len(bits) - n_ones) * (t0 - delta) - cut * delta
     assert out.sum() == n_ones * t0
     assert set(np.unique(out)) <= {0.0, 1.0}
 
@@ -254,7 +281,7 @@ def _blank_by_difference_array(bits: np.ndarray, t0: int, delta: int) -> np.ndar
 def test_blank_run_length_synthesis_equals_difference_array(bits, t0, delta):
     assume(delta < t0)
     stream = _stream(bits)
-    out = synth_blank_shorten(stream, _blank(t0=t0, delta=delta))
+    out = synth_blank_shorten(stream, _blank(t0=t0, delta=delta, blank_law=GEN))
     ref = _blank_by_difference_array(stream, t0, delta)
     assert out.dtype == ref.dtype == np.float64
     np.testing.assert_array_equal(out, ref)

@@ -145,3 +145,28 @@ def test_the_library_stays_out_of_the_cli_and_the_cli_holds_no_library_logic():
         if name not in ("main", "build_parser") and not name.startswith(("cmd_", "_"))
     ]
     assert not stray, f"library functions defined in pulsepsd.cli: {stray}"
+
+
+def _law_names(tree: ast.AST) -> list[int]:
+    """Lines that name BlankLaw or read a ``.blank_law`` attribute."""
+    lines = []
+    for node in ast.walk(tree):
+        named = (
+            (isinstance(node, ast.Name) and node.id == "BlankLaw")
+            or (isinstance(node, ast.Attribute) and node.attr in ("BlankLaw", "blank_law"))
+            or (isinstance(node, ast.alias) and node.name == "BlankLaw")
+        )
+        if named:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_the_model_reads_the_blank_law():
+    # the law is decided once, as model.front_head; theta, <T> and synthesis
+    # read that head, and the CLI only maps --law onto the enum
+    package = Path(pulsepsd.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name not in ("model.py", "cli.py"):
+            lines = _law_names(ast.parse(path.read_text()))
+            assert not lines, f"{path.name} names the blank law on lines {lines}"
+    assert _law_names(ast.parse((package / "model.py").read_text()))

@@ -1,6 +1,7 @@
 """Monte Carlo estimator: periodograms, seeding, parallel determinism."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,8 +31,13 @@ def _transition(t0=64, delta=3, p=0.55) -> TrainParams:
     return TrainParams(Variant.TRANSITION_STRETCH, t0=t0, delta=delta, prob_one=p)
 
 
-def _blank(t0=100, delta=10) -> TrainParams:
-    return TrainParams(Variant.BLANK_SHORTEN, t0=t0, delta=delta)
+def _blank(t0=100, delta=10, law=BlankLaw.PAPER_K_DELTA, p=0.5) -> TrainParams:
+    return TrainParams(Variant.BLANK_SHORTEN, t0=t0, delta=delta, prob_one=p, blank_law=law)
+
+
+def _synthesizable_delta(t0: int, law: BlankLaw, draw: int) -> int:
+    """A delta in [0, t0) that the law can synthesize: at most t0/2 under the paper law."""
+    return draw % (t0 // 2 + 1 if law is BlankLaw.PAPER_K_DELTA else t0)
 
 
 # --- configuration guard rails ---
@@ -112,10 +118,25 @@ def test_realizations_are_deterministic_per_index():
     assert len(a) == 32 * 64
 
 
-def test_blank_realizations_always_fill_the_fft_window():
-    cfg = SimConfig(n_symbols=10, n_realizations=2, fft_size=8192, seed=0, params=_blank())
-    for i in range(4):
-        assert len(synthesize_realization(cfg, i)) == 8192
+@settings(max_examples=60, deadline=None)
+@given(
+    t0=st.integers(1, 64),
+    draw=st.integers(0, 63),
+    law=st.sampled_from(list(BlankLaw)),
+    p=st.floats(0.01, 0.99),
+    log_fft=st.integers(2, 13),
+    seed=st.integers(0, 999),
+)
+# the tightest covers: the paper law at delta = t0/2, where a one and the empty zero after
+# it last 2 (t0 - delta), and the generator law's near-all-zero stream
+@example(t0=10, draw=5, law=BlankLaw.PAPER_K_DELTA, p=0.5, log_fft=13, seed=0)
+@example(t0=10, draw=9, law=BlankLaw.GENERATOR_K_MINUS_ONE_DELTA, p=0.01, log_fft=13, seed=0)
+def test_blank_realizations_always_fill_the_fft_window(t0, draw, law, p, log_fft, seed):
+    params = _blank(t0=t0, delta=_synthesizable_delta(t0, law, draw), law=law, p=p)
+    cfg = SimConfig(n_symbols=10, n_realizations=2, fft_size=1 << log_fft, seed=seed,
+                    params=params)
+    for i in range(2):
+        assert len(synthesize_realization(cfg, i)) == 1 << log_fft
 
 
 def test_different_master_seeds_give_different_realizations():
@@ -148,19 +169,25 @@ def test_estimate_equals_manual_periodogram_mean():
     spare=st.integers(0, 8),
     n=st.integers(1, 4),
     seed=st.integers(0, 999),
+    law=st.sampled_from(list(BlankLaw)),
 )
 # t0 = 32 against fft 16, and one 16-sample symbol in fft 16: g capped at 4
-@example(blank=True, odd=1, twos=5, half_delta=0, n_symbols=1, spare=2, n=2, seed=0)
-@example(blank=False, odd=1, twos=4, half_delta=0, n_symbols=1, spare=0, n=2, seed=0)
+@example(blank=True, odd=1, twos=5, half_delta=0, n_symbols=1, spare=2, n=2, seed=0,
+         law=BlankLaw.PAPER_K_DELTA)
+@example(blank=False, odd=1, twos=4, half_delta=0, n_symbols=1, spare=0, n=2, seed=0,
+         law=BlankLaw.PAPER_K_DELTA)
+# paper law at delta = t0/2 = 16, so every zero after a one is empty
+@example(blank=True, odd=1, twos=5, half_delta=8, n_symbols=1, spare=8, n=4, seed=0,
+         law=BlankLaw.PAPER_K_DELTA)
 def test_lattice_estimate_equals_the_full_rate_periodogram_mean(
-    blank, odd, twos, half_delta, n_symbols, spare, n, seed
+    blank, odd, twos, half_delta, n_symbols, spare, n, seed, law
 ):
     # whole delta with gcd(t0, delta) even, so the estimator transforms
     # fft_size/g points and expands them with the hold response
     t0 = odd << twos
-    delta = 2 * (half_delta % (t0 // 2))
+    delta = 2 * _synthesizable_delta(t0 // 2, law, half_delta)
     if blank:
-        params, fft = _blank(t0=t0, delta=delta), 4 << spare
+        params, fft = _blank(t0=t0, delta=delta, law=law), 4 << spare
     else:
         params = _transition(t0=t0, delta=delta)
         fft = max(4, 1 << (n_symbols * t0 - 1).bit_length() + spare % 3)
@@ -269,29 +296,33 @@ def test_estimate_error_shrinks_like_root_realization_count():
     assert abs(float(np.mean(slopes)) + 0.5) <= 0.1
 
 
+@pytest.mark.parametrize("law", list(BlankLaw))
 @pytest.mark.parametrize("p", [0.3, 0.7])
-def test_biased_blank_estimate_sits_on_the_absolute_closed_form(p):
+def test_biased_blank_estimate_sits_on_the_absolute_closed_form(p, law):
     # simulated bins over bin_power(K |F|^2 Re[(1+theta)/(1-theta)]), K = 1/<T>,
-    # on 0.2 < f/f0 < 5 away from the |F|^2 nulls at integer f/f0
+    # on 0.2 < f/f0 < 5 away from the |F|^2 nulls at integer f/f0; the
+    # other law's closed form misses the band
     t0, delta, fft = 32, 3, 4096
-    params = TrainParams(Variant.BLANK_SHORTEN, t0=t0, delta=delta, prob_one=p)
-    analytic = bin_power(
-        psd_blank_shorten(
-            FrequencyGrid.fft_bins(fft),
-            TrainParams(Variant.BLANK_SHORTEN, t0, delta, p, BlankLaw.GENERATOR_K_MINUS_ONE_DELTA),
-        )
-    )
-    x = analytic.freqs * t0
+    params = _blank(t0=t0, delta=delta, law=law, p=p)
+    (other,) = set(BlankLaw) - {law}
+    grid = FrequencyGrid.fft_bins(fft)
+    own = bin_power(psd_blank_shorten(grid, params))
+    cross = bin_power(psd_blank_shorten(grid, replace(params, blank_law=other)))
+    x = own.freqs * t0
     use = (x > 0.2) & (x < 5.0) & (np.abs(x - np.round(x)) >= 0.1)
     for seed in (1, 2, 3):
         cfg = SimConfig(n_symbols=fft // t0, n_realizations=200, fft_size=fft, seed=seed,
                         params=params)
         simulated = estimate_psd(cfg, workers=1)
-        idx = np.searchsorted(simulated.freqs, analytic.freqs)
-        ratio = float(np.median(simulated.psd[idx][use] / analytic.psd[use]))
+        idx = np.searchsorted(simulated.freqs, own.freqs)
+        ratio, cross_ratio = (
+            float(np.median(simulated.psd[idx][use] / analytic.psd[use]))
+            for analytic in (own, cross)
+        )
         # the ~3.5% left above 1 is aliasing: the simulator samples at 1 per
         # unit time while the closed form is continuous-time
         assert 0.98 <= ratio <= 1.08, (seed, ratio)
+        assert not 0.98 <= cross_ratio <= 1.08, (seed, cross_ratio)
 
 
 # --- the analytic join ---
