@@ -23,8 +23,9 @@ delta the fronts sit on a lattice of g = gcd(t0, delta); lines could
 appear only at k/g, where |F|^2 = 0, so the density is the whole
 spectrum. Values exactly on clock harmonics are removable 0/0 forms;
 such grid points are dropped and reported, never interpolated. Both
-densities take one TrainParams, whose delta may be fractional (the forms
-are continuous-time), and a ``scale`` in (0, inf).
+densities take a grid and one TrainParams, whose delta may be fractional
+(the forms are continuous-time), and return absolute units; rescaling
+for display is left to the caller.
 """
 
 from __future__ import annotations
@@ -102,10 +103,10 @@ class SpectrumGrid:
     ``meta`` holds only what is read: ``kind`` ("continuous", "binned",
     "combined" or "simulated") labels the CSV rows; a closed form adds the
     near-singular ``dropped_freqs`` and ``clamped_points``, its count of
-    float-noise negatives set to zero; :func:`combine` adds
-    ``lines_k_max``; :func:`pulsepsd.sim.estimate_psd` adds the config it
-    resolved. Derived spectra are ``dataclasses.replace``d from their
-    input, keeping its meta, and are validated again.
+    float-noise negatives set to zero; :func:`pulsepsd.sim.estimate_psd`
+    adds the config it resolved. Derived spectra, a rescaled one included,
+    are ``dataclasses.replace``d from their input, keeping its meta, and
+    are validated again.
     """
 
     grid: FrequencyGrid
@@ -154,11 +155,6 @@ class DiscreteLineSet:
         return len(self.k)
 
 
-def _require_scale(scale: float) -> None:
-    if not 0.0 < scale < np.inf:
-        raise ValueError(f"scale must be positive and finite, got {scale!r}")
-
-
 def _harmonic_mask(freqs: np.ndarray, t0: float) -> np.ndarray:
     """True where a grid point sits within HARMONIC_TOL of some k/t0, k >= 1."""
     k_near = np.round(freqs * t0)
@@ -186,26 +182,21 @@ def _density(grid: FrequencyGrid, keep: np.ndarray, values: np.ndarray) -> Spect
     return SpectrumGrid(FrequencyGrid(grid.values[keep]), values, meta)
 
 
-def continuous_psd_transition(
-    grid: FrequencyGrid, params: TrainParams, scale: float = 1.0
-) -> SpectrumGrid:
+def continuous_psd_transition(grid: FrequencyGrid, params: TrainParams) -> SpectrumGrid:
     """Continuous PSD of the transition-stretch train on the given grid.
 
-    Points within 1e-9 of a clock harmonic are dropped (the closed form
-    is a removable 0/0 there) and reported in ``meta["dropped_freqs"]``.
-    ``scale`` multiplies all values; 1.0 keeps the unit-amplitude,
-    factor-2 one-sided convention, 0.25 reproduces the quarter-amplitude
-    convention some references use.
+    Unit amplitude, factor-2 one-sided convention. Points within 1e-9 of
+    a clock harmonic are dropped (the closed form is a removable 0/0
+    there) and reported in ``meta["dropped_freqs"]``.
     """
     require_variant(params, Variant.TRANSITION_STRETCH)
-    _require_scale(scale)
     keep = ~_harmonic_mask(grid.values, params.t0)
     w = 2.0 * np.pi * grid.values[keep]
     t1 = charfn.theta1(w, params)
     t2 = charfn.theta2(w, params)
     g_mean = interval_stats(params).mean_g
     ratio = (1.0 - t1) * (1.0 - t2) / (1.0 - t1 * t2)
-    return _density(grid, keep, scale * 2.0 / (w * w * g_mean) * np.real(ratio))
+    return _density(grid, keep, 2.0 / (w * w * g_mean) * np.real(ratio))
 
 
 def discrete_lines_transition(k_max: int, params: TrainParams) -> DiscreteLineSet:
@@ -226,20 +217,19 @@ def discrete_lines_transition(k_max: int, params: TrainParams) -> DiscreteLineSe
     return DiscreteLineSet(k=k, freq=k / float(params.t0), power=power)
 
 
-def psd_blank_shorten(grid: FrequencyGrid, params: TrainParams, scale: float = 1.0) -> SpectrumGrid:
-    """Blank-shorten PSD: scale/<T> * |F|^2 * Re[(1 + theta)/(1 - theta)].
+def psd_blank_shorten(grid: FrequencyGrid, params: TrainParams) -> SpectrumGrid:
+    """Blank-shorten PSD: 1/<T> * |F|^2 * Re[(1 + theta)/(1 - theta)].
 
     The front interval T has mean <T> = p t0 + q head + (q/p)(t0 - delta)
     = -j theta'(0), head the :func:`~pulsepsd.model.front_head` of the law,
-    p = ``params.prob_one``, q = 1 - p. 1/<T> is the pulse rate, so
-    ``scale`` = 1 gives absolute units; ``scale`` multiplies all values.
+    p = ``params.prob_one``, q = 1 - p. 1/<T> is the pulse rate, so the
+    density is in absolute units.
     |F(w)|^2 = (2 sin(w t0 / 2) / w)^2 is the energy spectrum of the unit
     rectangular pulse of width t0; the grid starts above 0, so w > 0.
     Grid points where |1 - theta| < 1e-9 (exactly the clock harmonics
     whose shortening cancels a whole number of slots) are dropped and
     reported in ``meta["dropped_freqs"]``.
     """
-    _require_scale(scale)
     w = 2.0 * np.pi * grid.values
     theta = charfn.theta_blank(w, params)
     t0, slot, p, q = params.t0, params.t0 - params.delta, params.prob_one, params.prob_zero
@@ -249,7 +239,7 @@ def psd_blank_shorten(grid: FrequencyGrid, params: TrainParams, scale: float = 1
     keep = ~(np.abs(one_minus) < SINGULAR_TOL)
     phi = np.real((1.0 + theta[keep]) / one_minus[keep])
     wk = w[keep]
-    values = (2.0 * np.sin(wk * t0 / 2.0) / wk) ** 2 * phi * (scale / mean_interval)
+    values = (2.0 * np.sin(wk * t0 / 2.0) / wk) ** 2 * phi * (1.0 / mean_interval)
     return _density(grid, keep, values)
 
 
@@ -286,11 +276,7 @@ def combine(binned_continuous: SpectrumGrid, lines: DiscreteLineSet) -> Spectrum
     left_closer = (lines.freq - f[idx - 1]) <= (f[idx] - lines.freq)
     nearest = np.where(left_closer, idx - 1, idx)
     np.add.at(psd, nearest, lines.power)
-    k_max = int(lines.k.max()) if len(lines) else 0
-    return replace(
-        binned_continuous, psd=psd,
-        meta={**binned_continuous.meta, "kind": "combined", "lines_k_max": k_max},
-    )
+    return replace(binned_continuous, psd=psd, meta={**binned_continuous.meta, "kind": "combined"})
 
 
 def analytic_on_fft_grid(params: TrainParams, fft_size: int, k_max: int | None = None) -> SpectrumGrid:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -51,7 +51,6 @@ from .io import (
 from .model import BlankLaw, TrainParams, Variant
 from .peaks import (
     SWEEP_SPAN,
-    PeakDetectionError,
     linear_fit,
     normalize_second_lobe,
     sweep_delta,
@@ -275,19 +274,20 @@ def cmd_analytic(args) -> tuple[list[Path], dict]:
     fmax_norm = args.fmax_norm if args.fmax_norm is not None else (3.0 if blank else 10.0)
     points = args.points if args.points is not None else (20001 if blank else 4096)
     grid = FrequencyGrid.offset_linspace(fmax_norm / t0, points)
-    scale = args.scale if args.scale is not None else 1.0
+    if args.scale is not None and not 0.0 < args.scale < np.inf:
+        raise CliUsageError(f"--scale must be positive and finite, got {args.scale!r}")
+    if blank and args.scale is None and fmax_norm < 2.0:
+        raise CliUsageError(
+            "default second-lobe normalization needs --fmax-norm >= 2; pass --scale to skip"
+        )
     spectrum_path = args.out_dir / "analytic_spectrum.csv"
     outputs = [spectrum_path]
-    if blank:
-        if args.scale is None and fmax_norm < 2.0:
-            raise CliUsageError(
-                "default second-lobe normalization needs --fmax-norm >= 2; pass --scale to skip"
-            )
-        spectrum = psd_blank_shorten(grid, params, scale=scale)
-        if args.scale is None:
-            spectrum = normalize_second_lobe(spectrum, t0)
-    else:
-        spectrum = continuous_psd_transition(grid, params, scale=scale)
+    spectrum = psd_blank_shorten(grid, params) if blank else continuous_psd_transition(grid, params)
+    if args.scale is not None:
+        spectrum = replace(spectrum, psd=spectrum.psd * args.scale)
+    elif blank:
+        spectrum = normalize_second_lobe(spectrum, t0)
+    if not blank:
         k_in_span = int(np.floor(grid.values[-1] * t0))
         k_max = args.k_max if args.k_max is not None else max(1, min(40, k_in_span))
         lines_path = args.out_dir / "analytic_lines.csv"
@@ -459,12 +459,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(_expand_config(argv))
         args.out_dir.mkdir(parents=True, exist_ok=True)
-        outputs, extra = args.func(args)
+        # every non-finite result is refused where it is made, in one line
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            outputs, extra = args.func(args)
         _manifest(args, args.command, outputs, extra, started)
     except (CliUsageError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except (PeakDetectionError, NearSingularError, RuntimeError) as err:
+    except (NearSingularError, RuntimeError) as err:  # PeakDetectionError is a RuntimeError
         print(f"detection failure: {err}", file=sys.stderr)
         return 2
     return 0

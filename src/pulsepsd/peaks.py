@@ -87,15 +87,29 @@ class LinearFit:
     r_squared: float
 
 
-def _half_crossing(x: np.ndarray, s: np.ndarray, ipk: int, half: float, step: int) -> float:
-    i = ipk
-    while 0 <= i + step < len(s) and s[i + step] > half:
-        i += step
-    j = i + step
-    if not 0 <= j < len(s):
+def _first_at_or_below(values: np.ndarray, half: float) -> int:
+    """Index of the first of ``values``, ordered outward from a peak, at or below ``half``."""
+    hit = np.flatnonzero(values <= half)
+    if len(hit) == 0:
         raise PeakDetectionError("half height never crossed inside the grid")
+    return int(hit[0])
+
+
+def _half_crossing(x: np.ndarray, s: np.ndarray, ipk: int, half: float, step: int) -> float:
+    x, s = x[ipk::step], s[ipk::step]
+    j = _first_at_or_below(s, half)
     # linear interpolation between the last point above and first below
-    return float(x[i] + (x[j] - x[i]) * (half - s[i]) / (s[j] - s[i]))
+    return float(x[j - 1] + (x[j] - x[j - 1]) * (half - s[j - 1]) / (s[j] - s[j - 1]))
+
+
+def _report(center: float, peak: float, fwhm: float, lobes: Sequence[float], lobe_window: tuple) -> PeakReport:
+    """The report of a peak at ``center`` against the largest of the second-lobe ``lobes``."""
+    if len(lobes) == 0:
+        raise PeakDetectionError(f"no grid points left in the lobe window {lobe_window}")
+    second_lobe = float(np.max(lobes))
+    if second_lobe <= 0.0:
+        raise PeakDetectionError("second lobe value is not positive")
+    return PeakReport(center, peak / second_lobe, fwhm, second_lobe)
 
 
 def _peak_index(x: np.ndarray, s: np.ndarray, window: tuple[float, float]) -> int:
@@ -140,17 +154,7 @@ def find_clock_peak(
     step = float(np.median(np.diff(x)))
     exclusion = max(3.0 * step, 1.5 * fwhm)
     lobe = (x > lobe_window[0]) & (x < lobe_window[1]) & (np.abs(x - x[ipk]) > exclusion)
-    if not np.any(lobe):
-        raise PeakDetectionError(f"no grid points left in the lobe window {lobe_window}")
-    second_lobe = float(np.max(s[lobe]))
-    if second_lobe <= 0.0:
-        raise PeakDetectionError("second lobe value is not positive")
-    return PeakReport(
-        center_freq_norm=float(x[ipk]),
-        amplitude_linear=peak_value / second_lobe,
-        fwhm_norm=fwhm,
-        second_lobe_max=second_lobe,
-    )
+    return _report(float(x[ipk]), peak_value, fwhm, s[lobe], lobe_window)
 
 
 def normalize_second_lobe(spectrum: SpectrumGrid, t0: float) -> SpectrumGrid:
@@ -239,10 +243,7 @@ def _half_height(
     if not np.any(ss <= half) and len(beyond):
         xb, sb = _closed_form(params, beyond)
         xs, ss = np.concatenate([xs, xb[::side]]), np.concatenate([ss, sb[::side]])
-    hit = np.flatnonzero(ss <= half)
-    if len(hit) == 0:
-        raise PeakDetectionError("half height never crossed inside the grid")
-    j = int(hit[0])
+    j = _first_at_or_below(ss, half)
     return _refine_crossing(params, xs[j - 1] if j > 0 else center, float(xs[j]), half)
 
 
@@ -284,17 +285,7 @@ def _refined_peak(
         if len(pts):
             xl, sl = _closed_form(params, pts)
             lobes.append(_refine_max(params, xl, sl, int(np.argmax(sl)))[1])
-    if not lobes:
-        raise PeakDetectionError(f"no grid points left in the lobe window {lobe_window}")
-    second_lobe = max(lobes)
-    if second_lobe <= 0.0:
-        raise PeakDetectionError("second lobe value is not positive")
-    return PeakReport(
-        center_freq_norm=center,
-        amplitude_linear=peak_value / second_lobe,
-        fwhm_norm=fwhm,
-        second_lobe_max=second_lobe,
-    )
+    return _report(center, peak_value, fwhm, lobes, lobe_window)
 
 
 def sweep_delta(

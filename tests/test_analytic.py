@@ -116,13 +116,6 @@ def test_continuous_value_at_half_clock_frequency():
     assert spec.psd[0] == pytest.approx(6.4845557531096185, rel=1e-12)
 
 
-def test_continuous_scale_factor_is_linear():
-    grid = FrequencyGrid.offset_linspace(0.1, 64)
-    base = continuous_psd_transition(grid, _params())
-    quarter = continuous_psd_transition(grid, _params(), scale=0.25)
-    np.testing.assert_allclose(quarter.psd, 0.25 * base.psd, rtol=1e-14)
-
-
 def test_harmonic_points_are_dropped_not_fabricated():
     t0 = 64
     grid = FrequencyGrid(np.array([0.5 / t0, 1.0 / t0, 1.5 / t0]))
@@ -159,14 +152,6 @@ _GRID = FrequencyGrid.offset_linspace(0.1, 8)
 def test_closed_forms_refuse_the_other_variant(closed_form, params):
     with pytest.raises(ValueError, match="params.variant"):
         closed_form(params)
-
-
-@pytest.mark.parametrize("scale", [-1.0, 0.0, float("nan"), float("inf")])
-@pytest.mark.parametrize("model", ["transition", "blank"])
-def test_both_densities_refuse_a_scale_outside_zero_to_inf(model, scale):
-    density = continuous_psd_transition if model == "transition" else psd_blank_shorten
-    with pytest.raises(ValueError, match="scale"):
-        density(_GRID, _params() if model == "transition" else _blank(), scale=scale)
 
 
 # --- discrete lines ---
@@ -242,14 +227,12 @@ def _series_mean_interval(t0: float, delta: float, law: BlankLaw, p: float) -> f
     return float(np.sum(p * q ** (k - 1) * length))
 
 
-def test_blank_scale_is_linear_and_the_level_is_one_over_the_mean_interval():
+def test_blank_level_is_one_over_the_mean_interval():
     grid = FrequencyGrid.offset_linspace(2.0 / 100.0, 500)
     rng = np.random.default_rng(3)
     for p in (0.5, *rng.uniform(0.05, 0.95, 4)):
         for law in BlankLaw:
             base = psd_blank_shorten(grid, _blank(law=law, p=p))
-            scaled = psd_blank_shorten(grid, _blank(law=law, p=p), scale=2.5)
-            np.testing.assert_allclose(scaled.psd, 2.5 * base.psd, rtol=1e-14)
             w = 2.0 * np.pi * base.freqs
             theta = theta_blank(w, _blank(law=law, p=p))
             rate = 1.0 / _series_mean_interval(100.0, 10.0, law, p)
@@ -323,7 +306,6 @@ def test_combine_adds_line_power_into_nearest_bin():
     out = combine(spec, lines)
     np.testing.assert_allclose(out.psd, [1.0, 6.0, 8.0, 1.0], rtol=1e-15)
     assert out.meta["kind"] == "combined"
-    assert out.meta["lines_k_max"] == 2
     # the input spectrum must not be mutated
     np.testing.assert_array_equal(spec.psd, np.ones(4))
 
@@ -344,14 +326,14 @@ def test_every_producer_keeps_only_the_meta_keys_that_are_read():
     transition = continuous_psd_transition(grid, _params())
     assert set(transition.meta) == closed
     for law in BlankLaw:
-        blank = psd_blank_shorten(grid, _blank(law=law), scale=2.0)
+        blank = psd_blank_shorten(grid, _blank(law=law))
         assert set(blank.meta) == closed
         normed = normalize_second_lobe(blank, 100.0)
         assert normed.meta == blank.meta
     binned = bin_power(transition)
     assert binned.meta == {**transition.meta, "kind": "binned"}
     combined = combine(binned, discrete_lines_transition(2, _params()))
-    assert combined.meta == {**binned.meta, "kind": "combined", "lines_k_max": 2}
+    assert combined.meta == {**binned.meta, "kind": "combined"}
     cfg = SimConfig(n_symbols=16, n_realizations=2, fft_size=1024, seed=3, params=_params())
     assert set(estimate_psd(cfg, workers=1).meta) == {
         "kind", "fft_size", "n_symbols", "n_realizations", "seed", "seed_scheme",

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -116,6 +117,24 @@ def test_analytic_blank_needs_room_for_the_reference_window(tmp_path, capsys):
     )
     assert code == 1
     assert "--scale" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "model, scale",
+    [("transition", "0.25"), ("blank", "0.25"), ("transition", "1e306")],
+)
+def test_analytic_scale_multiplies_the_written_spectrum_bit_for_bit(tmp_path, model, scale):
+    # the density is absolute; --scale multiplies the finished spectrum, so
+    # a scale that would overflow a closed form's prefactor still writes
+    argv = ["analytic", "--model", model, "--t0", "64", "--delta", "3", "--p", "0.55"]
+    runs = {}
+    for name, given in (("unscaled", "1"), ("scaled", scale)):
+        assert main(argv + ["--scale", given, "--out-dir", str(tmp_path / name)]) == 0
+        rows = _read_csv(tmp_path / name / "analytic_spectrum.csv")[1:]
+        runs[name] = np.array([[float(r[0]), float(r[1])] for r in rows])
+    unscaled, scaled = runs["unscaled"], runs["scaled"]
+    np.testing.assert_array_equal(scaled[:, 0], unscaled[:, 0])
+    np.testing.assert_array_equal(scaled[:, 1], float(scale) * unscaled[:, 1])
 
 
 # --- simulate subcommand ---
@@ -464,6 +483,31 @@ def test_config_booleans_switch_both_ways(tmp_path, capsys):
     assert "--no-law" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, chart",
+    [
+        (["simulate", "--model", "transition", "--t0", "16", "--delta", "2", "--fft", "1024",
+          "--realizations", "4", "--seed", "1"], "simulated_spectrum.svg"),
+        (["compare", "--model", "transition", "--t0", "16", "--delta", "2", "--fft", "1024",
+          "--realizations", "4", "--seed", "1"], "compare.svg"),
+        (["peaks-sweep", "--t0", "100", "--deltas", "2,6,10"], "sweep.svg"),
+    ],
+    ids=["simulate", "compare", "peaks-sweep"],
+)
+def test_svg_adds_a_listed_chart_and_leaves_the_data_files_alone(tmp_path, argv, chart):
+    manifest = f"{argv[0].replace('-', '_')}_manifest.json"
+    outputs = {}
+    for flag in ("--svg", "--no-svg"):
+        out = tmp_path / flag
+        assert main(argv + [flag, "--workers", "1", "--out-dir", str(out)]) == 0
+        outputs[flag] = _load(out / manifest)["outputs"]
+    assert outputs["--svg"] == outputs["--no-svg"] + [chart]
+    assert (tmp_path / "--svg" / chart).read_text().startswith("<svg")
+    assert not (tmp_path / "--no-svg" / chart).exists()
+    for name in outputs["--no-svg"]:
+        assert (tmp_path / "--svg" / name).read_bytes() == (tmp_path / "--no-svg" / name).read_bytes()
+
+
 # --- exit codes ---
 
 
@@ -480,8 +524,32 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     blank = ["--model", "blank", "--t0", "32", "--delta", "3"]
     sweep = ["peaks-sweep", "--t0", "100", "--deltas", "2,6,10", "--source", "analytic"]
     paper_over = ["--t0", "32", "--fft", "1024", "--law", "paper"]
-    # a flag the chosen model or source would ignore is refused, not dropped
+    compare = ["compare", "--model", "transition", *small]
+    missing = tmp_path / "missing.conf"
+    no_equals = tmp_path / "no_equals.conf"
+    no_equals.write_text("model = transition\nt0 16\n")
+    no_key = tmp_path / "no_key.conf"
+    no_key.write_text("model = transition\n = 16\n")
     for argv, flag in (
+        # a malformed LO:HI pair or --deltas list is refused before any work
+        (compare + ["--band", "5"], "--band"),
+        (compare + ["--band", "a:b"], "--band"),
+        (compare + ["--band", "3:1"], "--band"),
+        (sweep + ["--window", "1.3:0.8"], "--window"),
+        (sweep + ["--lobe-window", "x"], "--lobe-window"),
+        (sweep + ["--deltas", "1:2"], "--deltas"),
+        (sweep + ["--deltas", "a:b:c"], "--deltas"),
+        (sweep + ["--deltas", "5:1:1"], "--deltas"),
+        (sweep + ["--deltas", "x,y"], "--deltas"),
+        (sweep + ["--deltas", ","], "--deltas"),
+        (sweep + ["--deltas", ",".join(["1"] * 10_001)], "--deltas"),
+        # a config file that cannot be read or parsed
+        (["simulate", "--config", str(missing)], "missing.conf"),
+        (["simulate", "--config", str(no_equals)], "no_equals.conf:2"),
+        (["simulate", "--config", str(no_key)], "no_key.conf:2: empty key"),
+        # a simulation needs a length
+        (["simulate", "--model", "transition", "--t0", "16", "--realizations", "4"], "--fft"),
+        # a flag the chosen model or source would ignore is refused, not dropped
         (["analytic", *blank, "--k-max", "5"], "--k-max"),
         (["compare", *blank, "--fft", "1024", "--realizations", "4", "--k-max", "5"], "--k-max"),
         (["analytic", "--model", "transition", "--t0", "64", "--law", "paper"], "--law"),
@@ -533,13 +601,30 @@ def test_usage_errors_exit_one(tmp_path, capsys):
 
 @pytest.mark.parametrize("model", ["transition", "blank"])
 def test_analytic_scale_outside_zero_to_inf_exits_one(tmp_path, capsys, model):
-    for scale in ("-1", "0", "nan"):
+    for scale in ("-1", "0", "nan", "inf"):
         out = tmp_path / scale
         argv = ["analytic", "--model", model, "--t0", "64", "--delta", "3", "--scale", scale]
         assert main(argv + ["--out-dir", str(out)]) == 1, scale
         err = capsys.readouterr().err
         assert "scale" in err and err.count("\n") == 1, err
         assert not any(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--model", "blank", "--t0", "64", "--delta", "3", "--scale", "1e308"],
+        ["--model", "transition", "--t0", "64", "--fmax-norm", "1e-300"],
+    ],
+    ids=["overflowing-scale", "vanishing-grid"],
+)
+def test_non_finite_spectra_exit_one_with_one_line_and_no_warning(tmp_path, capsys, argv):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["analytic", *argv, "--out-dir", str(tmp_path / "x")]) == 1
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == "error: psd values must be finite\n"
+    assert not any((tmp_path / "x").glob("*.csv"))
 
 
 def test_fractional_delta_runs_closed_forms_and_is_refused_by_synthesis(tmp_path, capsys):

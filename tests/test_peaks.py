@@ -68,6 +68,16 @@ def test_peak_detection_respects_custom_window():
         find_clock_peak(spec, 100.0, window=(1.2, 1.3))  # argmax pinned to an edge
 
 
+def test_a_grid_ending_above_half_height_fails_the_width_walk():
+    # the peak at 1.0526 f0 is off the window's edges, but the grid stops
+    # before its right flank falls to half height near 1.061 f0
+    t0 = 100
+    grid = FrequencyGrid(np.linspace(0.3, 1.056, 20_001) / t0)
+    spec = psd_blank_shorten(grid, TrainParams(Variant.BLANK_SHORTEN, t0, 10.0, blank_law=GEN))
+    with pytest.raises(PeakDetectionError, match="half height never crossed inside the grid"):
+        find_clock_peak(spec, float(t0))
+
+
 @settings(max_examples=25, deadline=None)
 @given(scale=st.floats(1e-6, 1e6))
 def test_report_shape_is_scale_invariant(scale):
@@ -162,9 +172,9 @@ def test_analytic_sweep_work_stays_under_a_point_budget(monkeypatch):
     points = []
     real = pulsepsd.peaks.psd_blank_shorten
 
-    def counting(grid, params, scale=1.0):
+    def counting(grid, params):
         points.append(len(grid))
-        return real(grid, params, scale)
+        return real(grid, params)
 
     monkeypatch.setattr(pulsepsd.peaks, "psd_blank_shorten", counting)
     base = TrainParams(Variant.BLANK_SHORTEN, t0=100, delta=1)

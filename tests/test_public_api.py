@@ -50,6 +50,12 @@ def test_public_surface_is_pinned_and_every_demo_import_resolves():
                 assert not missing, f"{demo.name} imports {missing} from {node.module}"
 
 
+@pytest.mark.parametrize("density", ["continuous_psd_transition", "psd_blank_shorten"])
+def test_both_densities_take_only_a_grid_and_params(density):
+    # a density is absolute; rescaling a written spectrum is the CLI's --scale
+    assert list(inspect.signature(getattr(pulsepsd, density)).parameters) == ["grid", "params"]
+
+
 def _demo_calls(tree: ast.AST) -> list[tuple[str, object, ast.Call]]:
     """(label, callee, call) for every call to a name imported from pulsepsd.
 
