@@ -282,9 +282,21 @@ def cmd_analytic(args) -> tuple[list[Path], dict]:
         )
     spectrum_path = args.out_dir / "analytic_spectrum.csv"
     outputs = [spectrum_path]
-    spectrum = psd_blank_shorten(grid, params) if blank else continuous_psd_transition(grid, params)
+    try:  # params are valid, so a refusal here is the closed form's value on this grid
+        spectrum = psd_blank_shorten(grid, params) if blank else continuous_psd_transition(grid, params)
+    except ValueError as err:
+        raise CliUsageError(
+            f"the closed form fails on the grid of --fmax-norm {fmax_norm!r} and --points "
+            f"{points}, whose lowest point is f/f0 = {grid.values[0] * t0:.6g}: {err}"
+        ) from None
     if args.scale is not None:
-        spectrum = replace(spectrum, psd=spectrum.psd * args.scale)
+        try:
+            spectrum = replace(spectrum, psd=spectrum.psd * args.scale)
+        except ValueError:
+            raise CliUsageError(
+                f"--scale {args.scale!r} overflows the spectrum, whose peak is "
+                f"{spectrum.psd.max():.6g}"
+            ) from None
     elif blank:
         spectrum = normalize_second_lobe(spectrum, t0)
     if not blank:

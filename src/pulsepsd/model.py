@@ -9,8 +9,9 @@ a sequence of high and low runs:
 * blank-shorten: a "one" is a high run of ``t0``, a "zero" a low run of
   ``t0 - delta``, or ``t0 - 2 delta`` right after a "one" under the paper law.
 
-Synthesis repeats 0/1 levels over these runs, :func:`measure_intervals` reads
-them back from the edges, and all randomness flows through :func:`gen_bits`.
+Synthesis repeats uint8 0/1 levels over these runs, one byte per sample,
+:func:`measure_intervals` reads them back from the edges one fixed block at a
+time, and all randomness flows through :func:`gen_bits`.
 """
 
 from __future__ import annotations
@@ -32,6 +33,10 @@ __all__ = [
     "interval_stats",
     "measure_intervals",
 ]
+
+# samples per block of the measure_intervals edge scan; bounds its temporaries
+_CHUNK_SAMPLES = 1 << 18
+
 
 class Variant(enum.Enum):
     TRANSITION_STRETCH = "transition"
@@ -148,8 +153,9 @@ def gen_bits(n_symbols: int, prob_one: float, seed) -> np.ndarray:
 def synth_transition_stretch(bits: np.ndarray, params: TrainParams) -> np.ndarray:
     """Expand a bit stream into transition-stretch samples, run by run.
 
-    The stream is taken to follow a "zero", so a leading "zero" is never
-    stretched and output length is exactly ``len(bits) * t0``.
+    Samples are uint8 levels in {0, 1}. The stream is taken to follow a
+    "zero", so a leading "zero" is never stretched and output length is
+    exactly ``len(bits) * t0``.
     """
     require_variant(params, Variant.TRANSITION_STRETCH)
     b = np.asarray(bits, dtype=bool)
@@ -158,13 +164,13 @@ def synth_transition_stretch(bits: np.ndarray, params: TrainParams) -> np.ndarra
     runs[:, 0] = t0 * b
     runs[1:, 0] += delta * (b[:-1] & ~b[1:])
     runs[:, 1] = t0 - runs[:, 0]
-    levels = np.zeros(runs.shape)
-    levels[:, 0] = 1.0
+    levels = np.zeros(runs.shape, dtype=np.uint8)
+    levels[:, 0] = 1
     return np.repeat(levels.reshape(-1), runs.reshape(-1))
 
 
 def synth_blank_shorten(bits: np.ndarray, params: TrainParams) -> np.ndarray:
-    """Expand a bit stream into blank-shorten samples.
+    """Expand a bit stream into blank-shorten samples, uint8 levels in {0, 1}.
 
     A "zero" right after a "one" lasts front_head - delta, not t0 - delta;
     a leading "zero" is taken to follow a "zero".
@@ -174,7 +180,7 @@ def synth_blank_shorten(bits: np.ndarray, params: TrainParams) -> np.ndarray:
     t0 = params.t0
     runs = np.where(b, t0, t0 - whole_sample_delta(params))
     runs[1:] -= int(t0 - front_head(params)) * (b[:-1] & ~b[1:])
-    return np.repeat(b.astype(np.float64), runs)
+    return np.repeat(b.view(np.uint8), runs)
 
 
 def interval_stats(params: TrainParams) -> IntervalStats:
@@ -195,21 +201,46 @@ def interval_stats(params: TrainParams) -> IntervalStats:
 def measure_intervals(signal: np.ndarray) -> IntervalStats:
     """Empirical interval means from one realization.
 
-    Uses complete duration/gap pairs only (front i to front i+1); the line
-    is taken as low around the signal, so edges alternate rise, fall. Raises
-    :class:`InsufficientDataError` when fewer than 2 pulse fronts exist.
+    Samples above 0.5 are high. Uses complete duration/gap pairs only
+    (front i to front i+1); the line is taken as low around the signal, so
+    edges alternate rise, fall. Raises :class:`InsufficientDataError` when
+    fewer than 2 pulse fronts exist.
+
+    With rises r_0 < ... < r_m and falls f_0 < ... < f_m the pairs are
+    (f_i - r_i, r_(i+1) - f_i) for i < m, so their sums telescope: the
+    durations add up to the high samples less the last pulse, f_m - r_m,
+    and duration plus gap to r_m - r_0. The scan keeps only those counts
+    and edges, reading one block of _CHUNK_SAMPLES at a time, each led by
+    the last sample of the one before, so its temporaries stay a few MB
+    for any signal length. Every sum is a whole number, so the means are
+    the correctly rounded quotients a scan over all the runs would give.
     """
-    x = np.asarray(signal) > 0.5
-    if x.ndim != 1:
-        raise ValueError(f"signal must be a 1-D array, got shape {x.shape}")
-    inner = np.flatnonzero(x[1:] != x[:-1]) + 1
-    edges = np.concatenate((np.flatnonzero(x[:1]), inner, np.flatnonzero(x[-1:]) + len(x)))
-    if len(edges) < 4:
+    s = np.asarray(signal)
+    if s.ndim != 1:
+        raise ValueError(f"signal must be a 1-D array, got shape {s.shape}")
+    high = fronts = 0
+    first_rise = last_rise = last_fall = 0
+    prev = np.zeros(1, dtype=bool)  # the line is low before the signal
+    for start in range(0, len(s), _CHUNK_SAMPLES):
+        x = np.concatenate((prev, s[start : start + _CHUNK_SAMPLES] > 0.5))
+        high += int(np.count_nonzero(x[1:]))
+        rises = np.flatnonzero(x[1:] > x[:-1]) + start
+        falls = np.flatnonzero(x[1:] < x[:-1]) + start
+        if len(rises):
+            if not fronts:
+                first_rise = int(rises[0])
+            last_rise = int(rises[-1])
+            fronts += len(rises)
+        if len(falls):
+            last_fall = int(falls[-1])
+        prev = x[-1:]
+    if prev[0]:  # the line falls after the signal
+        last_fall = len(s)
+    if fronts < 2:
         raise InsufficientDataError(
-            f"need at least 2 pulse fronts to measure intervals, found {len(edges) // 2}"
+            f"need at least 2 pulse fronts to measure intervals, found {fronts}"
         )
-    runs = np.diff(edges).astype(np.float64)  # high, low, high, ..., high
-    tau, ell = runs[:-1:2], runs[1::2]
-    return IntervalStats(
-        mean_tau=float(tau.mean()), mean_l=float(ell.mean()), mean_g=float((tau + ell).mean())
-    )
+    pairs = fronts - 1
+    tau = high - (last_fall - last_rise)
+    g = last_rise - first_rise
+    return IntervalStats(mean_tau=tau / pairs, mean_l=(g - tau) / pairs, mean_g=g / pairs)

@@ -97,8 +97,13 @@ class SimConfig:
 
 
 def _half_bins(x: np.ndarray, fft_size: int) -> np.ndarray:
-    """One-sided periodogram |X_k / L|^2 for k = 0 .. fft_size/2 of a float64 signal."""
-    spec = np.fft.rfft(x - x.mean(), n=fft_size)
+    """One-sided periodogram |X_k / L|^2 for k = 0 .. fft_size/2 of a real signal.
+
+    The signal may be float64 or the uint8 0/1 samples of synthesis. The
+    mean is the sum over L, as ``x.mean()`` takes it; a 0/1 sum is a whole
+    number in any order, so both dtypes give the same mean and bits.
+    """
+    spec = np.fft.rfft(x - x.sum() / len(x), n=fft_size)
     spec /= len(x)
     return spec.real**2 + spec.imag**2
 
@@ -121,23 +126,32 @@ def periodogram_bins(signal: np.ndarray, fft_size: int) -> np.ndarray:
     return np.concatenate((half, half[fft_size - len(half) : 0 : -1]))
 
 
+def _symbols_drawn(config: SimConfig) -> int:
+    """Bits each realization draws: n_symbols, or under blank-shorten enough for fft_size.
+
+    n blank symbols last n*(t0 - delta) samples or more (a cut zero
+    follows a full one), so ceil(fft_size/(t0 - delta)) certainly cover
+    fft_size; n_symbols is not read there.
+    """
+    params = config.params
+    if params.variant is Variant.TRANSITION_STRETCH:
+        return config.n_symbols
+    return math.ceil(config.fft_size / (params.t0 - params.delta))
+
+
 def synthesize_realization(config: SimConfig, index: int) -> np.ndarray:
     """The signal realization at this index, whose periodogram the estimator computes.
 
-    The estimator transforms the realization of the config reduced by its
-    lattice (:func:`_lattice_config`); this signal is that one with every
-    sample held for g samples.
+    Samples are uint8 levels in {0, 1}; cast with ``.astype(float)``
+    before signed arithmetic. The estimator transforms the realization of
+    the config reduced by its lattice (:func:`_lattice_config`); this
+    signal is that one with every sample held for g samples.
     """
     params = config.params
-    seed = (config.seed, index)
+    bits = gen_bits(_symbols_drawn(config), params.prob_one, (config.seed, index))
     if params.variant is Variant.TRANSITION_STRETCH:
-        bits = gen_bits(config.n_symbols, params.prob_one, seed)
         return synth_transition_stretch(bits, params)
-    # blank-shorten: draw enough symbols to certainly cover fft_size samples
-    # (n symbols last n*(t0 - delta) or more: a cut zero follows a full one),
-    # then truncate so every realization shares L
-    n_draw = math.ceil(config.fft_size / (params.t0 - params.delta))
-    bits = gen_bits(n_draw, params.prob_one, seed)
+    # blank-shorten: truncate so every realization shares L
     return synth_blank_shorten(bits, params)[: config.fft_size]
 
 
@@ -203,7 +217,8 @@ def estimate_psd(config: SimConfig, workers: int | None = None) -> SpectrumGrid:
     Returns the one-sided estimate on bins k/fft_size, k = 1 .. fft_size/2.
     The periodograms are taken at the lattice rate, fft_size/g points
     each, and expanded with the hold response once (module docstring);
-    ``meta["lattice"]`` records g. Blocks of 32 realizations are
+    ``meta["lattice"]`` records g and ``meta["symbols_drawn"]`` the bits
+    each realization drew. Blocks of 32 realizations are
     evaluated (possibly in parallel) and their partial sums added in
     index order, so the result is bit-identical for any worker count.
     ``meta["workers"]`` records how many workers actually ran: the
@@ -230,6 +245,7 @@ def estimate_psd(config: SimConfig, workers: int | None = None) -> SpectrumGrid:
     meta = {
         "kind": "simulated",
         "n_symbols": config.n_symbols,
+        "symbols_drawn": _symbols_drawn(config),
         "n_realizations": config.n_realizations,
         "fft_size": config.fft_size,
         "seed": config.seed,

@@ -195,6 +195,7 @@ def test_manifest_records_the_resolved_config_and_workers_used(tmp_path, monkeyp
     assert manifest["sim"] == {
         "fft_size": 2048,
         "n_symbols": 100,
+        "symbols_drawn": 100,
         "n_realizations": 70,
         "seed": 5,
         "seed_scheme": "SeedSequence((seed, realization_index))",
@@ -611,19 +612,23 @@ def test_analytic_scale_outside_zero_to_inf_exits_one(tmp_path, capsys, model):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, cause",
     [
-        ["--model", "blank", "--t0", "64", "--delta", "3", "--scale", "1e308"],
-        ["--model", "transition", "--t0", "64", "--fmax-norm", "1e-300"],
+        (["--model", "blank", "--t0", "64", "--delta", "3", "--scale", "1e308"],
+         ["--scale 1e+308 overflows", "peak is 15.7896"]),
+        (["--model", "transition", "--t0", "64", "--fmax-norm", "1e-300"],
+         ["--fmax-norm 1e-300", "--points 4096", "f/f0 = 1.2207e-304", "must be finite"]),
     ],
     ids=["overflowing-scale", "vanishing-grid"],
 )
-def test_non_finite_spectra_exit_one_with_one_line_and_no_warning(tmp_path, capsys, argv):
+def test_non_finite_spectra_exit_one_with_one_line_and_no_warning(tmp_path, capsys, argv, cause):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main(["analytic", *argv, "--out-dir", str(tmp_path / "x")]) == 1
     assert [str(w.message) for w in caught] == []
-    assert capsys.readouterr().err == "error: psd values must be finite\n"
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert all(part in err for part in cause), err
     assert not any((tmp_path / "x").glob("*.csv"))
 
 

@@ -1,10 +1,13 @@
 """Bit streams, waveform synthesis, and interval statistics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import pulsepsd.model
 from pulsepsd import (
     BlankLaw,
     InsufficientDataError,
@@ -29,6 +32,7 @@ def _blank(t0=100, delta=10, **kw) -> TrainParams:
 
 
 GEN = BlankLaw.GENERATOR_K_MINUS_ONE_DELTA
+CHUNK = pulsepsd.model._CHUNK_SAMPLES
 
 
 def _stream(bits) -> np.ndarray:
@@ -192,7 +196,7 @@ def test_transition_run_length_synthesis_equals_matrix(bits, t0, delta):
     stream = _stream(bits)
     out = synth_transition_stretch(stream, _transition(t0=t0, delta=delta))
     ref = _transition_by_matrix(stream, t0, delta)
-    assert out.dtype == ref.dtype == np.float64
+    assert out.dtype == np.uint8
     np.testing.assert_array_equal(out, ref)
 
 
@@ -283,7 +287,7 @@ def test_blank_run_length_synthesis_equals_difference_array(bits, t0, delta):
     stream = _stream(bits)
     out = synth_blank_shorten(stream, _blank(t0=t0, delta=delta, blank_law=GEN))
     ref = _blank_by_difference_array(stream, t0, delta)
-    assert out.dtype == ref.dtype == np.float64
+    assert out.dtype == np.uint8
     np.testing.assert_array_equal(out, ref)
 
 
@@ -399,6 +403,66 @@ def test_measure_intervals_equals_padded_masks(levels):
     sig = np.asarray(levels, dtype=np.float64)
     out = _stats_or_error(measure_intervals, sig)
     assert out == _stats_or_error(_intervals_by_padded_masks, sig)
+
+
+def _intervals_unchunked(signal: np.ndarray) -> IntervalStats:
+    """Reference interval measurement: one full-length mask, every edge, every run."""
+    x = np.asarray(signal) > 0.5
+    inner = np.flatnonzero(x[1:] != x[:-1]) + 1
+    edges = np.concatenate((np.flatnonzero(x[:1]), inner, np.flatnonzero(x[-1:]) + len(x)))
+    if len(edges) < 4:
+        raise InsufficientDataError(
+            f"need at least 2 pulse fronts to measure intervals, found {len(edges) // 2}"
+        )
+    runs = np.diff(edges).astype(np.float64)  # high, low, high, ..., high
+    tau, ell = runs[:-1:2], runs[1::2]
+    return IntervalStats(
+        mean_tau=float(tau.mean()), mean_l=float(ell.mean()), mean_g=float((tau + ell).mean())
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    blocks=st.integers(1, 2),
+    tail=st.integers(0, 3),
+    near=st.lists(st.tuples(st.integers(1, 2), st.integers(-1, 1)), max_size=6),
+    spread=st.lists(st.integers(0, 3 * CHUNK), max_size=20),
+    first_high=st.booleans(),
+    last_high=st.booleans(),
+)
+@example(blocks=1, tail=1, near=[(1, 0)], spread=[2], first_high=True, last_high=False)
+@example(blocks=2, tail=0, near=[(1, -1), (1, 1), (2, 0)], spread=[], first_high=False,
+         last_high=True)
+def test_chunked_scan_equals_the_unchunked_scan(
+    blocks, tail, near, spread, first_high, last_high
+):
+    # edges at block boundaries -1, 0 and +1, anywhere else, and at either end
+    n = blocks * CHUNK + tail
+    toggle = np.zeros(n, dtype=bool)
+    toggle[[b * CHUNK + o for b, o in near if b * CHUNK + o < n]] = True
+    toggle[[i for i in spread if i < n]] = True
+    toggle[0] = first_high
+    levels = np.cumsum(toggle) % 2 == 1
+    levels[-1] = last_high
+    for sig in (levels, levels.astype(np.uint8), np.where(levels, 0.51, 0.5)):
+        out = _stats_or_error(measure_intervals, sig)
+        assert out == _stats_or_error(_intervals_unchunked, sig), sig.dtype
+
+
+@pytest.mark.parametrize("shape", ["alternating", "t0-64"])
+def test_measure_intervals_temporaries_stay_a_few_mb(shape):
+    n = 1 << 24
+    if shape == "alternating":  # an edge at every sample: the most edges a block can hold
+        sig = (np.arange(n) & 1).astype(np.uint8)
+    else:
+        sig = synth_transition_stretch(gen_bits(n // 64, 0.55, seed=3), _transition(t0=64))
+    tracemalloc.start()
+    try:
+        measure_intervals(sig)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, f"{peak / 1e6:.1f} MB for {sig.nbytes / 1e6:.0f} MB of signal"
 
 
 def test_measured_means_approach_closed_forms():

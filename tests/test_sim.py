@@ -246,6 +246,44 @@ def test_periodograms_are_taken_at_the_lattice_rate(monkeypatch):
     assert seen == [(8192, 8192)] * 2
 
 
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        SimConfig(n_symbols=128, n_realizations=1, fft_size=8192, seed=2,
+                  params=_transition(t0=64, delta=2)),  # lattice g = 2
+        SimConfig(n_symbols=128, n_realizations=1, fft_size=8192, seed=2,
+                  params=_transition()),  # g = 1
+        SimConfig(n_symbols=100, n_realizations=1, fft_size=2048, seed=3,
+                  params=_transition(t0=16, delta=2)),  # L = 1600 < N
+        SimConfig(n_symbols=1, n_realizations=1, fft_size=8192, seed=2,
+                  params=_blank(t0=32, delta=4)),  # g = 4
+        SimConfig(n_symbols=1, n_realizations=1, fft_size=8192, seed=2,
+                  params=_blank(t0=33, delta=3, law=BlankLaw.GENERATOR_K_MINUS_ONE_DELTA)),
+    ],
+    ids=["transition-even", "transition-odd", "transition-short", "blank-even", "blank-odd"],
+)
+def test_uint8_realizations_give_the_float64_periodogram_bit_for_bit(cfg):
+    # a 0/1 sum is a whole number in any order, so uint8 and float64 share mean and bits
+    for config in (cfg, pulsepsd.sim._lattice_config(cfg)[0]):
+        for i in range(3):
+            x = synthesize_realization(config, i)
+            assert x.dtype == np.uint8
+            half = _half_bins(x, config.fft_size)
+            xf = x.astype(np.float64)
+            np.testing.assert_array_equal(half, _half_bins(xf, config.fft_size))
+            spec = np.fft.rfft(xf - xf.mean(), n=config.fft_size) / len(xf)
+            np.testing.assert_array_equal(half, spec.real**2 + spec.imag**2)
+
+
+@pytest.mark.parametrize(
+    "params, drawn",
+    [(_transition(t0=16, delta=2), 100), (_blank(t0=16, delta=2), 147)],  # ceil(2048/14)
+)
+def test_estimate_meta_records_the_symbols_each_realization_drew(params, drawn):
+    cfg = SimConfig(n_symbols=100, n_realizations=2, fft_size=2048, seed=1, params=params)
+    assert estimate_psd(cfg, workers=1).meta["symbols_drawn"] == drawn
+
+
 def test_estimate_meta_documents_the_seed_scheme():
     cfg = SimConfig(n_symbols=16, n_realizations=2, fft_size=1024, seed=3, params=_transition())
     meta = estimate_psd(cfg).meta
