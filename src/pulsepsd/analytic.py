@@ -164,10 +164,13 @@ def _harmonic_mask(freqs: np.ndarray, t0: float) -> np.ndarray:
 def _density(grid: FrequencyGrid, keep: np.ndarray, values: np.ndarray) -> SpectrumGrid:
     """A closed form's ``values`` at the ``keep`` points of ``grid``, as a continuous spectrum.
 
-    Float-noise negatives are clamped to zero unless they reach
-    CLAMP_BUDGET of the kept points, which signals a formula error; the
-    dropped frequencies and the clamp count go into meta.
+    A grid with no point kept is refused. Float-noise negatives are
+    clamped to zero unless they reach CLAMP_BUDGET of the kept points,
+    which signals a formula error; the dropped frequencies and the clamp
+    count go into meta.
     """
+    if not keep.any():
+        raise ValueError(f"all {len(keep)} grid points were dropped as near-singular")
     neg = values < 0.0
     n_neg = int(np.count_nonzero(neg))
     if n_neg >= CLAMP_BUDGET * len(values) and n_neg > 0:

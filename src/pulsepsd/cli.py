@@ -11,8 +11,8 @@ normalized to f0 = 1/t0 unless analytic or simulate is given --hz. A
 flat key = value config file can stand in for any flag; explicit flags
 win.
 
-Exit codes: 0 success, 1 usage, validation or file error, 2 numerical
-detection failure.
+Exit codes: 0 success, 1 usage, validation, file or allocation error, 2
+numerical detection failure.
 """
 
 from __future__ import annotations
@@ -475,7 +475,7 @@ def main(argv: list[str] | None = None) -> int:
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             outputs, extra = args.func(args)
         _manifest(args, args.command, outputs, extra, started)
-    except (CliUsageError, ValueError, OSError) as err:
+    except (CliUsageError, ValueError, OSError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except (NearSingularError, RuntimeError) as err:  # PeakDetectionError is a RuntimeError

@@ -9,9 +9,10 @@ a sequence of high and low runs:
 * blank-shorten: a "one" is a high run of ``t0``, a "zero" a low run of
   ``t0 - delta``, or ``t0 - 2 delta`` right after a "one" under the paper law.
 
-Synthesis repeats uint8 0/1 levels over these runs, one byte per sample,
-:func:`measure_intervals` reads them back from the edges one fixed block at a
-time, and all randomness flows through :func:`gen_bits`.
+Synthesis repeats uint8 0/1 levels over these runs, one byte per sample;
+:func:`measure_intervals` counts high samples and edges one fixed block at a
+time and reads edge positions from at most three blocks; all randomness
+flows through :func:`gen_bits`.
 """
 
 from __future__ import annotations
@@ -198,48 +199,65 @@ def interval_stats(params: TrainParams) -> IntervalStats:
     return IntervalStats(mean_tau=mean_tau, mean_l=mean_l, mean_g=mean_tau + mean_l)
 
 
+def _last_edge(s: np.ndarray, start: int, cut: float, rise: bool) -> int:
+    """Position of the last rise (or fall) in the block at ``start``, known to hold one."""
+    x = s[start : start + _CHUNK_SAMPLES] > cut
+    edges = x[1:] > x[:-1] if rise else x[1:] < x[:-1]
+    if not edges.any():  # the edge is the block's first sample, against the level before it
+        return start
+    return start + len(edges) - int(np.argmax(edges[::-1]))
+
+
 def measure_intervals(signal: np.ndarray) -> IntervalStats:
     """Empirical interval means from one realization.
 
-    Samples above 0.5 are high. Uses complete duration/gap pairs only
-    (front i to front i+1); the line is taken as low around the signal, so
-    edges alternate rise, fall. Raises :class:`InsufficientDataError` when
-    fewer than 2 pulse fronts exist.
+    Samples above 0.5 are high; bool and integer samples are thresholded
+    as > 0, which selects the same ones without a float cast. Uses
+    complete duration/gap pairs only (front i to front i+1); the line is
+    taken as low around the signal, so edges alternate rise, fall. Raises
+    :class:`InsufficientDataError` when fewer than 2 pulse fronts exist.
 
     With rises r_0 < ... < r_m and falls f_0 < ... < f_m the pairs are
     (f_i - r_i, r_(i+1) - f_i) for i < m, so their sums telescope: the
     durations add up to the high samples less the last pulse, f_m - r_m,
-    and duration plus gap to r_m - r_0. The scan keeps only those counts
-    and edges, reading one block of _CHUNK_SAMPLES at a time, each led by
-    the last sample of the one before, so its temporaries stay a few MB
-    for any signal length. Every sum is a whole number, so the means are
-    the correctly rounded quotients a scan over all the runs would give.
+    and duration plus gap to r_m - r_0. The scan counts high samples and
+    rises in one block of _CHUNK_SAMPLES at a time, a block's falls being
+    its rises plus the level before it less its last level, and reads edge
+    positions from at most three blocks: r_0 from the first block with a
+    rise, r_m and f_m from the last ones, scanned again after the pass. Its
+    temporaries stay a few MB for any signal length. Every sum is a whole
+    number, so the means are the correctly rounded quotients a scan over
+    all the runs would give.
     """
     s = np.asarray(signal)
     if s.ndim != 1:
         raise ValueError(f"signal must be a 1-D array, got shape {s.shape}")
+    cut = 0 if s.dtype.kind in "biu" else 0.5
     high = fronts = 0
-    first_rise = last_rise = last_fall = 0
-    prev = np.zeros(1, dtype=bool)  # the line is low before the signal
+    first_rise = rise_block = fall_block = 0
+    level = False  # the line is low before the signal
     for start in range(0, len(s), _CHUNK_SAMPLES):
-        x = np.concatenate((prev, s[start : start + _CHUNK_SAMPLES] > 0.5))
-        high += int(np.count_nonzero(x[1:]))
-        rises = np.flatnonzero(x[1:] > x[:-1]) + start
-        falls = np.flatnonzero(x[1:] < x[:-1]) + start
-        if len(rises):
+        x = s[start : start + _CHUNK_SAMPLES] > cut
+        head = bool(x[0]) and not level
+        inner = x[1:] > x[:-1]
+        rises = int(np.count_nonzero(inner)) + head
+        high += int(np.count_nonzero(x))
+        if rises:
             if not fronts:
-                first_rise = int(rises[0])
-            last_rise = int(rises[-1])
-            fronts += len(rises)
-        if len(falls):
-            last_fall = int(falls[-1])
-        prev = x[-1:]
-    if prev[0]:  # the line falls after the signal
-        last_fall = len(s)
+                first_rise = start if head else start + 1 + int(np.argmax(inner))
+            fronts += rises
+            rise_block = start
+        tail = bool(x[-1])
+        if rises + level - tail:  # the block's falls
+            fall_block = start
+        level = tail
     if fronts < 2:
         raise InsufficientDataError(
             f"need at least 2 pulse fronts to measure intervals, found {fronts}"
         )
+    last_rise = _last_edge(s, rise_block, cut, rise=True)
+    # a signal that ends high falls at its end, where the line goes low
+    last_fall = len(s) if level else _last_edge(s, fall_block, cut, rise=False)
     pairs = fronts - 1
     tau = high - (last_fall - last_rise)
     g = last_rise - first_rise

@@ -618,8 +618,11 @@ def test_analytic_scale_outside_zero_to_inf_exits_one(tmp_path, capsys, model):
          ["--scale 1e+308 overflows", "peak is 15.7896"]),
         (["--model", "transition", "--t0", "64", "--fmax-norm", "1e-300"],
          ["--fmax-norm 1e-300", "--points 4096", "f/f0 = 1.2207e-304", "must be finite"]),
+        (["--model", "blank", "--t0", "64", "--delta", "3", "--fmax-norm", "1e-300",
+          "--scale", "1"],
+         ["--fmax-norm 1e-300", "--points 20001", "all 20001 grid points"]),
     ],
-    ids=["overflowing-scale", "vanishing-grid"],
+    ids=["overflowing-scale", "vanishing-grid", "emptied-grid"],
 )
 def test_non_finite_spectra_exit_one_with_one_line_and_no_warning(tmp_path, capsys, argv, cause):
     with warnings.catch_warnings(record=True) as caught:
@@ -629,6 +632,15 @@ def test_non_finite_spectra_exit_one_with_one_line_and_no_warning(tmp_path, caps
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert all(part in err for part in cause), err
+    assert not any((tmp_path / "x").glob("*.csv"))
+
+
+def test_an_unallocatable_grid_exits_one_with_one_line(tmp_path, capsys):
+    # numpy refuses the 7.28 TiB grid at once, so no memory is committed
+    argv = ["analytic", "--model", "transition", "--t0", "64", "--points", "1000000000000"]
+    assert main(argv + ["--out-dir", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "allocate" in err, err
     assert not any((tmp_path / "x").glob("*.csv"))
 
 

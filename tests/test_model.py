@@ -429,12 +429,14 @@ def _intervals_unchunked(signal: np.ndarray) -> IntervalStats:
     spread=st.lists(st.integers(0, 3 * CHUNK), max_size=20),
     first_high=st.booleans(),
     last_high=st.booleans(),
+    int_levels=st.tuples(st.sampled_from([-3, 0]), st.sampled_from([1, 7])),
 )
-@example(blocks=1, tail=1, near=[(1, 0)], spread=[2], first_high=True, last_high=False)
+@example(blocks=1, tail=1, near=[(1, 0)], spread=[2], first_high=True, last_high=False,
+         int_levels=(-3, 7))
 @example(blocks=2, tail=0, near=[(1, -1), (1, 1), (2, 0)], spread=[], first_high=False,
-         last_high=True)
+         last_high=True, int_levels=(0, 1))
 def test_chunked_scan_equals_the_unchunked_scan(
-    blocks, tail, near, spread, first_high, last_high
+    blocks, tail, near, spread, first_high, last_high, int_levels
 ):
     # edges at block boundaries -1, 0 and +1, anywhere else, and at either end
     n = blocks * CHUNK + tail
@@ -444,9 +446,46 @@ def test_chunked_scan_equals_the_unchunked_scan(
     toggle[0] = first_high
     levels = np.cumsum(toggle) % 2 == 1
     levels[-1] = last_high
-    for sig in (levels, levels.astype(np.uint8), np.where(levels, 0.51, 0.5)):
+    low, high = int_levels  # integer samples are thresholded as > 0, the reference as > 0.5
+    for sig in (
+        levels,
+        levels.astype(np.uint8),
+        np.where(levels, 0.51, 0.5),
+        np.where(levels, high, low).astype(np.int8),
+        np.where(levels, high, low).astype(np.int64),
+    ):
         out = _stats_or_error(measure_intervals, sig)
         assert out == _stats_or_error(_intervals_unchunked, sig), sig.dtype
+
+
+def _pulses(n: int, spans) -> np.ndarray:
+    sig = np.zeros(n, dtype=np.uint8)
+    for rise, fall in spans:
+        sig[rise:fall] = 1
+    return sig
+
+
+@pytest.mark.parametrize(
+    "spans, expected",
+    [
+        # last rise and last fall in block 1 of 5, then a low tail
+        ([(10, 20), (CHUNK - 3, CHUNK + 4), (CHUNK + 100, 2 * CHUNK - 7)],
+         IntervalStats(mean_tau=8.5, mean_l=(CHUNK + 73) / 2, mean_g=(CHUNK + 90) / 2)),
+        # the same pulses, then a rise in block 1 whose high tail runs to the end
+        ([(10, 20), (CHUNK - 3, CHUNK + 4), (CHUNK + 100, 2 * CHUNK - 7), (2 * CHUNK - 2, None)],
+         IntervalStats(mean_tau=(CHUNK - 90) / 3, mean_l=(CHUNK + 78) / 3,
+                       mean_g=(2 * CHUNK - 12) / 3)),
+        # every edge in the last, partial block
+        ([(4 * CHUNK + 5, 4 * CHUNK + 9), (4 * CHUNK + 20, 4 * CHUNK + 21)],
+         IntervalStats(mean_tau=4.0, mean_l=11.0, mean_g=15.0)),
+    ],
+    ids=["low-tail", "high-tail", "first-rise-in-last-block"],
+)
+def test_edges_far_from_the_end_or_only_in_the_last_block(spans, expected):
+    n = 4 * CHUNK + 30
+    for sig in (_pulses(n, spans), _pulses(n, spans).astype(np.float64)):
+        out = measure_intervals(sig)
+        assert out == expected == _intervals_unchunked(sig), sig.dtype
 
 
 @pytest.mark.parametrize("shape", ["alternating", "t0-64"])
@@ -462,7 +501,7 @@ def test_measure_intervals_temporaries_stay_a_few_mb(shape):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8e6, f"{peak / 1e6:.1f} MB for {sig.nbytes / 1e6:.0f} MB of signal"
+    assert peak < 2e6, f"{peak / 1e6:.1f} MB for {sig.nbytes / 1e6:.0f} MB of signal"
 
 
 def test_measured_means_approach_closed_forms():
