@@ -2,11 +2,13 @@
 
 Every command is pure with respect to its flags and seed; rerunning
 writes byte-identical data files. Each run also writes a manifest JSON
-recording the flags, the produced files, and the wall clock, which is
+recording the flags, the produced files, the wall clock and the
+environment (cores, numpy and Python versions, peak RSS), which is
 enough to reproduce the run; simulate and compare add the estimator
-config they resolved, the worker count they used and the lattice their
-periodograms were taken at, analytic and compare the frequencies the
-closed form dropped and the points it clamped. Output frequencies are
+config they resolved, the worker count they used, the lattice and the
+transform size their periodograms were taken at, analytic and compare
+the frequencies the closed form dropped and the points it clamped, and
+analytic the factor each data file carries. Output frequencies are
 normalized to f0 = 1/t0 unless analytic or simulate is given --hz. A
 flat key = value config file can stand in for any flag; explicit flags
 win.
@@ -51,6 +53,7 @@ from .io import (
 from .model import BlankLaw, TrainParams, Variant
 from .peaks import (
     SWEEP_SPAN,
+    _second_lobe_max,
     linear_fit,
     normalize_second_lobe,
     sweep_delta,
@@ -242,6 +245,20 @@ def _diagnostics(spectrum: SpectrumGrid) -> dict:
     return {key: spectrum.meta[key] for key in ("dropped_freqs", "clamped_points")}
 
 
+def _environment() -> dict:
+    """Cores, numpy and Python versions, and this process's peak resident set so far."""
+    import os
+    import resource  # here, not at module import: importing the CLI stays as cheap as it was
+
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux, bytes on macOS
+    return {
+        "cpu_count": os.cpu_count(),
+        "numpy": np.__version__,
+        "python": ".".join(map(str, sys.version_info[:3])),
+        "peak_rss_mb": round(rss / (2**20 if sys.platform == "darwin" else 2**10), 3),
+    }
+
+
 def _manifest(args, command: str, outputs: list[Path], extra: dict, started: float) -> None:
     params = {
         key.replace("_", "-"): str(value) if isinstance(value, Path) else value
@@ -256,6 +273,7 @@ def _manifest(args, command: str, outputs: list[Path], extra: dict, started: flo
         "params": params,
         "outputs": [p.name for p in outputs],
         "duration_s": round(time.perf_counter() - started, 6),
+        "environment": _environment(),
         **extra,
     }
     write_json(args.out_dir / f"{command.replace('-', '_')}_manifest.json", payload)
@@ -289,6 +307,8 @@ def cmd_analytic(args) -> tuple[list[Path], dict]:
             f"the closed form fails on the grid of --fmax-norm {fmax_norm!r} and --points "
             f"{points}, whose lowest point is f/f0 = {grid.values[0] * t0:.6g}: {err}"
         ) from None
+    # the factor each data file's psd carries: lines stay unit-amplitude
+    scale = {spectrum_path.name: 1.0}
     if args.scale is not None:
         try:
             spectrum = replace(spectrum, psd=spectrum.psd * args.scale)
@@ -297,7 +317,9 @@ def cmd_analytic(args) -> tuple[list[Path], dict]:
                 f"--scale {args.scale!r} overflows the spectrum, whose peak is "
                 f"{spectrum.psd.max():.6g}"
             ) from None
+        scale[spectrum_path.name] = args.scale
     elif blank:
+        scale[spectrum_path.name] = 1.0 / _second_lobe_max(spectrum, t0)
         spectrum = normalize_second_lobe(spectrum, t0)
     if not blank:
         k_in_span = int(np.floor(grid.values[-1] * t0))
@@ -305,12 +327,13 @@ def cmd_analytic(args) -> tuple[list[Path], dict]:
         lines_path = args.out_dir / "analytic_lines.csv"
         write_lines_csv(lines_path, discrete_lines_transition(k_max, params), t0, hz=args.hz)
         outputs.append(lines_path)
+        scale[lines_path.name] = 1.0
     write_spectrum_csv(spectrum_path, spectrum, t0, hz=args.hz)
     if args.svg:
         svg_path = args.out_dir / "analytic_spectrum.svg"
         _svg_of_spectrum(svg_path, spectrum, t0, args.hz, f"analytic {args.model} PSD")
         outputs.append(svg_path)
-    return outputs, {"diagnostics": _diagnostics(spectrum)}
+    return outputs, {"diagnostics": _diagnostics(spectrum), "scale": scale}
 
 
 def cmd_simulate(args) -> tuple[list[Path], dict]:

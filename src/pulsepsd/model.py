@@ -9,10 +9,12 @@ a sequence of high and low runs:
 * blank-shorten: a "one" is a high run of ``t0``, a "zero" a low run of
   ``t0 - delta``, or ``t0 - 2 delta`` right after a "one" under the paper law.
 
-Synthesis repeats uint8 0/1 levels over these runs, one byte per sample;
-:func:`measure_intervals` counts high samples and edges one fixed block at a
-time and reads edge positions from at most three blocks; all randomness
-flows through :func:`gen_bits`.
+Synthesis writes uint8 0/1 levels, one byte per sample: a transition
+symbol is one of three fixed ``t0``-sample rows (a "zero", a "one", a
+"zero" after a "one"), looked up by symbol code; blank-shorten repeats
+levels over its runs. :func:`measure_intervals` counts high samples and
+edges one fixed block at a time and reads edge positions from at most
+three blocks; all randomness flows through :func:`gen_bits`.
 """
 
 from __future__ import annotations
@@ -37,6 +39,8 @@ __all__ = [
 
 # samples per block of the measure_intervals edge scan; bounds its temporaries
 _CHUNK_SAMPLES = 1 << 18
+# symbols per block of transition synthesis; bounds its intp index copy
+_CHUNK_SYMBOLS = 1 << 16
 
 
 class Variant(enum.Enum):
@@ -151,23 +155,41 @@ def gen_bits(n_symbols: int, prob_one: float, seed) -> np.ndarray:
     return (rng.random(n_symbols) < prob_one).astype(np.uint8)
 
 
+def _transition_rows(params: TrainParams) -> np.ndarray:
+    """The three transition-stretch symbols as a (3, t0) uint8 table, indexed by symbol code.
+
+    Row 0 is a "zero", row 1 a "one", row 2 a "zero" right after a "one":
+    ``delta`` high samples, then low.
+    """
+    rows = np.zeros((3, params.t0), dtype=np.uint8)
+    rows[1] = 1
+    rows[2, : whole_sample_delta(params)] = 1
+    return rows
+
+
+def _transition_codes(bits: np.ndarray) -> np.ndarray:
+    """Symbol codes of a bit stream: the bit, or 2 for a "zero" right after a "one"."""
+    b = np.asarray(bits, dtype=bool)
+    codes = b.astype(np.uint8)
+    codes[1:][b[:-1] & ~b[1:]] = 2
+    return codes
+
+
 def synth_transition_stretch(bits: np.ndarray, params: TrainParams) -> np.ndarray:
-    """Expand a bit stream into transition-stretch samples, run by run.
+    """Expand a bit stream into transition-stretch samples, one symbol row per bit.
 
     Samples are uint8 levels in {0, 1}. The stream is taken to follow a
     "zero", so a leading "zero" is never stretched and output length is
     exactly ``len(bits) * t0``.
     """
     require_variant(params, Variant.TRANSITION_STRETCH)
-    b = np.asarray(bits, dtype=bool)
-    t0, delta = params.t0, whole_sample_delta(params)
-    runs = np.empty((len(b), 2), dtype=np.intp)  # per symbol: high run, low run
-    runs[:, 0] = t0 * b
-    runs[1:, 0] += delta * (b[:-1] & ~b[1:])
-    runs[:, 1] = t0 - runs[:, 0]
-    levels = np.zeros(runs.shape, dtype=np.uint8)
-    levels[:, 0] = 1
-    return np.repeat(levels.reshape(-1), runs.reshape(-1))
+    rows, codes = _transition_rows(params), _transition_codes(bits)
+    out = np.empty((len(codes), params.t0), dtype=np.uint8)
+    # take casts its indices to intp, so a block at a time; "clip" writes out unbuffered
+    for start in range(0, len(codes), _CHUNK_SYMBOLS):
+        block = slice(start, start + _CHUNK_SYMBOLS)
+        rows.take(codes[block], axis=0, out=out[block], mode="clip")
+    return out.reshape(-1)
 
 
 def synth_blank_shorten(bits: np.ndarray, params: TrainParams) -> np.ndarray:

@@ -164,6 +164,11 @@ def normalize_second_lobe(spectrum: SpectrumGrid, t0: float) -> SpectrumGrid:
     independent of peak detection, so it also applies to spectra without
     any isolated peak.
     """
+    return dataclasses.replace(spectrum, psd=spectrum.psd / _second_lobe_max(spectrum, t0))
+
+
+def _second_lobe_max(spectrum: SpectrumGrid, t0: float) -> float:
+    """The maximum in NORMALIZE_WINDOW, which :func:`normalize_second_lobe` divides by."""
     x = spectrum.freqs * t0
     sel = (x >= NORMALIZE_WINDOW[0]) & (x <= NORMALIZE_WINDOW[1])
     if not np.any(sel):
@@ -171,7 +176,7 @@ def normalize_second_lobe(spectrum: SpectrumGrid, t0: float) -> SpectrumGrid:
     ref = float(np.max(spectrum.psd[sel]))
     if ref <= 0.0:
         raise ValueError("second-lobe maximum is not positive; cannot normalize")
-    return dataclasses.replace(spectrum, psd=spectrum.psd / ref)
+    return ref
 
 
 def default_sweep_grid(t0: float) -> FrequencyGrid:

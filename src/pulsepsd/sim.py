@@ -24,6 +24,28 @@ with N = fft_size, L' = L/g and j = k mod M folded into 0 .. M/2
 hold's nulls, k a nonzero multiple of M, are exactly 0. For odd
 gcd(t0, delta), g = 1 and this is the direct transform.
 
+A transition-stretch symbol is t0 samples holding one of three rows
+(:mod:`pulsepsd.model`), so when t0 divides fft_size the estimator
+transforms the symbol sequence instead of the samples, as the spectrum of
+a random pulse train factors into pulse shape and symbol sequence
+(Papoulis, Probability, Random Variables and Stochastic Processes). With
+u the first delta samples of a "one" and v the rest, which are disjoint,
+sample r of symbol m less the mean mu is h_m u_r + o_m v_r, where
+h_m = [symbol m is not a plain "zero"] - mu and o_m = [symbol m is a
+"one"] - mu; then, on the reduced signal,
+
+    X_k = U_k H_j + V_k O_j,    j = k mod P, P = fft_size/t0
+
+with U and V the M-point transforms of u and v and H and O the P-point
+transforms of h and o. The mean of |X_k|^2 needs only the sums of
+|H_j|^2, |O_j|^2 and H_j conj(O_j) over realizations: one P-point
+transform of two sequences per realization, and one combination per
+estimate. The disjoint pair keeps the expansion free of cancellation, so
+the estimate is the sample transform's to rounding (1e-12 relative, or
+1e-15 of the largest bin). Blank-shorten configs, transition configs
+whose t0 does not divide fft_size, and those whose lattice g is t0 itself
+(delta = 0), where a symbol is one reduced sample, transform samples.
+
 Realization i of a run with seed s draws its bits from
 ``numpy.random.SeedSequence((s, i))``. That scheme is part of the public
 contract: estimates are bit-identical for a given config regardless of
@@ -49,6 +71,8 @@ from .io import db10
 from .model import (
     TrainParams,
     Variant,
+    _transition_codes,
+    _transition_rows,
     gen_bits,
     synth_blank_shorten,
     synth_transition_stretch,
@@ -64,6 +88,9 @@ __all__ = [
 
 THREADS_ENV = "PULSEPSD_THREADS"
 _BLOCK = 32
+# symbol-path transform points per rfft call: a whole block of short
+# transforms in one call, long ones one realization at a time
+_BATCH_POINTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -139,6 +166,11 @@ def _symbols_drawn(config: SimConfig) -> int:
     return math.ceil(config.fft_size / (params.t0 - params.delta))
 
 
+def _realization_bits(config: SimConfig, index: int) -> np.ndarray:
+    """The bits of realization ``index``, drawn from SeedSequence((seed, index))."""
+    return gen_bits(_symbols_drawn(config), config.params.prob_one, (config.seed, index))
+
+
 def synthesize_realization(config: SimConfig, index: int) -> np.ndarray:
     """The signal realization at this index, whose periodogram the estimator computes.
 
@@ -148,7 +180,7 @@ def synthesize_realization(config: SimConfig, index: int) -> np.ndarray:
     signal is that one with every sample held for g samples.
     """
     params = config.params
-    bits = gen_bits(_symbols_drawn(config), params.prob_one, (config.seed, index))
+    bits = _realization_bits(config, index)
     if params.variant is Variant.TRANSITION_STRETCH:
         return synth_transition_stretch(bits, params)
     # blank-shorten: truncate so every realization shares L
@@ -191,6 +223,65 @@ def _block_sum(config: SimConfig, start: int, stop: int) -> np.ndarray:
     return acc
 
 
+def _takes_symbol_path(config: SimConfig) -> bool:
+    """Whether the estimator transforms symbol sequences: transition, 1 < t0 dividing fft_size.
+
+    At t0 = 1 the symbol sequences are as long as the samples, and two
+    transforms cost more than one.
+    """
+    params = config.params
+    return (
+        params.variant is Variant.TRANSITION_STRETCH
+        and params.t0 > 1
+        and config.fft_size % params.t0 == 0
+    )
+
+
+def _symbol_block_sum(config: SimConfig, start: int, stop: int) -> np.ndarray:
+    """Sums of |H_j|^2, |O_j|^2 and H_j conj(O_j), j = 0 .. P/2, over these realizations.
+
+    H and O are the P = fft_size/t0 point transforms of h_m = [code != 0]
+    - mean and o_m = [code 1] - mean (module docstring). The mean is the
+    sum of the samples over L, in integers, as :func:`_half_bins` takes it.
+    """
+    params = config.params
+    t0, delta = params.t0, whole_sample_delta(params)
+    size = config.fft_size // t0
+    step = max(1, _BATCH_POINTS // size)
+    acc = np.zeros((3, size // 2 + 1), dtype=complex)
+    for first in range(start, stop, step):
+        indices = range(first, min(first + step, stop))
+        codes = np.stack([_transition_codes(_realization_bits(config, i)) for i in indices])
+        high, ones = codes != 0, codes == 1
+        n_ones = np.count_nonzero(ones, axis=1)
+        mean = (t0 * n_ones + delta * (np.count_nonzero(high, axis=1) - n_ones)) / (
+            config.n_symbols * t0
+        )
+        seq = np.stack((high, ones), axis=1) - mean[:, None, None]
+        h, o = np.moveaxis(np.fft.rfft(seq, n=size), 1, 0)
+        acc[0] += (h.real**2 + h.imag**2).sum(axis=0)
+        acc[1] += (o.real**2 + o.imag**2).sum(axis=0)
+        acc[2] += (h * o.conj()).sum(axis=0)
+    return acc
+
+
+def _symbol_bins(config: SimConfig, sums: np.ndarray) -> np.ndarray:
+    """Summed |X_k / L|^2, k = 0 .. fft_size/2, from :func:`_symbol_block_sum` sums."""
+    params = config.params
+    rows = _transition_rows(params)
+    # the head (delta high samples) and the tail of a "one": disjoint, so nothing cancels
+    u, v = np.fft.rfft(np.stack((rows[2], rows[1] - rows[2])), n=config.fft_size)
+    size = config.fft_size // params.t0
+    j = np.arange(config.fft_size // 2 + 1) % size
+    s = sums[:, np.minimum(j, size - j)]
+    fold = size - j < j
+    s[2, fold] = s[2, fold].conj()  # H_(P-j) conj(O_(P-j)) = conj(H_j conj(O_j))
+    cross = (u * v.conj() * s[2]).real
+    length = config.n_symbols * params.t0
+    return ((u.real**2 + u.imag**2) * s[0].real + (v.real**2 + v.imag**2) * s[1].real
+            + 2.0 * cross) / length**2
+
+
 def resolve_workers(requested: int | None = None) -> int:
     """Worker count for block evaluation; PULSEPSD_THREADS caps it.
 
@@ -218,28 +309,35 @@ def estimate_psd(config: SimConfig, workers: int | None = None) -> SpectrumGrid:
     The periodograms are taken at the lattice rate, fft_size/g points
     each, and expanded with the hold response once (module docstring);
     ``meta["lattice"]`` records g and ``meta["symbols_drawn"]`` the bits
-    each realization drew. Blocks of 32 realizations are
+    each realization drew. A transition config whose t0 divides fft_size
+    and exceeds g transforms symbol sequences instead (module docstring);
+    ``meta["transform_points"]`` records the points of each realization's
+    transform, fft_size/t0 or fft_size/g. Blocks of 32 realizations are
     evaluated (possibly in parallel) and their partial sums added in
     index order, so the result is bit-identical for any worker count.
     ``meta["workers"]`` records how many workers actually ran: the
     request, capped by PULSEPSD_THREADS and by the block count.
     """
     reduced, g = _lattice_config(config)
+    symbols = _takes_symbol_path(reduced)
+    block_sum = _symbol_block_sum if symbols else _block_sum
     blocks = [
         (start, min(start + _BLOCK, config.n_realizations))
         for start in range(0, config.n_realizations, _BLOCK)
     ]
     n_workers = min(resolve_workers(workers), len(blocks))
     if n_workers <= 1:
-        partials = [_block_sum(reduced, a, b) for a, b in blocks]
+        partials = [block_sum(reduced, a, b) for a, b in blocks]
     else:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            partials = list(pool.map(lambda ab: _block_sum(reduced, *ab), blocks))
-    m = reduced.fft_size
-    total = np.zeros(m // 2 + 1)
+            partials = list(pool.map(lambda ab: block_sum(reduced, *ab), blocks))
+    total = np.zeros_like(partials[0])
     for part in partials:
         total += part
+    if symbols:
+        total = _symbol_bins(reduced, total)
     mean = total / config.n_realizations
+    m = reduced.fft_size
     j = np.arange(1, config.fft_size // 2 + 1) % m
     psd = mean[np.minimum(j, m - j)] * _hold_response(config.fft_size, g)
     meta = {
@@ -252,6 +350,7 @@ def estimate_psd(config: SimConfig, workers: int | None = None) -> SpectrumGrid:
         "seed_scheme": "SeedSequence((seed, realization_index))",
         "workers": n_workers,
         "lattice": g,
+        "transform_points": config.fft_size // (config.params.t0 if symbols else g),
     }
     return SpectrumGrid(grid=FrequencyGrid.fft_bins(config.fft_size), psd=psd, meta=meta)
 

@@ -337,7 +337,7 @@ def test_every_producer_keeps_only_the_meta_keys_that_are_read():
     cfg = SimConfig(n_symbols=16, n_realizations=2, fft_size=1024, seed=3, params=_params())
     assert set(estimate_psd(cfg, workers=1).meta) == {
         "kind", "fft_size", "n_symbols", "symbols_drawn", "n_realizations", "seed",
-        "seed_scheme", "workers", "lattice",
+        "seed_scheme", "workers", "lattice", "transform_points",
     }
 
 

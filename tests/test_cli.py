@@ -2,6 +2,7 @@
 
 import csv
 import json
+import sys
 import warnings
 
 import numpy as np
@@ -137,6 +138,29 @@ def test_analytic_scale_multiplies_the_written_spectrum_bit_for_bit(tmp_path, mo
     np.testing.assert_array_equal(scaled[:, 1], float(scale) * unscaled[:, 1])
 
 
+def test_analytic_manifest_records_the_scale_of_each_data_file(tmp_path):
+    # --scale multiplies the spectrum, never the lines, which stay unit-amplitude
+    transition = ["analytic", "--model", "transition", "--t0", "64", "--delta", "3"]
+    assert main(transition + ["--scale", "0.25", "--out-dir", str(tmp_path / "scaled")]) == 0
+    scale = _load(tmp_path / "scaled" / "analytic_manifest.json")["scale"]
+    assert scale == {"analytic_spectrum.csv": 0.25, "analytic_lines.csv": 1.0}
+    assert main(transition + ["--out-dir", str(tmp_path / "unscaled")]) == 0
+    lines = "analytic_lines.csv"
+    assert (tmp_path / "scaled" / lines).read_bytes() == (tmp_path / "unscaled" / lines).read_bytes()
+    unscaled = _load(tmp_path / "unscaled" / "analytic_manifest.json")["scale"]
+    assert unscaled == {"analytic_spectrum.csv": 1.0, "analytic_lines.csv": 1.0}
+    # blank without --scale is divided by its second-lobe maximum
+    blank = ["analytic", "--model", "blank", "--t0", "100", "--delta", "10"]
+    assert main(blank + ["--out-dir", str(tmp_path / "normed")]) == 0
+    assert main(blank + ["--scale", "1", "--out-dir", str(tmp_path / "raw")]) == 0
+    (factor,) = _load(tmp_path / "normed" / "analytic_manifest.json")["scale"].values()
+    raw, normed = (
+        np.array([float(r[1]) for r in _read_csv(tmp_path / d / "analytic_spectrum.csv")[1:]])
+        for d in ("raw", "normed")
+    )
+    np.testing.assert_allclose(normed, raw * factor, rtol=1e-15)
+
+
 # --- simulate subcommand ---
 
 
@@ -200,8 +224,35 @@ def test_manifest_records_the_resolved_config_and_workers_used(tmp_path, monkeyp
         "seed": 5,
         "seed_scheme": "SeedSequence((seed, realization_index))",
         "workers": 2,
-        "lattice": 2,  # gcd(16, 2) = 2: each periodogram is taken on 1024 points
+        "lattice": 2,  # gcd(16, 2) = 2
+        # 16 divides 2048: each realization's symbol sequences are transformed on 128 points
+        "transform_points": 128,
     }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analytic", "--model", "transition", "--t0", "64", "--delta", "3", "--p", "0.55"],
+        ["simulate", "--model", "transition", "--t0", "16", "--delta", "2", "--fft", "2048",
+         "--realizations", "40", "--seed", "3"],
+    ],
+    ids=["analytic", "simulate"],
+)
+def test_manifest_records_the_environment_and_data_files_repeat_byte_for_byte(tmp_path, argv):
+    runs = [tmp_path / "first", tmp_path / "second"]
+    for out in runs:
+        assert main(argv + ["--out-dir", str(out)]) == 0
+    manifest = f"{argv[0]}_manifest.json"
+    environment = _load(runs[0] / manifest)["environment"]
+    assert set(environment) == {"cpu_count", "numpy", "python", "peak_rss_mb"}
+    assert environment["numpy"] == np.__version__
+    assert environment["python"] == "{}.{}.{}".format(*sys.version_info[:3])
+    assert environment["peak_rss_mb"] > 0.0
+    outputs = _load(runs[0] / manifest)["outputs"]
+    assert outputs == _load(runs[1] / manifest)["outputs"] and outputs
+    for name in outputs:
+        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
 
 
 # --- compare subcommand ---

@@ -184,20 +184,41 @@ def _transition_by_matrix(bits: np.ndarray, t0: int, delta: int) -> np.ndarray:
 @settings(max_examples=200, deadline=None)
 @given(
     bits=st.lists(st.integers(0, 1), min_size=1, max_size=200),
-    t0=st.integers(1, 40),
-    delta=st.integers(0, 39),
+    t0=st.integers(1, 300),
+    delta=st.integers(0, 299),
 )
 @example(bits=[1], t0=4, delta=3)
 @example(bits=[0], t0=4, delta=3)
 @example(bits=[1, 0, 1, 1, 0, 0, 1], t0=5, delta=0)
 @example(bits=[0, 1, 0, 0, 1, 1], t0=3, delta=2)
-def test_transition_run_length_synthesis_equals_matrix(bits, t0, delta):
+@example(bits=[1, 0, 0, 1, 0], t0=300, delta=299)
+def test_transition_row_lookup_synthesis_equals_matrix(bits, t0, delta):
     assume(delta < t0)
     stream = _stream(bits)
     out = synth_transition_stretch(stream, _transition(t0=t0, delta=delta))
     ref = _transition_by_matrix(stream, t0, delta)
     assert out.dtype == np.uint8
     np.testing.assert_array_equal(out, ref)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+def test_transition_synthesis_across_symbol_blocks(monkeypatch, chunk):
+    # a stretched zero at a block's first symbol follows a one in the block before
+    monkeypatch.setattr(pulsepsd.model, "_CHUNK_SYMBOLS", chunk)
+    stream = _stream([1, 0, 1, 1, 0, 0, 1, 0, 1, 0, 0, 0, 1, 1, 1, 0, 1, 0])
+    out = synth_transition_stretch(stream, _transition(t0=5, delta=2))
+    np.testing.assert_array_equal(out, _transition_by_matrix(stream, 5, 2))
+
+
+def test_transition_synthesis_peak_memory_is_the_output_and_a_few_mb():
+    # 64 MB of samples; a per-symbol (n, 2) intp run array and np.repeat peaked at 83 MB
+    tracemalloc.start()
+    try:
+        synth_transition_stretch(gen_bits(1_000_000, 0.55, seed=3), _transition(t0=64))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 70e6, f"{peak / 1e6:.1f} MB"
 
 
 def test_transition_rejects_blank_params():

@@ -150,13 +150,55 @@ def test_different_master_seeds_give_different_realizations():
 # --- ensemble averaging ---
 
 
+def _manual_mean(cfg: SimConfig) -> np.ndarray:
+    """The mean two-sided periodogram of the config's realizations, bins 1 .. fft_size/2."""
+    acc = np.zeros(cfg.fft_size)
+    for i in range(cfg.n_realizations):
+        acc += periodogram_bins(synthesize_realization(cfg, i), cfg.fft_size)
+    return (acc / cfg.n_realizations)[1 : cfg.fft_size // 2 + 1]
+
+
 def test_estimate_equals_manual_periodogram_mean():
-    cfg = SimConfig(n_symbols=32, n_realizations=8, fft_size=2048, seed=9, params=_transition())
+    # t0 = 48 does not divide 2048, so the estimator transforms the samples: bit for bit
+    cfg = SimConfig(n_symbols=32, n_realizations=8, fft_size=2048, seed=9,
+                    params=_transition(t0=48))
     est = estimate_psd(cfg)
-    acc = np.zeros(2048)
-    for i in range(8):
-        acc += periodogram_bins(synthesize_realization(cfg, i), 2048)
-    np.testing.assert_array_equal(est.psd, (acc / 8.0)[1:1025])
+    assert est.meta["transform_points"] == 2048
+    np.testing.assert_array_equal(est.psd, _manual_mean(cfg))
+    # t0 = 64 divides it: the symbol path, equal to rounding
+    cfg = replace(cfg, params=_transition())
+    est = estimate_psd(cfg)
+    assert est.meta["transform_points"] == 32
+    manual = _manual_mean(cfg)
+    np.testing.assert_allclose(est.psd, manual, rtol=1e-12, atol=1e-15 * manual.max())
+
+
+def _symbol_path_cases():
+    cases = []
+    for t0 in (1, 2, 8, 64):
+        fft = 8192 if t0 == 64 else 1024
+        for delta in sorted({0, 1, t0 - 1} - {t0}):
+            for p in (0.01, 0.55, 0.99):
+                for n_symbols in (fft // t0, fft // t0 * 2 // 3):  # L = fft_size, L < fft_size
+                    cases.append(
+                        pytest.param(t0, delta, p, n_symbols, fft,
+                                     id=f"t0={t0}-delta={delta}-p={p}-L={n_symbols * t0}")
+                    )
+    cases.append(pytest.param(64, 32, 0.55, 1, 64, id="one-symbol-point"))  # fft_size/t0 = 1
+    # 4096-point symbol transforms: 16 realizations per rfft call, so three calls
+    cases.append(pytest.param(2, 1, 0.55, 4096, 8192, id="several-calls-per-block"))
+    return cases
+
+
+@pytest.mark.parametrize("t0, delta, p, n_symbols, fft", _symbol_path_cases())
+def test_symbol_path_equals_the_sample_periodogram_mean(t0, delta, p, n_symbols, fft):
+    # 33 realizations: two blocks, the second of one realization
+    cfg = SimConfig(n_symbols=n_symbols, n_realizations=33, fft_size=fft, seed=17,
+                    params=_transition(t0=t0, delta=delta, p=p))
+    est = estimate_psd(cfg, workers=1)
+    assert est.meta["transform_points"] == fft // t0
+    manual = _manual_mean(cfg)
+    np.testing.assert_allclose(est.psd, manual, rtol=1e-12, atol=1e-15 * manual.max())
 
 
 @settings(max_examples=60, deadline=None)
@@ -218,6 +260,8 @@ def test_hold_response_is_accurate_next_to_its_nulls():
 def test_estimate_is_bit_identical_for_any_worker_count():
     for cfg in (
         SimConfig(n_symbols=32, n_realizations=70, fft_size=2048, seed=5, params=_transition()),
+        SimConfig(n_symbols=32, n_realizations=70, fft_size=2048, seed=5,
+                  params=_transition(t0=48)),  # the sample path
         SimConfig(n_symbols=64, n_realizations=70, fft_size=2048, seed=5,
                   params=_blank(t0=32, delta=4)),  # lattice g = 4
     ):
@@ -228,22 +272,40 @@ def test_estimate_is_bit_identical_for_any_worker_count():
 
 def test_periodograms_are_taken_at_the_lattice_rate(monkeypatch):
     # criterion 4's gcd(100, 10) = 10 holds one factor 2, so its 262144-point
-    # realizations are transformed on 131072 points; gcd(64, 3) = 1 keeps 8192
+    # realizations are transformed on 131072 points; gcd(48, 3) = 1 keeps 8192
     seen = []
+    synthesized = []
 
     def counting(x, fft_size):
         seen.append((len(x), fft_size))
         return _half_bins(x, fft_size)
 
+    def synthesizing(config, index):
+        synthesized.append(index)
+        return synthesize_realization(config, index)
+
     monkeypatch.setattr(pulsepsd.sim, "_half_bins", counting)
+    monkeypatch.setattr(pulsepsd.sim, "synthesize_realization", synthesizing)
     criterion4 = SimConfig(n_symbols=2000, n_realizations=2, fft_size=262144, seed=1,
                            params=_blank(t0=100, delta=10))
     assert estimate_psd(criterion4, workers=1).meta["lattice"] == 2
     assert seen == [(131072, 131072)] * 2
     seen.clear()
-    odd = SimConfig(n_symbols=128, n_realizations=2, fft_size=8192, seed=1, params=_transition())
+    odd = SimConfig(n_symbols=128, n_realizations=2, fft_size=8192, seed=1,
+                    params=_transition(t0=48))
     assert estimate_psd(odd, workers=1).meta["lattice"] == 1
-    assert seen == [(8192, 8192)] * 2
+    assert seen == [(6144, 8192)] * 2
+    seen.clear()
+    synthesized.clear()
+    # t0 = 64 divides 8192: symbol sequences are transformed, no sample is made
+    symbols = SimConfig(n_symbols=128, n_realizations=2, fft_size=8192, seed=1,
+                        params=_transition())
+    assert estimate_psd(symbols, workers=1).meta["transform_points"] == 128
+    assert seen == [] and synthesized == []
+    # at delta = 0 the lattice is t0 itself: one sample per symbol, so samples are transformed
+    plain = replace(symbols, params=_transition(delta=0))
+    assert estimate_psd(plain, workers=1).meta["lattice"] == 64
+    assert seen == [(128, 128)] * 2
 
 
 @pytest.mark.parametrize(
@@ -291,6 +353,9 @@ def test_estimate_meta_documents_the_seed_scheme():
     assert meta["n_realizations"] == 2
     assert meta["kind"] == "simulated"
     assert meta["lattice"] == 1  # gcd(64, 3) = 1
+    assert meta["transform_points"] == 16  # 1024 / 64 symbol slots
+    blank = replace(cfg, params=_blank(t0=32, delta=4))
+    assert estimate_psd(blank).meta["transform_points"] == 256  # 1024 / lattice 4
     assert estimate_psd(cfg, workers=4).meta["workers"] == 1  # one block, one worker
 
 
