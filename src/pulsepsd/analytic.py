@@ -1,31 +1,25 @@
 """Closed-form power spectral densities and their per-bin integration.
 
-All spectra are one-sided with the factor-2 convention and carry linear
-power units; dB conversion happens only at the output layer. Frequencies
-are cycles/sample (the sample rate is fixed at 1), angular frequency
-w = 2 pi f. The transition-stretch continuum is
+Spectra are one-sided (factor-2 convention) in linear power and
+cycles/sample, w = 2 pi f. Both trains alternate independent high runs
+tau and low runs l (Rice 1944; Papoulis, Probability, Random Variables
+and Stochastic Processes), so one density serves both, with
+A = 1 - theta_tau, B = 1 - theta_l from :func:`~pulsepsd.charfn.run_pair`:
 
-    S_c(f) = 2 / (w^2 <G>) * Re[(1 - theta1)(1 - theta2) / (1 - theta1 theta2)]
+    S(f) = 2 / (w^2 <G>) Re[A B / (A + B - A B)]
+         = [(1 - |theta_tau|^2) |B|^2 + (1 - |theta_l|^2) |A|^2] / (w^2 <G> |A + B - A B|^2)
 
-with <G> = t0 (2 + p/q + q/p), and its discrete part puts the line power
+<G> = <tau> + <l>. The second form is a sum of nonnegative terms and
+nothing in it cancels as f -> 0, where it tends to
 
-    (sin(pi k delta / t0) * p q / (k pi))^2
+    S(0) = (<l>^2 Var tau + <tau>^2 Var l) / <G>^3,  Var = r^2 (1 - P) / P^2.
 
-on each clock harmonic k/t0. The blank-shorten train is a renewal pulse
-train (Rice 1944; Papoulis, Probability, Random Variables and Stochastic
-Processes): its density is
-
-    S_b(f) = K |F(w)|^2 Re[(1 + theta)/(1 - theta)]
-
-for a rectangular pulse of width t0, with K = 1/<T> the pulse rate, so
-it holds for any P(one) = p in absolute units. With integer t0 and
-delta the fronts sit on a lattice of g = gcd(t0, delta); lines could
-appear only at k/g, where |F|^2 = 0, so the density is the whole
-spectrum. Values exactly on clock harmonics are removable 0/0 forms;
-such grid points are dropped and reported, never interpolated. Both
-densities take a grid and one TrainParams, whose delta may be fractional
-(the forms are continuous-time), and return absolute units; rescaling
-for display is left to the caller.
+Where theta_tau theta_l = 1 at a clock harmonic k/t0, the train puts the
+line power |A|^2 / (w_k <G>)^2 there (none for the blank train, whose
+high runs are whole numbers of t0), and the continuum is a removable 0/0
+form. One rule drops such grid points, |1 - theta_tau theta_l| <
+HARMONIC_TOL at f/f0 > 1/2, and reports them. The densities take a grid
+and one TrainParams (delta may be fractional); units are absolute.
 """
 
 from __future__ import annotations
@@ -35,7 +29,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import charfn
-from .model import TrainParams, Variant, front_head, interval_stats, require_variant
+from .model import TrainParams, Variant, interval_stats, require_variant
 
 __all__ = [
     "FrequencyGrid",
@@ -49,9 +43,6 @@ __all__ = [
 ]
 
 HARMONIC_TOL = 1e-9
-SINGULAR_TOL = 1e-9
-# fraction of grid points allowed to need a negative->0 clamp (float noise only)
-CLAMP_BUDGET = 1e-3
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,9 +93,9 @@ class SpectrumGrid:
 
     ``meta`` holds only what is read: ``kind`` ("continuous", "binned",
     "combined" or "simulated") labels the CSV rows; a closed form adds the
-    near-singular ``dropped_freqs`` and ``clamped_points``, its count of
-    float-noise negatives set to zero; :func:`pulsepsd.sim.estimate_psd`
-    adds the config it resolved. Derived spectra, a rescaled one included,
+    near-singular ``dropped_freqs`` and ``clamped_points``, always 0 as its
+    density has no negative term; :func:`pulsepsd.sim.estimate_psd` adds
+    the config it resolved. Derived spectra, a rescaled one included,
     are ``dataclasses.replace``d from their input, keeping its meta, and
     are validated again.
     """
@@ -155,95 +146,60 @@ class DiscreteLineSet:
         return len(self.k)
 
 
-def _harmonic_mask(freqs: np.ndarray, t0: float) -> np.ndarray:
-    """True where a grid point sits within HARMONIC_TOL of some k/t0, k >= 1."""
-    k_near = np.round(freqs * t0)
-    return (k_near >= 1.0) & (np.abs(freqs - k_near / t0) < HARMONIC_TOL)
-
-
 def _density(grid: FrequencyGrid, keep: np.ndarray, values: np.ndarray) -> SpectrumGrid:
-    """A closed form's ``values`` at the ``keep`` points of ``grid``, as a continuous spectrum.
-
-    A grid with no point kept is refused. Float-noise negatives are
-    clamped to zero unless they reach CLAMP_BUDGET of the kept points,
-    which signals a formula error; the dropped frequencies and the clamp
-    count go into meta.
-    """
+    """A closed form's ``values`` at the ``keep`` points of ``grid``, none kept refused."""
     if not keep.any():
         raise ValueError(f"all {len(keep)} grid points were dropped as near-singular")
-    neg = values < 0.0
-    n_neg = int(np.count_nonzero(neg))
-    if n_neg >= CLAMP_BUDGET * len(values) and n_neg > 0:
-        raise RuntimeError(
-            f"{n_neg} of {len(values)} grid points came out negative; "
-            "that exceeds the float-noise clamping budget and signals a formula error"
-        )
-    if n_neg:
-        values = np.where(neg, 0.0, values)
     dropped = tuple(grid.values[~keep].tolist())
-    meta = {"kind": "continuous", "dropped_freqs": dropped, "clamped_points": n_neg}
+    meta = {"kind": "continuous", "dropped_freqs": dropped, "clamped_points": 0}
     return SpectrumGrid(FrequencyGrid(grid.values[keep]), values, meta)
 
 
-def continuous_psd_transition(grid: FrequencyGrid, params: TrainParams) -> SpectrumGrid:
-    """Continuous PSD of the transition-stretch train on the given grid.
-
-    Unit amplitude, factor-2 one-sided convention. Points within 1e-9 of
-    a clock harmonic are dropped (the closed form is a removable 0/0
-    there) and reported in ``meta["dropped_freqs"]``.
-    """
-    require_variant(params, Variant.TRANSITION_STRETCH)
-    keep = ~_harmonic_mask(grid.values, params.t0)
-    w = 2.0 * np.pi * grid.values[keep]
-    t1 = charfn.theta1(w, params)
-    t2 = charfn.theta2(w, params)
-    g_mean = interval_stats(params).mean_g
-    ratio = (1.0 - t1) * (1.0 - t2) / (1.0 - t1 * t2)
-    return _density(grid, keep, 2.0 / (w * w * g_mean) * np.real(ratio))
+def _psd(grid: FrequencyGrid, params: TrainParams) -> SpectrumGrid:
+    """The density of the module docstring, in its nonnegative form, on ``grid``."""
+    w = 2.0 * np.pi * grid.values
+    (a, loss_a), (b, loss_b) = charfn.run_pair(w, params)
+    values = loss_a * np.abs(b) ** 2 + loss_b * np.abs(a) ** 2
+    d = a - a * b
+    d += b  # 1 - theta_tau theta_l
+    del a, b
+    product = np.abs(d) ** 2
+    keep = (product >= HARMONIC_TOL**2) | (grid.values * params.t0 <= 0.5)
+    if not keep.all():
+        w, product, values = w[keep], product[keep], values[keep]
+    return _density(grid, keep, values / (w * w * interval_stats(params).mean_g * product))
 
 
-def discrete_lines_transition(k_max: int, params: TrainParams) -> DiscreteLineSet:
-    """Discrete line powers at clock harmonics k/t0 for k = 1 .. k_max.
-
-    Powers are exactly zero whenever k*delta is a multiple of t0 (the
-    sine factor vanishes), in particular for delta = 0 at every k.
-    """
-    require_variant(params, Variant.TRANSITION_STRETCH)
-    if k_max <= 0:
-        raise ValueError(f"k_max must be positive, got {k_max}")
-    k = np.arange(1, k_max + 1, dtype=np.int64)
-    p = params.prob_one
-    q = params.prob_zero
-    amp = np.sin(np.pi * k * params.delta / params.t0) * p * q / (k * np.pi)
-    power = amp * amp
-    power[(k * params.delta) % params.t0 == 0] = 0.0
+def _lines(k_max: int, params: TrainParams) -> DiscreteLineSet:
+    """Line powers |A|^2 / (w_k <G>)^2 at k/t0, k = 1 .. k_max, where theta_tau theta_l = 1."""
+    k, w_k, a, periodic = charfn.clock_harmonics(params, k_max)
+    power = np.where(periodic, np.abs(a / (w_k * interval_stats(params).mean_g)) ** 2, 0.0)
     return DiscreteLineSet(k=k, freq=k / float(params.t0), power=power)
 
 
-def psd_blank_shorten(grid: FrequencyGrid, params: TrainParams) -> SpectrumGrid:
-    """Blank-shorten PSD: 1/<T> * |F|^2 * Re[(1 + theta)/(1 - theta)].
+def continuous_psd_transition(grid: FrequencyGrid, params: TrainParams) -> SpectrumGrid:
+    """Continuous PSD of the transition-stretch train on ``grid``; clock harmonics are dropped."""
+    require_variant(params, Variant.TRANSITION_STRETCH)
+    return _psd(grid, params)
 
-    The front interval T has mean <T> = p t0 + q head + (q/p)(t0 - delta)
-    = -j theta'(0), head the :func:`~pulsepsd.model.front_head` of the law,
-    p = ``params.prob_one``, q = 1 - p. 1/<T> is the pulse rate, so the
-    density is in absolute units.
-    |F(w)|^2 = (2 sin(w t0 / 2) / w)^2 is the energy spectrum of the unit
-    rectangular pulse of width t0; the grid starts above 0, so w > 0.
-    Grid points where |1 - theta| < 1e-9 (exactly the clock harmonics
-    whose shortening cancels a whole number of slots) are dropped and
-    reported in ``meta["dropped_freqs"]``.
+
+def discrete_lines_transition(k_max: int, params: TrainParams) -> DiscreteLineSet:
+    """Line powers (sin(pi k delta / t0) p q / (k pi))^2 at k/t0, k = 1 .. k_max.
+
+    A power is exactly 0 where k delta is a multiple of t0.
     """
-    w = 2.0 * np.pi * grid.values
-    theta = charfn.theta_blank(w, params)
-    t0, slot, p, q = params.t0, params.t0 - params.delta, params.prob_one, params.prob_zero
-    # <T> in the form whose last term is exactly 0 under the paper law
-    mean_interval = p * t0 + slot * (1.0 / p - p) + q * (front_head(params) - slot)
-    one_minus = 1.0 - theta
-    keep = ~(np.abs(one_minus) < SINGULAR_TOL)
-    phi = np.real((1.0 + theta[keep]) / one_minus[keep])
-    wk = w[keep]
-    values = (2.0 * np.sin(wk * t0 / 2.0) / wk) ** 2 * phi * (1.0 / mean_interval)
-    return _density(grid, keep, values)
+    require_variant(params, Variant.TRANSITION_STRETCH)
+    return _lines(k_max, params)
+
+
+def psd_blank_shorten(grid: FrequencyGrid, params: TrainParams) -> SpectrumGrid:
+    """Blank-shorten PSD on ``grid``: the renewal form 1/<T> |F|^2 Re[(1 + theta)/(1 - theta)].
+
+    theta is :func:`~pulsepsd.charfn.theta_blank` of the front interval T,
+    |F|^2 the energy spectrum of the unit pulse of width t0.
+    """
+    require_variant(params, Variant.BLANK_SHORTEN)
+    return _psd(grid, params)
 
 
 def bin_power(spectrum: SpectrumGrid) -> SpectrumGrid:
@@ -285,17 +241,12 @@ def combine(binned_continuous: SpectrumGrid, lines: DiscreteLineSet) -> Spectrum
 def analytic_on_fft_grid(params: TrainParams, fft_size: int, k_max: int | None = None) -> SpectrumGrid:
     """Binned analytic spectrum on the simulator's one-sided FFT bins.
 
-    For the transition model the discrete lines are folded into the
-    nearest retained bin, mirroring how an averaged periodogram receives
-    them; harmonic bins themselves are dropped by the continuum
-    evaluation (removable singularities), so line power lands one bin
-    over, inside any sensible null-exclusion band. ``k_max`` (default 40)
-    is cut to the harmonics inside the FFT span; below 1 it is refused.
+    Lines (none for the blank train) are folded into the nearest kept bin,
+    as an averaged periodogram receives them; the harmonic bins themselves
+    are dropped, so line power lands one bin over. ``k_max`` (default 40)
+    is cut to the harmonics inside the FFT span (none at t0 = 1); below 1 it is refused.
     """
-    grid = FrequencyGrid.fft_bins(fft_size)
-    if params.variant is Variant.TRANSITION_STRETCH:
-        binned = bin_power(continuous_psd_transition(grid, params))
-        k_in_span = int(np.floor(binned.freqs[-1] * params.t0))
-        k_use = min(40 if k_max is None else k_max, max(1, k_in_span))
-        return combine(binned, discrete_lines_transition(k_use, params))
-    return bin_power(psd_blank_shorten(grid, params))
+    binned = bin_power(_psd(FrequencyGrid.fft_bins(fft_size), params))
+    k_in_span = int(np.floor(binned.freqs[-1] * params.t0))
+    lines = _lines(min(40 if k_max is None else k_max, max(1, k_in_span)), params)
+    return combine(binned, lines) if k_in_span >= 1 else binned

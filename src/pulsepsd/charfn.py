@@ -1,27 +1,29 @@
-"""Characteristic functions of pulse durations, gaps, and front intervals.
+"""Characteristic functions of a pulse train's runs, and its clock lines.
 
-For the transition-stretch model the pulse duration tau and the gap l are
-geometric sums of whole symbols with a +delta/-delta end shift, giving the
-closed forms
+Both trains alternate independent high runs tau and low runs l. A run
+law (P, a, r) lasts a with probability P, each further symbol adding r,
+so theta(w) = P exp(jwa) / (1 - (1 - P) exp(jwr)). The pair, from
+:func:`~pulsepsd.model.run_laws` (p = P(one), q = 1 - p, head the
+:func:`~pulsepsd.model.front_head` of the law), is
 
-    theta1(w) = q * exp(jw delta) * exp(jw t0) / (1 - p exp(jw t0))
-    theta2(w) = p * exp(-jw delta) * exp(jw t0) / (1 - q exp(jw t0))
+    transition:  tau = (q, t0 + delta, t0)   l = (p, t0 - delta, t0)
+    blank:       tau = (q, t0, t0)           l = (p, head - delta, t0 - delta)
 
-with q = 1 - p. For the blank-shorten model the front-to-front interval
-covers k symbol slots with probability p q^(k-1) and lasts t0*k minus a
-shortening set by the law's head slot; one geometric-series limit covers
-both laws. Every function takes its model through one
-:class:`~pulsepsd.model.TrainParams`, which has already checked the
-parameter ranges; ``delta`` may be any real in [0, t0), since the forms
-are continuous-time. All functions accept a scalar or array ``omega``
-in rad/sample and are pure.
+:func:`run_pair` gives 1 - theta and 1 - |theta|^2 of both without
+cancellation as w -> 0, from E(x) = exp(jwx) - 1 = -2 sin^2(wx/2) + j sin(wx):
+
+    1 - theta     = -[(1 - P) E(r) + P E(a)] / (P - (1 - P) E(r))
+    1 - |theta|^2 = 4 (1 - P) sin^2(wr/2) / |P - (1 - P) E(r)|^2
+
+theta1 and theta2 are the transition train's tau and l, theta_blank the
+blank front-to-front interval's; ``omega`` is in rad/sample throughout.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .model import TrainParams, Variant, front_head, require_variant
+from .model import TrainParams, Variant, front_head, require_variant, run_laws
 
 __all__ = [
     "NearSingularError",
@@ -50,47 +52,100 @@ def _check_denominator(den: np.ndarray, omega: np.ndarray, what: str) -> None:
         raise NearSingularError(w, f"{what} denominator nearly singular at omega={w!r}")
 
 
-def _geometric(omega, params: TrainParams, first: float, repeat: float, shift: float, what: str):
-    """first * exp(jw shift) * z / (1 - repeat z) with z = exp(jw t0)."""
-    require_variant(params, Variant.TRANSITION_STRETCH)
-    w = np.asarray(omega, dtype=float)
-    z = np.exp(1j * w * params.t0)
-    den = 1.0 - repeat * z
-    _check_denominator(den, w, what)
-    out = first * np.exp(1j * w * shift) * z / den
-    return complex(out) if np.isscalar(omega) else out
+def _expm1j(w, x):
+    """exp(jwx) - 1 as -2 sin^2(wx/2) + j sin(wx): no cancellation as wx -> 0."""
+    t = np.multiply(w, x)
+    out = np.empty(t.shape, dtype=complex)
+    np.sin(t, out=out.imag)
+    np.sin(0.5 * t, out=t)
+    np.multiply(-2.0 * t, t, out=out.real)
+    return out
+
+
+def _run(run, e: dict, omega, what: str):
+    """(1 - theta, 1 - |theta|^2) of the law ``run``; ``e`` maps x to exp(j omega x) - 1."""
+    P, a, r = run
+    loss = -2.0 * (1.0 - P) * e[r].real  # g = 4 (1 - P) sin^2(omega r / 2)
+    loss /= loss + P * P  # |P - (1 - P) E(r)|^2 = P^2 + g
+    den = (1.0 - P) * e[r]
+    num = P * e[a]
+    num += den
+    den -= P
+    if P <= _DENOM_FLOOR:
+        _check_denominator(den, omega, what)
+    return np.divide(num, den, out=num), loss
+
+
+def _pair(params: TrainParams, expm1j, omega):
+    """:func:`_run` of tau and of l, with ``expm1j`` the map x -> exp(j omega x) - 1.
+
+    Of three equally spaced lengths, the least follows from the others as
+    exp(j w lo) = exp(j w mid)^2 exp(-j w hi): one transcendental fewer.
+    """
+    runs = run_laws(params)
+    lengths = sorted({x for _, a, r in runs for x in (a, r)})
+    derive = len(lengths) == 3 and lengths[0] + lengths[2] == 2 * lengths[1]
+    e = {x: expm1j(x) for x in (lengths[1:] if derive else lengths)}
+    if derive:
+        lo, mid, hi = lengths
+        e[lo] = (e[mid] + 2.0) * e[mid] * np.conj(1.0 + e[hi]) + np.conj(e[hi])
+    tau, l = runs
+    pair_tau = _run(tau, e, omega, "tau")
+    for x in set(tau[1:]) - set(l[1:]):  # free what only tau reads
+        del e[x]
+    return pair_tau, _run(l, e, omega, "l")
+
+
+def run_pair(omega, params: TrainParams):
+    """((1 - theta, 1 - |theta|^2) of tau, the same of l) at ``omega``, each at least 1-D."""
+    w = np.atleast_1d(np.asarray(omega, dtype=float))
+    return _pair(params, lambda x: _expm1j(w, x), w)
+
+
+def clock_harmonics(params: TrainParams, k_max: int):
+    """k = 1..k_max, w_k = 2 pi k / t0, 1 - theta_tau there, and where theta_tau theta_l = 1.
+
+    Lengths are reduced modulo t0, so a whole number of periods gives exactly 0.
+    """
+    if k_max <= 0:
+        raise ValueError(f"k_max must be positive, got {k_max}")
+    t0 = params.t0
+    k = np.arange(1, k_max + 1, dtype=np.int64)
+    w_k = 2.0 * np.pi * k / t0
+    (a, _), (b, _) = _pair(params, lambda x: _expm1j(2.0 * np.pi / t0, np.mod(k * x, t0)), w_k)
+    return k, w_k, a, np.abs(a + b - a * b) < DETECTOR_TOL
+
+
+def _theta(omega, run_index: int, params: TrainParams):
+    out = 1.0 - run_pair(omega, params)[run_index][0]
+    return complex(out[0]) if np.isscalar(omega) else out.reshape(np.shape(omega))
 
 
 def theta1(omega, params: TrainParams):
     """Characteristic function of the pulse duration tau; |theta1| <= 1, theta1(0) = 1."""
-    return _geometric(omega, params, params.prob_zero, params.prob_one, params.delta, "theta1")
+    require_variant(params, Variant.TRANSITION_STRETCH)
+    return _theta(omega, 0, params)
 
 
 def theta2(omega, params: TrainParams):
     """Characteristic function of the gap l between pulses; |theta2| <= 1."""
-    return _geometric(omega, params, params.prob_one, params.prob_zero, -params.delta, "theta2")
+    require_variant(params, Variant.TRANSITION_STRETCH)
+    return _theta(omega, 1, params)
 
 
 def theta_blank(omega, params: TrainParams):
     """Characteristic function of the blank-shorten front-to-front interval.
 
-    A front is followed by j >= 0 zeros and then a one, with probability
-    p q^j (p = ``params.prob_one``, q = 1 - p), so the interval covers
-    k = j + 1 symbol slots: t0 for k = 1, else a head of
-    :func:`~pulsepsd.model.front_head` and k - 1 slots of t0 - delta. With
-    z = exp(jw t0), u = q exp(jw(t0 - delta)), h = q exp(jw head), that is
-    theta = p z + (p/q) u h / (1 - u): p z / (1 - u) under the generator
-    law (head t0), u^2 for u h under the paper law (head t0 - delta). At
-    delta = 0 both are p z/(1 - q z); theta(0) = 1 for either law.
+    The interval covers k symbol slots with probability p q^(k-1): t0 for
+    k = 1, else a :func:`~pulsepsd.model.front_head` and k - 1 slots of
+    t0 - delta. With z = exp(jw t0), u = q exp(jw(t0 - delta)) and
+    h = q exp(jw head), theta = p z + (p/q) u h / (1 - u).
     """
     require_variant(params, Variant.BLANK_SHORTEN)
     w = np.asarray(omega, dtype=float)
     p, q = params.prob_one, params.prob_zero
     z = np.exp(1j * w * params.t0)
-    slot, head = params.t0 - params.delta, front_head(params)
-    # a head one slot long (the paper law) shares the slot's array: two exponentials
-    step = {x: q * np.exp(1j * w * x) for x in {slot, head}}
-    u, h = step[slot], step[head]
+    u, h = (q * np.exp(1j * w * x) for x in (params.t0 - params.delta, front_head(params)))
     den = 1.0 - u
     _check_denominator(den, w, "theta_blank")
     # the factors p and p/q are exact at p = 1/2
@@ -99,20 +154,12 @@ def theta_blank(omega, params: TrainParams):
 
 
 def discrete_component_detector(params: TrainParams, k_max: int) -> list[tuple[int, bool]]:
-    """Decide which clock harmonics k/t0 carry a discrete spectral line.
+    """Flag the clock harmonics k/t0 that carry a line.
 
-    A line exists at harmonic k iff |theta1*theta2| at w_k = 2 pi k / t0
-    reaches 1 (periodicity of the front process, necessary) AND the line
-    power factor sin^2(pi k delta / t0) is nonzero (sufficiency); with
-    delta = 0 the periodicity condition still holds but every line
-    vanishes.
+    There theta_tau theta_l = 1 (periodic fronts) and |1 - theta_tau|^2 / 4
+    = sin^2(pi k delta / t0) > DETECTOR_TOL; with delta = 0 no line exists.
     """
     require_variant(params, Variant.TRANSITION_STRETCH)
-    if k_max <= 0:
-        raise ValueError(f"k_max must be positive, got {k_max}")
-    k = np.arange(1, k_max + 1)
-    w_k = 2.0 * np.pi * k / params.t0
-    product_mag = np.abs(theta1(w_k, params) * theta2(w_k, params))
-    sin_sq = np.sin(np.pi * k * params.delta / params.t0) ** 2
-    exists = (product_mag >= 1.0 - DETECTOR_TOL) & (sin_sq > DETECTOR_TOL)
+    k, _, a, periodic = clock_harmonics(params, k_max)
+    exists = periodic & (np.abs(a / 2.0) ** 2 > DETECTOR_TOL)
     return [(int(ki), bool(ei)) for ki, ei in zip(k, exists)]

@@ -14,7 +14,8 @@ symbol is one of three fixed ``t0``-sample rows (a "zero", a "one", a
 "zero" after a "one"), looked up by symbol code; blank-shorten repeats
 levels over its runs. :func:`measure_intervals` counts high samples and
 edges one fixed block at a time and reads edge positions from at most
-three blocks; all randomness flows through :func:`gen_bits`.
+three blocks; all randomness flows through :func:`gen_bits`. The closed
+forms see the trains only through the run laws of :func:`run_laws`.
 """
 
 from __future__ import annotations
@@ -55,8 +56,8 @@ class BlankLaw(enum.Enum):
     j >= 0 "zeros", so it covers k = j + 1 symbol slots with probability
     p q^j for any P(one) = p. One slot lasts t0; over k >= 2 slots all but
     the first last t0 - delta, and the first, the :func:`front_head`, lasts
-    t0 - delta (PAPER_K_DELTA) or t0 (GENERATOR_K_MINUS_ONE_DELTA). Both
-    are synthesized, the paper law for delta <= t0/2.
+    t0 - delta (PAPER_K_DELTA) or t0 (GENERATOR_K_MINUS_ONE_DELTA), so
+    under the paper law a blank after a pulse lasts t0 - 2 delta >= 0.
     """
 
     PAPER_K_DELTA = "paper"
@@ -74,7 +75,8 @@ class TrainParams:
     ``t0`` is a positive integer sample count. ``delta`` is any real in
     [0, t0): the closed forms are continuous-time and take it as is,
     while synthesis works in whole samples and refuses a fractional
-    ``delta`` through :func:`whole_sample_delta`. ``prob_one`` is the
+    ``delta`` through :func:`whole_sample_delta`. A paper-law blank train
+    needs delta <= t0/2, or a blank would last less than 0. ``prob_one`` is the
     i.i.d. probability of a "one" symbol; the complementary probability
     is always derived, never stored. Every closed form and the simulator
     honour any ``prob_one`` in (0, 1) for both variants; ``blank_law``
@@ -98,6 +100,8 @@ class TrainParams:
             raise ValueError(f"prob_one must lie in (0, 1), got {self.prob_one!r}")
         if not isinstance(self.blank_law, BlankLaw):
             raise ValueError(f"blank_law must be a BlankLaw, got {self.blank_law!r}")
+        if self.variant is Variant.BLANK_SHORTEN and front_head(self) < self.delta:
+            raise ValueError(f"the paper law needs delta <= t0/2, got delta={self.delta!r}")
 
     @property
     def prob_zero(self) -> float:
@@ -116,12 +120,18 @@ def front_head(params: TrainParams) -> float:
 
 
 def whole_sample_delta(params: TrainParams) -> int:
-    """``params.delta`` as a sample count; synthesis needs it whole and no blank run < 0."""
+    """``params.delta`` as a sample count; synthesis needs it whole."""
     if not float(params.delta).is_integer():
         raise ValueError(f"synthesis needs a whole-sample delta, got delta={params.delta!r}")
-    if params.variant is Variant.BLANK_SHORTEN and front_head(params) < params.delta:
-        raise ValueError(f"paper-law synthesis needs delta <= t0/2, got delta={params.delta!r}")
     return int(params.delta)
+
+
+def run_laws(params: TrainParams) -> tuple[tuple[float, float, float], ...]:
+    """The laws (P, a, r) of the high run tau and the low run l (table in :mod:`pulsepsd.charfn`)."""
+    p, q, t0, delta = params.prob_one, params.prob_zero, params.t0, params.delta
+    if params.variant is Variant.TRANSITION_STRETCH:
+        return (q, t0 + delta, t0), (p, t0 - delta, t0)
+    return (q, t0, t0), (p, front_head(params) - delta, t0 - delta)
 
 
 @dataclass(frozen=True)
@@ -207,17 +217,8 @@ def synth_blank_shorten(bits: np.ndarray, params: TrainParams) -> np.ndarray:
 
 
 def interval_stats(params: TrainParams) -> IntervalStats:
-    """Closed-form mean pulse duration, gap, and front spacing (transition-stretch).
-
-    mean_tau = t0/(1-p) + delta, mean_l = t0/p - delta, and their sum
-    t0*(2 + p/q + q/p) = t0/(p(1-p)) is independent of delta.
-    """
-    require_variant(params, Variant.TRANSITION_STRETCH)
-    p = params.prob_one
-    q = params.prob_zero
-    t0 = float(params.t0)
-    mean_tau = t0 / q + params.delta
-    mean_l = t0 / p - params.delta
+    """Closed-form mean pulse duration, gap and front spacing: a + r (1 - P)/P per run law."""
+    mean_tau, mean_l = (a + r * (1.0 - P) / P for P, a, r in run_laws(params))
     return IntervalStats(mean_tau=mean_tau, mean_l=mean_l, mean_g=mean_tau + mean_l)
 
 

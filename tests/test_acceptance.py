@@ -187,7 +187,14 @@ def test_criterion_6_characteristic_function_invariants():
         p = float(rng.uniform(0.05, 0.95))
         w = float(rng.uniform(1e-3, 40.0) * 2.0 * np.pi / t0)
         params = _transition(t0, delta, p)
-        blank = {law: TrainParams(Variant.BLANK_SHORTEN, t0, delta, blank_law=law) for law in BlankLaw}
+        # the paper law is a binary train only for delta <= t0/2
+        half = min(delta, t0 // 2)
+        blank = {
+            BlankLaw.PAPER_K_DELTA: TrainParams(Variant.BLANK_SHORTEN, t0, half),
+            BlankLaw.GENERATOR_K_MINUS_ONE_DELTA: TrainParams(
+                Variant.BLANK_SHORTEN, t0, delta, blank_law=BlankLaw.GENERATOR_K_MINUS_ONE_DELTA
+            ),
+        }
         worst_zero = max(
             worst_zero,
             abs(theta1(0.0, params) - 1.0),
@@ -202,7 +209,7 @@ def test_criterion_6_characteristic_function_invariants():
         s2 = np.sum(p * q ** (k - 1) * np.exp(1j * w * (k * t0 - delta)))
         kb = np.arange(1, 55)
         sb_paper = np.sum(
-            0.5**kb * np.exp(1j * w * (kb * t0 - np.where(kb == 1, 0.0, kb * delta)))
+            0.5**kb * np.exp(1j * w * (kb * t0 - np.where(kb == 1, 0.0, kb * half)))
         )
         sb_gen = np.sum(0.5**kb * np.exp(1j * w * (kb * t0 - (kb - 1) * delta)))
         worst_series = max(

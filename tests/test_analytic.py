@@ -24,6 +24,7 @@ from pulsepsd import (
     theta2,
     theta_blank,
 )
+from pulsepsd import analytic
 from pulsepsd.analytic import analytic_on_fft_grid
 
 
@@ -216,36 +217,58 @@ def test_blank_drops_points_where_denominator_collapses():
     assert spec.meta["dropped_freqs"] == (1.0 / t0,)
 
 
-def _series_mean_interval(t0: float, delta: float, law: BlankLaw, p: float) -> float:
-    """<T> = sum over k of p q^(k-1) times the length of a k-slot front interval."""
+def _series_interval_law(t0: float, delta: float, law: BlankLaw, p: float):
+    """Probabilities p q^(k-1) and lengths of the k-slot front intervals, to a 1e-18 tail."""
     q = 1.0 - p
     k = np.arange(1, int(np.ceil(np.log(1e-18) / np.log(q))) + 1)
     if law is BlankLaw.PAPER_K_DELTA:
         length = np.where(k == 1, t0, k * (t0 - delta))
     else:
         length = k * t0 - (k - 1) * delta
-    return float(np.sum(p * q ** (k - 1) * length))
+    return p * q ** (k - 1), length
+
+
+def _renewal_form(w: np.ndarray, t0: float, prob: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """1/<T> |F|^2 Re[(1 + theta)/(1 - theta)] of front intervals T = length w.p. prob.
+
+    Evaluated in extended precision and as (1 - |theta|^2) / |1 - theta|^2,
+    with 1 - |theta|^2 = sum_ij p_i p_j 2 sin^2(w (T_i - T_j) / 2), a sum of
+    nonnegative terms, and 1 - theta = sum_i p_i (2 sin^2(w T_i / 2) - j sin(w T_i)).
+    """
+    gaps, which = np.unique(np.subtract.outer(length, length), return_inverse=True)
+    weights = np.bincount(which.ravel(), weights=np.outer(prob, prob).ravel())
+    w, gaps, weights = (x.astype(np.longdouble) for x in (w[:, None], gaps, weights))
+    prob, length = prob.astype(np.longdouble), length.astype(np.longdouble)
+    one_minus_abs2 = 2.0 * np.sin(w * gaps / 2.0) ** 2 @ weights
+    one_minus = (2.0 * np.sin(w * length / 2.0) ** 2) @ prob, np.sin(w * length) @ prob
+    pulse = 4.0 * np.sin(w[:, 0] * t0 / 2.0) ** 2 / w[:, 0] ** 2
+    return pulse / (prob @ length) * one_minus_abs2 / (one_minus[0] ** 2 + one_minus[1] ** 2)
 
 
 def test_blank_level_is_one_over_the_mean_interval():
+    # the renewal form of the front interval T, from its law: written
+    # directly in float64, that form is itself off by up to 4e-12 near
+    # f = 0 and near the generator-law peak, where 1 - |theta|^2 cancels
     grid = FrequencyGrid.offset_linspace(2.0 / 100.0, 500)
     rng = np.random.default_rng(3)
     for p in (0.5, *rng.uniform(0.05, 0.95, 4)):
         for law in BlankLaw:
             base = psd_blank_shorten(grid, _blank(law=law, p=p))
-            w = 2.0 * np.pi * base.freqs
-            theta = theta_blank(w, _blank(law=law, p=p))
-            rate = 1.0 / _series_mean_interval(100.0, 10.0, law, p)
-            expected = (
-                rate * 4.0 * np.sin(w * 50.0) ** 2 / w**2
-                * np.real((1.0 + theta) / (1.0 - theta))
-            )
-            np.testing.assert_allclose(base.psd, expected, rtol=1e-12)
+            prob, length = _series_interval_law(100.0, 10.0, law, p)
+            expected = _renewal_form(2.0 * np.pi * base.freqs, 100.0, prob, length)
+            np.testing.assert_allclose(base.psd, expected.astype(float), rtol=1e-12)
 
 
-@pytest.mark.parametrize("t0, delta, p", [(100, 10, 0.5), (32, 5, 0.8), (100, 60, 0.5)])
-@pytest.mark.parametrize("law", list(BlankLaw))
-def test_blank_density_equals_the_alternating_run_form(t0, delta, p, law):
+@pytest.mark.parametrize(
+    "law, t0, delta, p",
+    [
+        *((law, *case) for law in BlankLaw for case in ((100, 10, 0.5), (32, 5, 0.8))),
+        (BlankLaw.GENERATOR_K_MINUS_ONE_DELTA, 100, 60, 0.5),
+        # delta = t0/2: the paper law's first zero after a one is empty
+        (BlankLaw.PAPER_K_DELTA, 100, 50, 0.5),
+    ],
+)
+def test_blank_density_equals_the_alternating_run_form(law, t0, delta, p):
     # blank-shorten is also a train of independent alternating runs: a high
     # run of M ones lasts t0 M, a low run of K zeros (t0 - delta) K - b, with
     # b = delta under the paper law (its first zero lasts t0 - 2 delta) and
@@ -264,6 +287,63 @@ def test_blank_density_equals_the_alternating_run_form(t0, delta, p, law):
         * np.real((1.0 - theta_high) * (1.0 - theta_low) / (1.0 - theta_high * theta_low))
     )
     assert np.max(np.abs(spec.psd - expected)) <= 1e-8 * np.max(spec.psd)
+
+
+def _run_laws(params: TrainParams):
+    """(P, a, r) of the high and the low run: a run lasts a with probability P, each further symbol adds r."""
+    p, q, t0, d = params.prob_one, params.prob_zero, params.t0, params.delta
+    if params.variant is Variant.TRANSITION_STRETCH:
+        return (q, t0 + d, t0), (p, t0 - d, t0)
+    head = t0 - d if params.blank_law is BlankLaw.PAPER_K_DELTA else t0
+    return (q, t0, t0), (p, head - d, t0 - d)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        _params(64, 3, 0.55),
+        _params(100, 10, 0.3),
+        _params(16, 15, 0.9),
+        *(_blank(100, 10, law, 0.5) for law in BlankLaw),
+        *(_blank(32, 16, law, 0.8) for law in BlankLaw),
+        _blank(64, 40, BlankLaw.GENERATOR_K_MINUS_ONE_DELTA, 0.2),
+    ],
+    ids=lambda prm: "-".join(
+        str(x) for x in (prm.variant.value, prm.t0, prm.delta, prm.prob_one)
+        + ((prm.blank_law.value,) if prm.variant is Variant.BLANK_SHORTEN else ())
+    ),
+)
+def test_density_reaches_its_dc_limit_without_cancellation(params):
+    # S(0) = (<l>^2 Var tau + <tau>^2 Var l) / <G>^3, with mean a + r (1 - P)/P
+    # and variance r^2 (1 - P)/P^2 for a run law (P, a, r)
+    (mean_tau, var_tau), (mean_l, var_l) = (
+        (a + r * (1.0 - P) / P, r * r * (1.0 - P) / P**2) for P, a, r in _run_laws(params)
+    )
+    s0 = (mean_l**2 * var_tau + mean_tau**2 * var_l) / (mean_tau + mean_l) ** 3
+    grid = FrequencyGrid(np.array([1e-8 / params.t0]))
+    density = continuous_psd_transition if params.variant is Variant.TRANSITION_STRETCH else psd_blank_shorten
+    assert density(grid, params).psd[0] == pytest.approx(s0, rel=1e-12)
+
+
+def test_the_line_rule_puts_no_power_on_blank_harmonics():
+    # every blank high run is a whole number of t0, so 1 - theta_tau is 0
+    # at every k/t0 and the one line rule finds no line
+    params = _blank(100, 10)
+    lines = analytic._lines(40, params)
+    np.testing.assert_array_equal(lines.k, np.arange(1, 41))
+    assert np.all(lines.power == 0.0)
+    # so the FFT-grid join folds nothing into the blank continuum
+    binned = bin_power(psd_blank_shorten(FrequencyGrid.fft_bins(8192), params))
+    np.testing.assert_array_equal(analytic_on_fft_grid(params, 8192).psd, binned.psd)
+
+
+@pytest.mark.parametrize("params", [_params(1, 0, 0.55), _blank(1, 0)], ids=["transition", "blank"])
+def test_fft_grid_join_folds_nothing_when_no_harmonic_is_in_span(params):
+    # at t0 = 1 the first clock harmonic lies past the FFT span (0, 1/2]
+    spec = analytic_on_fft_grid(params, 64)
+    assert spec.meta["kind"] == "binned" and len(spec.freqs) == 32
+    with pytest.raises(ValueError, match="k_max"):
+        analytic_on_fft_grid(params, 64, k_max=0)
 
 
 # --- binning and line placement ---

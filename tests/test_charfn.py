@@ -87,8 +87,11 @@ def test_magnitudes_never_exceed_one(w, p, t0, data):
     params = _params(t0=t0, delta=delta, p=p)
     assert abs(theta1(w, params)) <= 1 + 1e-12
     assert abs(theta2(w, params)) <= 1 + 1e-12
-    for law in BlankLaw:
-        assert abs(theta_blank(w, _blank(t0, delta, law, p))) <= 1 + 1e-12
+    # the paper law is a binary train only for delta <= t0/2
+    paper_delta = data.draw(st.integers(0, t0 // 2))
+    assert abs(theta_blank(w, _blank(t0, paper_delta, BlankLaw.PAPER_K_DELTA, p))) <= 1 + 1e-12
+    gen = _blank(t0, delta, BlankLaw.GENERATOR_K_MINUS_ONE_DELTA, p)
+    assert abs(theta_blank(w, gen)) <= 1 + 1e-12
 
 
 def test_scalar_and_array_inputs_agree():
@@ -120,8 +123,10 @@ def test_closed_forms_match_series_oracles():
             assert theta1(w, params) == pytest.approx(_series_theta1(w, params), abs=1e-12)
             assert theta2(w, params) == pytest.approx(_series_theta2(w, params), abs=1e-12)
             for law in BlankLaw:
-                assert theta_blank(w, _blank(t0, d, law, p)) == pytest.approx(
-                    _series_blank(w, t0, d, law, p), abs=1e-12
+                # the paper law is a binary train only for delta <= t0/2
+                db = min(d, t0 / 2) if law is BlankLaw.PAPER_K_DELTA else d
+                assert theta_blank(w, _blank(t0, db, law, p)) == pytest.approx(
+                    _series_blank(w, t0, db, law, p), abs=1e-12
                 )
 
 

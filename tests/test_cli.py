@@ -618,6 +618,10 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         (["simulate", *paper_over, "--model", "blank", "--delta", "17"], "delta"),
         (["compare", *paper_over, "--model", "blank", "--delta", "17"], "delta"),
         (["peaks-sweep", *paper_over, "--deltas", "2,17", "--source", "simulated"], "delta"),
+        # so the paper-law closed forms refuse it too: pulses would overlap
+        (["analytic", "--model", "blank", "--t0", "100", "--delta", "60", "--law", "paper"],
+         "delta <= t0/2"),
+        (sweep + ["--deltas", "10,60"], "delta <= t0/2"),
         # a harmonic count below 1 is refused, not raised to 1
         (["compare", "--model", "transition", *small, "--k-max", "0"], "k_max"),
         (["compare", "--model", "transition", *small, "--k-max=-3"], "k_max"),
@@ -669,11 +673,16 @@ def test_analytic_scale_outside_zero_to_inf_exits_one(tmp_path, capsys, model):
          ["--scale 1e+308 overflows", "peak is 15.7896"]),
         (["--model", "transition", "--t0", "64", "--fmax-norm", "1e-300"],
          ["--fmax-norm 1e-300", "--points 4096", "f/f0 = 1.2207e-304", "must be finite"]),
+        # the one grid point sits on the clock harmonic, where delta = 0 makes
+        # the front process periodic
+        (["--model", "blank", "--t0", "64", "--delta", "0", "--fmax-norm", "2", "--points", "1",
+          "--scale", "1"],
+         ["--fmax-norm 2.0", "--points 1", "all 1 grid points"]),
         (["--model", "blank", "--t0", "64", "--delta", "3", "--fmax-norm", "1e-300",
           "--scale", "1"],
-         ["--fmax-norm 1e-300", "--points 20001", "all 20001 grid points"]),
+         ["--fmax-norm 1e-300", "--points 20001", "f/f0 = 2.49988e-305", "must be finite"]),
     ],
-    ids=["overflowing-scale", "vanishing-grid", "emptied-grid"],
+    ids=["overflowing-scale", "vanishing-grid", "emptied-grid", "vanishing-blank-grid"],
 )
 def test_non_finite_spectra_exit_one_with_one_line_and_no_warning(tmp_path, capsys, argv, cause):
     with warnings.catch_warnings(record=True) as caught:

@@ -176,3 +176,25 @@ def test_only_the_model_reads_the_blank_law():
             lines = _law_names(ast.parse(path.read_text()))
             assert not lines, f"{path.name} names the blank law on lines {lines}"
     assert _law_names(ast.parse((package / "model.py").read_text()))
+
+
+def test_only_the_run_pair_tells_the_trains_apart_in_the_closed_forms():
+    # charfn and analytic name a Variant member or read .variant only to
+    # refuse the other train; model.run_laws is where the trains differ
+    package = Path(pulsepsd.__file__).parent
+    for name in ("charfn.py", "analytic.py"):
+        tree = ast.parse((package / name).read_text())
+        refusals = {
+            id(inner)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "require_variant"
+            for inner in ast.walk(node)
+        }
+        lines = [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and id(node) not in refusals
+            and (node.attr == "variant" or getattr(node.value, "id", None) == "Variant")
+        ]
+        assert not lines, f"{name} tells the trains apart on lines {lines}"
