@@ -93,9 +93,8 @@ class SpectrumGrid:
 
     ``meta`` holds only what is read: ``kind`` ("continuous", "binned",
     "combined" or "simulated") labels the CSV rows; a closed form adds the
-    near-singular ``dropped_freqs`` and ``clamped_points``, always 0 as its
-    density has no negative term; :func:`pulsepsd.sim.estimate_psd` adds
-    the config it resolved. Derived spectra, a rescaled one included,
+    ``dropped_freqs`` of its drop rule; :func:`pulsepsd.sim.estimate_psd`
+    adds the config it resolved. Derived spectra, a rescaled one included,
     are ``dataclasses.replace``d from their input, keeping its meta, and
     are validated again.
     """
@@ -146,15 +145,6 @@ class DiscreteLineSet:
         return len(self.k)
 
 
-def _density(grid: FrequencyGrid, keep: np.ndarray, values: np.ndarray) -> SpectrumGrid:
-    """A closed form's ``values`` at the ``keep`` points of ``grid``, none kept refused."""
-    if not keep.any():
-        raise ValueError(f"all {len(keep)} grid points were dropped as near-singular")
-    dropped = tuple(grid.values[~keep].tolist())
-    meta = {"kind": "continuous", "dropped_freqs": dropped, "clamped_points": 0}
-    return SpectrumGrid(FrequencyGrid(grid.values[keep]), values, meta)
-
-
 def _psd(grid: FrequencyGrid, params: TrainParams) -> SpectrumGrid:
     """The density of the module docstring, in its nonnegative form, on ``grid``."""
     w = 2.0 * np.pi * grid.values
@@ -165,9 +155,13 @@ def _psd(grid: FrequencyGrid, params: TrainParams) -> SpectrumGrid:
     del a, b
     product = np.abs(d) ** 2
     keep = (product >= HARMONIC_TOL**2) | (grid.values * params.t0 <= 0.5)
+    if not keep.any():
+        raise ValueError(f"all {len(keep)} grid points were dropped as near-singular")
     if not keep.all():
         w, product, values = w[keep], product[keep], values[keep]
-    return _density(grid, keep, values / (w * w * interval_stats(params).mean_g * product))
+    values /= w * w * interval_stats(params).mean_g * product
+    meta = {"kind": "continuous", "dropped_freqs": tuple(grid.values[~keep].tolist())}
+    return SpectrumGrid(FrequencyGrid(grid.values[keep]), values, meta)
 
 
 def _lines(k_max: int, params: TrainParams) -> DiscreteLineSet:

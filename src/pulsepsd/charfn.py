@@ -15,6 +15,10 @@ cancellation as w -> 0, from E(x) = exp(jwx) - 1 = -2 sin^2(wx/2) + j sin(wx):
     1 - theta     = -[(1 - P) E(r) + P E(a)] / (P - (1 - P) E(r))
     1 - |theta|^2 = 4 (1 - P) sin^2(wr/2) / |P - (1 - P) E(r)|^2
 
+The denominator has real part P + 2 (1 - P) sin^2(wr/2) >= P, so it never
+vanishes; :class:`~pulsepsd.model.TrainParams` keeps P^2 normal, so both
+values are finite at every finite w and nothing here can refuse one.
+
 theta1 and theta2 are the transition train's tau and l, theta_blank the
 blank front-to-front interval's; ``omega`` is in rad/sample throughout.
 """
@@ -26,7 +30,6 @@ import numpy as np
 from .model import TrainParams, Variant, front_head, require_variant, run_laws
 
 __all__ = [
-    "NearSingularError",
     "theta1",
     "theta2",
     "theta_blank",
@@ -34,22 +37,6 @@ __all__ = [
 ]
 
 DETECTOR_TOL = 1e-9
-_DENOM_FLOOR = 1e-12
-
-
-class NearSingularError(ArithmeticError):
-    """A closed-form denominator fell below the safe floor at some omega."""
-
-    def __init__(self, omega: float, message: str):
-        super().__init__(message)
-        self.omega = omega
-
-
-def _check_denominator(den: np.ndarray, omega: np.ndarray, what: str) -> None:
-    bad = np.abs(den) <= _DENOM_FLOOR
-    if np.any(bad):
-        w = float(np.asarray(omega, dtype=float).reshape(-1)[np.argmax(bad.reshape(-1))])
-        raise NearSingularError(w, f"{what} denominator nearly singular at omega={w!r}")
 
 
 def _expm1j(w, x):
@@ -62,7 +49,7 @@ def _expm1j(w, x):
     return out
 
 
-def _run(run, e: dict, omega, what: str):
+def _run(run, e: dict):
     """(1 - theta, 1 - |theta|^2) of the law ``run``; ``e`` maps x to exp(j omega x) - 1."""
     P, a, r = run
     loss = -2.0 * (1.0 - P) * e[r].real  # g = 4 (1 - P) sin^2(omega r / 2)
@@ -71,12 +58,10 @@ def _run(run, e: dict, omega, what: str):
     num = P * e[a]
     num += den
     den -= P
-    if P <= _DENOM_FLOOR:
-        _check_denominator(den, omega, what)
     return np.divide(num, den, out=num), loss
 
 
-def _pair(params: TrainParams, expm1j, omega):
+def _pair(params: TrainParams, expm1j):
     """:func:`_run` of tau and of l, with ``expm1j`` the map x -> exp(j omega x) - 1.
 
     Of three equally spaced lengths, the least follows from the others as
@@ -90,16 +75,16 @@ def _pair(params: TrainParams, expm1j, omega):
         lo, mid, hi = lengths
         e[lo] = (e[mid] + 2.0) * e[mid] * np.conj(1.0 + e[hi]) + np.conj(e[hi])
     tau, l = runs
-    pair_tau = _run(tau, e, omega, "tau")
+    pair_tau = _run(tau, e)
     for x in set(tau[1:]) - set(l[1:]):  # free what only tau reads
         del e[x]
-    return pair_tau, _run(l, e, omega, "l")
+    return pair_tau, _run(l, e)
 
 
 def run_pair(omega, params: TrainParams):
     """((1 - theta, 1 - |theta|^2) of tau, the same of l) at ``omega``, each at least 1-D."""
     w = np.atleast_1d(np.asarray(omega, dtype=float))
-    return _pair(params, lambda x: _expm1j(w, x), w)
+    return _pair(params, lambda x: _expm1j(w, x))
 
 
 def clock_harmonics(params: TrainParams, k_max: int):
@@ -112,7 +97,7 @@ def clock_harmonics(params: TrainParams, k_max: int):
     t0 = params.t0
     k = np.arange(1, k_max + 1, dtype=np.int64)
     w_k = 2.0 * np.pi * k / t0
-    (a, _), (b, _) = _pair(params, lambda x: _expm1j(2.0 * np.pi / t0, np.mod(k * x, t0)), w_k)
+    (a, _), (b, _) = _pair(params, lambda x: _expm1j(2.0 * np.pi / t0, np.mod(k * x, t0)))
     return k, w_k, a, np.abs(a + b - a * b) < DETECTOR_TOL
 
 
@@ -139,15 +124,16 @@ def theta_blank(omega, params: TrainParams):
     The interval covers k symbol slots with probability p q^(k-1): t0 for
     k = 1, else a :func:`~pulsepsd.model.front_head` and k - 1 slots of
     t0 - delta. With z = exp(jw t0), u = q exp(jw(t0 - delta)) and
-    h = q exp(jw head), theta = p z + (p/q) u h / (1 - u).
+    h = q exp(jw head), theta = p z + (p/q) u h / (1 - u), where |1 - u| >= p.
     """
     require_variant(params, Variant.BLANK_SHORTEN)
     w = np.asarray(omega, dtype=float)
     p, q = params.prob_one, params.prob_zero
     z = np.exp(1j * w * params.t0)
     u, h = (q * np.exp(1j * w * x) for x in (params.t0 - params.delta, front_head(params)))
-    den = 1.0 - u
-    _check_denominator(den, w, "theta_blank")
+    # Re(1 - u) = p + q (1 - cos) >= p, but the rounded q has 1 - q != p; adding
+    # back p - (1 - q), 0 at p = 1/2, makes den exact at w = 0 and never 0
+    den = (1.0 - u) + (p - (1.0 - q))
     # the factors p and p/q are exact at p = 1/2
     out = p * z + (p / q) * u * h / den
     return complex(out) if np.isscalar(omega) else out

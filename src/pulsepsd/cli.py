@@ -7,14 +7,13 @@ environment (cores, numpy and Python versions, peak RSS), which is
 enough to reproduce the run; simulate and compare add the estimator
 config they resolved, the worker count they used, the lattice and the
 transform size their periodograms were taken at, analytic and compare
-the frequencies the closed form dropped and the points it clamped, and
-analytic the factor each data file carries. Output frequencies are
-normalized to f0 = 1/t0 unless analytic or simulate is given --hz. A
-flat key = value config file can stand in for any flag; explicit flags
-win.
+the frequencies the closed form dropped, and analytic the factor each
+data file carries. Output frequencies are normalized to f0 = 1/t0
+unless analytic or simulate is given --hz. A flat key = value config
+file can stand in for any flag; explicit flags win.
 
 Exit codes: 0 success, 1 usage, validation, file or allocation error, 2
-numerical detection failure.
+peak detection failure.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from .analytic import (  # bin_power, combine: perfbench/tracing.py patches them
     discrete_lines_transition,
     psd_blank_shorten,
 )
-from .charfn import NearSingularError
 from .io import (
     SWEEP_COLUMNS,
     db10,
@@ -55,7 +53,6 @@ from .peaks import (
     SWEEP_SPAN,
     _second_lobe_max,
     linear_fit,
-    normalize_second_lobe,
     sweep_delta,
 )
 from .sim import (
@@ -241,8 +238,8 @@ def _sim_record(simulated: SpectrumGrid) -> dict:
 
 
 def _diagnostics(spectrum: SpectrumGrid) -> dict:
-    """What the closed-form evaluation dropped or clamped, from its meta."""
-    return {key: spectrum.meta[key] for key in ("dropped_freqs", "clamped_points")}
+    """What the closed-form evaluation dropped, from its meta."""
+    return {"dropped_freqs": spectrum.meta["dropped_freqs"]}
 
 
 def _environment() -> dict:
@@ -319,8 +316,9 @@ def cmd_analytic(args) -> tuple[list[Path], dict]:
             ) from None
         scale[spectrum_path.name] = args.scale
     elif blank:
-        scale[spectrum_path.name] = 1.0 / _second_lobe_max(spectrum, t0)
-        spectrum = normalize_second_lobe(spectrum, t0)
+        ref = _second_lobe_max(spectrum, t0)
+        scale[spectrum_path.name] = 1.0 / ref
+        spectrum = replace(spectrum, psd=spectrum.psd / ref)
     if not blank:
         k_in_span = int(np.floor(grid.values[-1] * t0))
         k_max = args.k_max if args.k_max is not None else max(1, min(40, k_in_span))
@@ -501,7 +499,7 @@ def main(argv: list[str] | None = None) -> int:
     except (CliUsageError, ValueError, OSError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except (NearSingularError, RuntimeError) as err:  # PeakDetectionError is a RuntimeError
+    except RuntimeError as err:  # PeakDetectionError is the only one raised
         print(f"detection failure: {err}", file=sys.stderr)
         return 2
     return 0

@@ -42,6 +42,9 @@ __all__ = [
 _CHUNK_SAMPLES = 1 << 18
 # symbols per block of transition synthesis; bounds its intp index copy
 _CHUNK_SYMBOLS = 1 << 16
+# least min(p, 1 - p) of a train, sqrt of the least normal float 2^-1022:
+# below it P^2 underflows in the run pair
+_PROB_FLOOR = 2.0**-511
 
 
 class Variant(enum.Enum):
@@ -79,8 +82,10 @@ class TrainParams:
     needs delta <= t0/2, or a blank would last less than 0. ``prob_one`` is the
     i.i.d. probability of a "one" symbol; the complementary probability
     is always derived, never stored. Every closed form and the simulator
-    honour any ``prob_one`` in (0, 1) for both variants; ``blank_law``
-    matters only to the blank-shorten variant, through :func:`front_head`.
+    honour any ``prob_one`` with min(p, 1 - p) >= about 1.49e-154 for
+    both variants: a run law's P^2 stays normal there, so the run pair
+    is finite at every finite omega. ``blank_law`` matters only to the
+    blank-shorten variant, through :func:`front_head`.
     """
 
     variant: Variant
@@ -96,8 +101,11 @@ class TrainParams:
             raise ValueError(
                 f"delta must satisfy 0 <= delta < t0, got delta={self.delta!r}, t0={self.t0}"
             )
-        if not 0.0 < self.prob_one < 1.0:
-            raise ValueError(f"prob_one must lie in (0, 1), got {self.prob_one!r}")
+        if not min(self.prob_one, 1.0 - self.prob_one) >= _PROB_FLOOR:  # nan fails too
+            raise ValueError(
+                f"prob_one must lie in (0, 1), at least {_PROB_FLOOR:.3g} from either end, "
+                f"got {self.prob_one!r}"
+            )
         if not isinstance(self.blank_law, BlankLaw):
             raise ValueError(f"blank_law must be a BlankLaw, got {self.blank_law!r}")
         if self.variant is Variant.BLANK_SHORTEN and front_head(self) < self.delta:

@@ -401,7 +401,7 @@ def test_combine_reports_out_of_span_lines_by_harmonic_index():
 
 
 def test_every_producer_keeps_only_the_meta_keys_that_are_read():
-    closed = {"kind", "dropped_freqs", "clamped_points"}
+    closed = {"kind", "dropped_freqs"}
     grid = FrequencyGrid.offset_linspace(3.0 / 64, 601)
     transition = continuous_psd_transition(grid, _params())
     assert set(transition.meta) == closed

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from pulsepsd import (
     BlankLaw,
-    NearSingularError,
     TrainParams,
     Variant,
     discrete_component_detector,
@@ -196,9 +195,12 @@ def test_detector_is_all_false_without_predistortion():
 # --- guard rails ---
 
 
-def test_near_singular_denominator_raises():
+def test_every_theta_is_exact_at_dc_next_to_either_end():
+    # |P - (1 - P) E(r)| >= P and |1 - u| >= p: a probability of 1e-13 is no singularity,
+    # nor is one that 1 - p rounds away
     params = _params(t0=8, delta=0, p=1 - 1e-13)
-    with pytest.raises(NearSingularError) as exc:
-        theta1(0.0, params)
-    assert exc.value.omega == 0.0
+    assert theta1(0.0, params) == theta2(0.0, params) == 1.0
+    for p in (1e-13, 1e-20):
+        for law in BlankLaw:
+            assert theta_blank(0.0, _blank(law=law, p=p)) == 1.0
 

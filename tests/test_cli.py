@@ -60,6 +60,19 @@ def test_analytic_transition_writes_spectrum_lines_and_manifest(tmp_path):
     assert (out / "analytic_spectrum.svg").exists()
 
 
+def test_analytic_transition_runs_next_to_p_one(tmp_path):
+    # a zero has probability 1e-13: every run law is still finite, so lines are written
+    out = tmp_path / "run"
+    argv = ["analytic", "--model", "transition", "--t0", "64", "--delta", "3",
+            "--p", "0.9999999999999", "--out-dir", str(out)]
+    assert main(argv) == 0
+    rows = _read_csv(out / "analytic_lines.csv")[1:]
+    k = np.array([float(r[0]) for r in rows])
+    p = 0.9999999999999
+    expected = (np.sin(np.pi * k * 3 / 64) * p * (1 - p) / (k * np.pi)) ** 2
+    np.testing.assert_allclose([float(r[1]) for r in rows], expected, rtol=1e-9)
+
+
 def test_analytic_hz_flag_switches_the_frequency_axis(tmp_path):
     norm_dir, hz_dir = tmp_path / "norm", tmp_path / "hz"
     for argv_extra, out in ((), norm_dir), (("--hz",), hz_dir):
@@ -100,7 +113,8 @@ def test_manifest_reports_what_the_closed_form_dropped_or_clamped(tmp_path, comm
         argv += ["--fft", "1024", "--realizations", "2", "--workers", "1"]
     assert main(argv + ["--out-dir", str(out)]) == 0
     diagnostics = _load(out / f"{command}_manifest.json")["diagnostics"]
-    assert diagnostics["clamped_points"] == 0
+    # the density is a sum of nonnegative terms: nothing is clamped, so no count is kept
+    assert set(diagnostics) == {"dropped_freqs"}
     if command == "analytic":
         # the offset grid never lands on a clock harmonic
         assert diagnostics["dropped_freqs"] == []
@@ -395,9 +409,13 @@ def test_open_ended_windows_and_bands_are_recorded_clipped_as_json(tmp_path):
 
 
 def test_blank_closed_forms_take_any_p(tmp_path):
-    for p in ("0.3", "0.7"):
+    for p in ("0.3", "0.7", "1e-13"):
         argv = ["analytic", "--model", "blank", "--t0", "100", "--delta", "10", "--p", p]
         assert main(argv + ["--out-dir", str(tmp_path / p)]) == 0
+    # the FFT-grid join evaluates the same run pair as analytic, at every bin
+    argv = ["compare", "--model", "blank", "--t0", "100", "--delta", "10", "--fft", "1024",
+            "--p", "1e-13", "--realizations", "4"]
+    assert main(argv + ["--out-dir", str(tmp_path / "compare")]) == 0
     out = tmp_path / "sweep"
     argv = ["peaks-sweep", "--t0", "100", "--deltas", "1:10:1", "--source", "analytic",
             "--p", "0.7", "--workers", "1"]
@@ -622,6 +640,8 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         (["analytic", "--model", "blank", "--t0", "100", "--delta", "60", "--law", "paper"],
          "delta <= t0/2"),
         (sweep + ["--deltas", "10,60"], "delta <= t0/2"),
+        # P^2 of a run law would underflow
+        (["simulate", "--model", "transition", *small, "--p", "1e-200"], "prob_one"),
         # a harmonic count below 1 is refused, not raised to 1
         (["compare", "--model", "transition", *small, "--k-max", "0"], "k_max"),
         (["compare", "--model", "transition", *small, "--k-max=-3"], "k_max"),

@@ -71,7 +71,8 @@ def test_params_reject_a_blank_law_that_is_not_a_blank_law():
         TrainParams(Variant.BLANK_SHORTEN, t0=100, delta=10, blank_law="paper")
 
 
-@pytest.mark.parametrize("p", [0.0, 1.0, -0.2, 1.7])
+# below 1e-154 from either end P^2 underflows in the run pair
+@pytest.mark.parametrize("p", [0.0, 1.0, -0.2, 1.7, 1e-200, float("nan")])
 def test_params_reject_bad_prob(p):
     with pytest.raises(ValueError):
         TrainParams(Variant.TRANSITION_STRETCH, t0=64, prob_one=p)

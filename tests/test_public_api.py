@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import importlib.util
 import inspect
 import re
 import runpy
@@ -13,6 +14,7 @@ import pulsepsd
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = ROOT / "demos"
+PERFBENCH = ROOT / "perfbench"
 README = ROOT / "README.md"
 
 PUBLIC = {
@@ -22,7 +24,7 @@ PUBLIC = {
     "gen_bits", "synth_transition_stretch", "synth_blank_shorten",
     "interval_stats", "measure_intervals",
     # charfn
-    "NearSingularError", "theta1", "theta2", "theta_blank", "discrete_component_detector",
+    "theta1", "theta2", "theta_blank", "discrete_component_detector",
     # analytic
     "FrequencyGrid", "SpectrumGrid", "DiscreteLineSet", "continuous_psd_transition",
     "discrete_lines_transition", "psd_blank_shorten", "bin_power", "combine",
@@ -39,7 +41,7 @@ PUBLIC = {
 
 def test_public_surface_is_pinned_and_every_demo_import_resolves():
     names = pulsepsd.__all__
-    assert len(names) == len(set(names)) == 43
+    assert len(names) == len(set(names)) == 42
     assert set(names) == PUBLIC
     assert all(hasattr(pulsepsd, name) for name in names)
     for demo in sorted(DEMOS.glob("*.py")):
@@ -48,6 +50,31 @@ def test_public_surface_is_pinned_and_every_demo_import_resolves():
                 module = importlib.import_module(node.module)
                 missing = [a.name for a in node.names if not hasattr(module, a.name)]
                 assert not missing, f"{demo.name} imports {missing} from {node.module}"
+
+
+def test_every_name_the_benchmark_reaches_resolves():
+    # perfbench patches LAYERS targets by (module, attribute) and its workloads
+    # import from pulsepsd; a rename there would fail every benchmark operation
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", PERFBENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    targets = [target for layer, _ in tracing.LAYERS.values() for target in layer]
+    assert targets
+    missing = [t for t in targets if not hasattr(importlib.import_module(t[0]), t[1])]
+    assert not missing, f"perfbench/tracing.py LAYERS targets missing: {missing}"
+    imports = 0
+    for node in ast.walk(ast.parse((PERFBENCH / "workloads.py").read_text())):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names if a.name.startswith("pulsepsd")]
+            imports += len(names)
+            for name in names:
+                importlib.import_module(name)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("pulsepsd"):
+            module = importlib.import_module(node.module)
+            imports += 1
+            missing = [a.name for a in node.names if not hasattr(module, a.name)]
+            assert not missing, f"perfbench/workloads.py imports {missing} from {node.module}"
+    assert imports
 
 
 @pytest.mark.parametrize("density", ["continuous_psd_transition", "psd_blank_shorten"])
