@@ -17,9 +17,11 @@ nothing in it cancels as f -> 0, where it tends to
 Where theta_tau theta_l = 1 at a clock harmonic k/t0, the train puts the
 line power |A|^2 / (w_k <G>)^2 there (none for the blank train, whose
 high runs are whole numbers of t0), and the continuum is a removable 0/0
-form. One rule drops such grid points, |1 - theta_tau theta_l| <
-HARMONIC_TOL at f/f0 > 1/2, and reports them. The densities take a grid
-and one TrainParams (delta may be fractional); units are absolute.
+form. Grid points with |1 - theta_tau theta_l| < DETECTOR_TOL at f/f0 > 1/2
+take its limit S* = (Var tau |B0|^2 + Var l |A0|^2) / (w^2 <G>^3), A0 and B0
+at w_k, exactly 0 where both runs resonate; the meta reports them. The
+densities take a grid and one TrainParams (delta may be fractional), return
+a value at every grid point, and are absolute.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import charfn
-from .model import TrainParams, Variant, interval_stats, require_variant
+from .model import TrainParams, Variant, interval_stats, require_variant, run_laws
 
 __all__ = [
     "FrequencyGrid",
@@ -41,8 +43,6 @@ __all__ = [
     "bin_power",
     "combine",
 ]
-
-HARMONIC_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,8 +70,8 @@ class FrequencyGrid:
     def offset_linspace(cls, f_max: float, n_points: int) -> "FrequencyGrid":
         """n_points bins over (0, f_max], each centered half a step in.
 
-        The half-step offset keeps every point away from exact clock
-        harmonics for any integer t0 dividing n_points or not.
+        The half-step offset keeps the points of the CLI's default grids
+        off the clock harmonics; a point on one takes the limit S*.
         """
         if n_points < 1 or f_max <= 0:
             raise ValueError("need n_points >= 1 and f_max > 0")
@@ -93,7 +93,7 @@ class SpectrumGrid:
 
     ``meta`` holds only what is read: ``kind`` ("continuous", "binned",
     "combined" or "simulated") labels the CSV rows; a closed form adds the
-    ``dropped_freqs`` of its drop rule; :func:`pulsepsd.sim.estimate_psd`
+    ``limit_freqs`` where it took its limit; :func:`pulsepsd.sim.estimate_psd`
     adds the config it resolved. Derived spectra, a rescaled one included,
     are ``dataclasses.replace``d from their input, keeping its meta, and
     are validated again.
@@ -154,14 +154,16 @@ def _psd(grid: FrequencyGrid, params: TrainParams) -> SpectrumGrid:
     d += b  # 1 - theta_tau theta_l
     del a, b
     product = np.abs(d) ** 2
-    keep = (product >= HARMONIC_TOL**2) | (grid.values * params.t0 <= 0.5)
-    if not keep.any():
-        raise ValueError(f"all {len(keep)} grid points were dropped as near-singular")
-    if not keep.all():
-        w, product, values = w[keep], product[keep], values[keep]
-    values /= w * w * interval_stats(params).mean_g * product
-    meta = {"kind": "continuous", "dropped_freqs": tuple(grid.values[~keep].tolist())}
-    return SpectrumGrid(FrequencyGrid(grid.values[keep]), values, meta)
+    limit = (product < charfn.DETECTOR_TOL**2) & (grid.values * params.t0 > 0.5)
+    mean_g = interval_stats(params).mean_g
+    np.divide(values, w * w * mean_g * product, out=values, where=~limit)
+    if limit.any():
+        (a, _), (b, _) = charfn._harmonic_pair(params, np.round(grid.values[limit] * params.t0))
+        var_tau, var_l = (r * r * (1.0 - P) / (P * P) for P, _, r in run_laws(params))
+        values[limit] = var_tau * np.abs(b) ** 2 + var_l * np.abs(a) ** 2
+        values[limit] /= w[limit] ** 2 * mean_g**3
+    meta = {"kind": "continuous", "limit_freqs": tuple(grid.values[limit].tolist())}
+    return SpectrumGrid(grid, values, meta)
 
 
 def _lines(k_max: int, params: TrainParams) -> DiscreteLineSet:
@@ -172,7 +174,7 @@ def _lines(k_max: int, params: TrainParams) -> DiscreteLineSet:
 
 
 def continuous_psd_transition(grid: FrequencyGrid, params: TrainParams) -> SpectrumGrid:
-    """Continuous PSD of the transition-stretch train on ``grid``; clock harmonics are dropped."""
+    """Continuous PSD of the transition-stretch train on ``grid``, clock harmonics included."""
     require_variant(params, Variant.TRANSITION_STRETCH)
     return _psd(grid, params)
 
@@ -200,15 +202,13 @@ def bin_power(spectrum: SpectrumGrid) -> SpectrumGrid:
     """Integrate a density into per-bin power on the same axis.
 
     Bin k receives S(f_k) * (f_k - f_{k-1}) with f_0 = 0, the Hz form of
-    the angular rule S(w_k)(w_k - w_{k-1}) / (2 pi); f_{k-1} may be one of
-    the ascending ``meta["dropped_freqs"]``, whose bin stays empty. Matches the
+    the angular rule S(w_k)(w_k - w_{k-1}) / (2 pi). Matches the
     |X_k / L|^2 normalization of the averaged periodogram bin for bin.
     """
     f = spectrum.freqs
     if len(f) < 2:
         raise ValueError("bin_power needs a grid with at least 2 points")
-    dropped = np.array((0.0, *spectrum.meta.get("dropped_freqs", ())))
-    widths = f - np.maximum(np.r_[0.0, f[:-1]], dropped[np.searchsorted(dropped, f) - 1])
+    widths = np.diff(f, prepend=0.0)
     return replace(spectrum, psd=spectrum.psd * widths, meta={**spectrum.meta, "kind": "binned"})
 
 
@@ -235,10 +235,10 @@ def combine(binned_continuous: SpectrumGrid, lines: DiscreteLineSet) -> Spectrum
 def analytic_on_fft_grid(params: TrainParams, fft_size: int, k_max: int | None = None) -> SpectrumGrid:
     """Binned analytic spectrum on the simulator's one-sided FFT bins.
 
-    Lines (none for the blank train) are folded into the nearest kept bin,
-    as an averaged periodogram receives them; the harmonic bins themselves
-    are dropped, so line power lands one bin over. ``k_max`` (default 40)
-    is cut to the harmonics inside the FFT span (none at t0 = 1); below 1 it is refused.
+    Lines (none for the blank train) are folded into the nearest bin, as
+    an averaged periodogram receives them: the harmonic bin itself when
+    t0 divides ``fft_size``. ``k_max`` (default 40) is cut to the
+    harmonics inside the FFT span (none at t0 = 1); below 1 it is refused.
     """
     binned = bin_power(_psd(FrequencyGrid.fft_bins(fft_size), params))
     k_in_span = int(np.floor(binned.freqs[-1] * params.t0))

@@ -20,14 +20,16 @@ vanishes; :class:`~pulsepsd.model.TrainParams` keeps P^2 normal, so both
 values are finite at every finite w and nothing here can refuse one.
 
 theta1 and theta2 are the transition train's tau and l, theta_blank the
-blank front-to-front interval's; ``omega`` is in rad/sample throughout.
+blank front-to-front interval's, a pulse of t0 and, with probability q, a
+low run: theta_blank = exp(jw t0) (1 - q (1 - theta_l)). ``omega`` is in
+rad/sample throughout.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .model import TrainParams, Variant, front_head, require_variant, run_laws
+from .model import TrainParams, Variant, require_variant, run_laws
 
 __all__ = [
     "theta1",
@@ -87,35 +89,38 @@ def run_pair(omega, params: TrainParams):
     return _pair(params, lambda x: _expm1j(w, x))
 
 
-def clock_harmonics(params: TrainParams, k_max: int):
-    """k = 1..k_max, w_k = 2 pi k / t0, 1 - theta_tau there, and where theta_tau theta_l = 1.
+def _harmonic_pair(params: TrainParams, k):
+    """:func:`run_pair` at the clock harmonics w = 2 pi k / t0 of the integers ``k``.
 
     Lengths are reduced modulo t0, so a whole number of periods gives exactly 0.
     """
+    return _pair(params, lambda x: _expm1j(2.0 * np.pi / params.t0, np.mod(k * x, params.t0)))
+
+
+def clock_harmonics(params: TrainParams, k_max: int):
+    """k = 1..k_max, w_k = 2 pi k / t0, 1 - theta_tau there, and where theta_tau theta_l = 1."""
     if k_max <= 0:
         raise ValueError(f"k_max must be positive, got {k_max}")
-    t0 = params.t0
     k = np.arange(1, k_max + 1, dtype=np.int64)
-    w_k = 2.0 * np.pi * k / t0
-    (a, _), (b, _) = _pair(params, lambda x: _expm1j(2.0 * np.pi / t0, np.mod(k * x, t0)))
-    return k, w_k, a, np.abs(a + b - a * b) < DETECTOR_TOL
+    (a, _), (b, _) = _harmonic_pair(params, k)
+    return k, 2.0 * np.pi * k / params.t0, a, np.abs(a + b - a * b) < DETECTOR_TOL
 
 
-def _theta(omega, run_index: int, params: TrainParams):
-    out = 1.0 - run_pair(omega, params)[run_index][0]
+def _shaped(omega, out):
+    """``out``, computed on the 1-D form of ``omega``, in the shape of ``omega``."""
     return complex(out[0]) if np.isscalar(omega) else out.reshape(np.shape(omega))
 
 
 def theta1(omega, params: TrainParams):
     """Characteristic function of the pulse duration tau; |theta1| <= 1, theta1(0) = 1."""
     require_variant(params, Variant.TRANSITION_STRETCH)
-    return _theta(omega, 0, params)
+    return _shaped(omega, 1.0 - run_pair(omega, params)[0][0])
 
 
 def theta2(omega, params: TrainParams):
     """Characteristic function of the gap l between pulses; |theta2| <= 1."""
     require_variant(params, Variant.TRANSITION_STRETCH)
-    return _theta(omega, 1, params)
+    return _shaped(omega, 1.0 - run_pair(omega, params)[1][0])
 
 
 def theta_blank(omega, params: TrainParams):
@@ -123,20 +128,12 @@ def theta_blank(omega, params: TrainParams):
 
     The interval covers k symbol slots with probability p q^(k-1): t0 for
     k = 1, else a :func:`~pulsepsd.model.front_head` and k - 1 slots of
-    t0 - delta. With z = exp(jw t0), u = q exp(jw(t0 - delta)) and
-    h = q exp(jw head), theta = p z + (p/q) u h / (1 - u), where |1 - u| >= p.
+    t0 - delta; that is a pulse of t0 and, with probability q, a low run.
     """
     require_variant(params, Variant.BLANK_SHORTEN)
-    w = np.asarray(omega, dtype=float)
-    p, q = params.prob_one, params.prob_zero
-    z = np.exp(1j * w * params.t0)
-    u, h = (q * np.exp(1j * w * x) for x in (params.t0 - params.delta, front_head(params)))
-    # Re(1 - u) = p + q (1 - cos) >= p, but the rounded q has 1 - q != p; adding
-    # back p - (1 - q), 0 at p = 1/2, makes den exact at w = 0 and never 0
-    den = (1.0 - u) + (p - (1.0 - q))
-    # the factors p and p/q are exact at p = 1/2
-    out = p * z + (p / q) * u * h / den
-    return complex(out) if np.isscalar(omega) else out
+    out = 1.0 - params.prob_zero * run_pair(omega, params)[1][0]
+    out *= np.exp(1j * params.t0 * np.asarray(omega, dtype=float))
+    return _shaped(omega, out)
 
 
 def discrete_component_detector(params: TrainParams, k_max: int) -> list[tuple[int, bool]]:

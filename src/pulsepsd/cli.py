@@ -7,10 +7,10 @@ environment (cores, numpy and Python versions, peak RSS), which is
 enough to reproduce the run; simulate and compare add the estimator
 config they resolved, the worker count they used, the lattice and the
 transform size their periodograms were taken at, analytic and compare
-the frequencies the closed form dropped, and analytic the factor each
-data file carries. Output frequencies are normalized to f0 = 1/t0
-unless analytic or simulate is given --hz. A flat key = value config
-file can stand in for any flag; explicit flags win.
+the frequencies where the closed form took its limit, and analytic the
+factor each data file carries. Output frequencies are normalized to f0
+= 1/t0 unless analytic or simulate is given --hz. A flat key = value
+config file can stand in for any flag; explicit flags win.
 
 Exit codes: 0 success, 1 usage, validation, file or allocation error, 2
 peak detection failure.
@@ -238,8 +238,8 @@ def _sim_record(simulated: SpectrumGrid) -> dict:
 
 
 def _diagnostics(spectrum: SpectrumGrid) -> dict:
-    """What the closed-form evaluation dropped, from its meta."""
-    return {"dropped_freqs": spectrum.meta["dropped_freqs"]}
+    """Where the closed-form evaluation took its removable limit, from its meta."""
+    return {"limit_freqs": spectrum.meta["limit_freqs"]}
 
 
 def _environment() -> dict:

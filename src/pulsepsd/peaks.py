@@ -190,7 +190,7 @@ def default_sweep_grid(t0: float) -> FrequencyGrid:
 
 
 def _closed_form(params: TrainParams, freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized frequencies kept by the closed form, and its values there."""
+    """Normalized frequencies ``freqs * t0`` and the closed form's values there."""
     spectrum = psd_blank_shorten(FrequencyGrid(freqs), params)
     return spectrum.freqs * params.t0, spectrum.psd
 

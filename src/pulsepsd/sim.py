@@ -363,24 +363,22 @@ def compare_on_common_bins(
 ) -> tuple[np.ndarray, dict]:
     """Join analytic and simulated spectra bin for bin and summarize.
 
-    The analytic bins must be simulated FFT bins, as those of
-    :func:`pulsepsd.analytic.analytic_on_fft_grid` are: the same
-    k/fft_size values minus the harmonics the closed form drops. Rows
+    The two grids must be equal, as the simulated FFT bins and those of
+    :func:`pulsepsd.analytic.analytic_on_fft_grid` are. Rows
     (f/f0, analytic dB, simulated dB, diff dB) form one (n, 4) array with
-    a row for every analytic bin, excluded or not. The summary's max
+    a row for every bin, excluded or not. The summary's max
     |diff| is taken over the normalized band and skips bins within 2 bin
     widths of a continuum null (integer f/f0); it records the band
     clipped to the FFT span, 0 to t0/2 f/f0.
     """
     f_a, f_s = analytic_spec.freqs, simulated.freqs
-    idx = np.searchsorted(f_s, f_a).clip(max=len(f_s) - 1)
-    if not np.array_equal(f_s[idx], f_a):
+    if not np.array_equal(f_s, f_a):
         raise ValueError(
-            f"grid mismatch: analytic bins {f_a[0]}..{f_a[-1]} are not among "
-            f"the simulated bins {f_s[0]}..{f_s[-1]}"
+            f"grid mismatch: analytic bins {f_a[0]}..{f_a[-1]} ({len(f_a)}) are not "
+            f"the simulated bins {f_s[0]}..{f_s[-1]} ({len(f_s)})"
         )
     a_db = db10(analytic_spec.psd)
-    s_db = db10(simulated.psd[idx])
+    s_db = db10(simulated.psd)
     diff = a_db - s_db
     x = f_a * t0
     bin_width_norm = t0 * f_s[0]  # f_s[0] = 1/fft_size, exact for power-of-two sizes

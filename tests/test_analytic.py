@@ -117,14 +117,43 @@ def test_continuous_value_at_half_clock_frequency():
     assert spec.psd[0] == pytest.approx(6.4845557531096185, rel=1e-12)
 
 
-def test_harmonic_points_are_dropped_not_fabricated():
-    t0 = 64
-    grid = FrequencyGrid(np.array([0.5 / t0, 1.0 / t0, 1.5 / t0]))
-    spec = continuous_psd_transition(grid, _params(t0=t0))
-    assert len(spec.freqs) == 2
-    assert 1.0 / t0 not in spec.freqs
-    assert spec.meta["dropped_freqs"] == (1.0 / t0,)
-    assert np.all(np.isfinite(spec.psd))
+def test_harmonic_points_take_the_removable_limit():
+    # at k/t0 the continuum is 0/0; its limit is S* = 4 sin^2(pi k delta / t0)
+    # (Var tau + Var l) / (w_k^2 <G>^3), with <G> = t0 / (p q), Var tau =
+    # t0^2 p / q^2 and Var l = t0^2 q / p^2; the point is reported, not dropped
+    t0, delta, p = 64, 3, 0.55
+    q = 1.0 - p
+    grid = FrequencyGrid(np.array([0.5 / t0, 1.0 / t0, 1.5 / t0, 2.0 / t0]))
+    spec = continuous_psd_transition(grid, _params(t0, delta, p))
+    assert spec.grid is grid
+    assert spec.meta["limit_freqs"] == (1.0 / t0, 2.0 / t0)
+    k = np.array([1.0, 2.0])
+    w_k = 2.0 * np.pi * k / t0
+    s_star = (
+        4.0 * np.sin(np.pi * k * delta / t0) ** 2 * t0**2 * (p / q**2 + q / p**2)
+        / (w_k**2 * (t0 / (p * q)) ** 3)
+    )
+    np.testing.assert_allclose(spec.psd[[1, 3]], s_star, rtol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "t0, delta, p", [(64, 3, 0.55), (10, 2.5, 0.7), (16, 4, 0.3), (8, 3, 0.3), (64, 0, 0.55)]
+)
+def test_harmonic_limit_meets_the_extrapolated_neighbours(t0, delta, p):
+    # the density is even about f_k to second order, so the mean m(h) of its
+    # values at f_k (1 +- h) is S* + c h^2 + O(h^4), and (4 m(h) - m(2h)) / 3
+    # extrapolates to S*; measured within 9.7e-10 of S(1.1 f_k)
+    params = _params(t0, delta, p)
+    f_k = np.arange(1, 9) / t0
+
+    def density(f):
+        return continuous_psd_transition(FrequencyGrid(f), params).psd
+
+    def m(h):
+        return 0.5 * (density(f_k * (1.0 - h)) + density(f_k * (1.0 + h)))
+
+    extrapolated = (4.0 * m(1e-4) - m(2e-4)) / 3.0
+    assert np.all(np.abs(density(f_k) - extrapolated) <= 2e-9 * density(1.1 * f_k))
 
 
 def test_continuous_is_finite_near_harmonics():
@@ -208,13 +237,25 @@ def test_blank_laws_coincide_at_zero_delta():
     np.testing.assert_allclose(a.psd, b.psd, rtol=1e-10)
 
 
-def test_blank_drops_points_where_denominator_collapses():
-    # without shortening the resonant factor blows up at every harmonic
+def test_blank_resonances_take_a_limit_of_exactly_zero():
+    # without shortening every harmonic is a resonance of both runs: A0 = B0 = 0
     t0 = 64
     grid = FrequencyGrid(np.array([0.7 / t0, 1.0 / t0, 1.3 / t0]))
     spec = psd_blank_shorten(grid, _blank(t0, 0))
-    assert len(spec.freqs) == 2
-    assert spec.meta["dropped_freqs"] == (1.0 / t0,)
+    assert spec.meta["limit_freqs"] == (1.0 / t0,)
+    assert spec.psd[1] == 0.0 and np.all(spec.psd[[0, 2]] > 0.0)
+    # at t0 100, delta 10 both runs resonate at f = m / gcd(t0, delta); the
+    # neighbours fall as h^2, with the mean over h^2 steady at 24.20 (paper
+    # law) and 23.62 (generator law)
+    f = np.array([0.1, 0.2])
+    for law, slope in ((BlankLaw.PAPER_K_DELTA, 24.20), (BlankLaw.GENERATOR_K_MINUS_ONE_DELTA, 23.62)):
+        params = _blank(100, 10, law)
+        spec = psd_blank_shorten(FrequencyGrid(f), params)
+        assert spec.meta["limit_freqs"] == (0.1, 0.2)
+        np.testing.assert_array_equal(spec.psd, 0.0)
+        for h in (1e-4, 1e-5):
+            below, above = (psd_blank_shorten(FrequencyGrid(f * x), params).psd for x in (1 - h, 1 + h))
+            np.testing.assert_allclose(0.5 * (below + above) / h**2, slope, rtol=1e-3)
 
 
 def _series_interval_law(t0: float, delta: float, law: BlankLaw, p: float):
@@ -358,17 +399,13 @@ def test_bin_power_first_bin_reaches_down_to_dc():
 
 
 def test_bin_power_takes_widths_from_the_evaluated_grid():
-    # the closed form drops the 32 clock harmonics k/64 among the FFT bins
-    # k/8192; the bin just above each keeps its own 1/8192 width
+    # the closed form takes its limit at the 32 clock harmonics k/64 among
+    # the FFT bins k/8192 and keeps every bin, each 1/8192 wide
     n = 8192
     params = TrainParams(Variant.TRANSITION_STRETCH, t0=64, delta=3, prob_one=0.55)
     density = continuous_psd_transition(FrequencyGrid.fft_bins(n), params)
-    assert len(density.meta["dropped_freqs"]) == 32
+    assert len(density.meta["limit_freqs"]) == 32 and len(density.psd) == n // 2
     np.testing.assert_allclose(bin_power(density).psd, density.psd / n, rtol=1e-9)
-    # a dropped lowest point is a width too
-    g = FrequencyGrid(np.array([0.5, 1.0]))
-    spec = SpectrumGrid(grid=g, psd=np.array([4.0, 8.0]), meta={"dropped_freqs": (0.25,)})
-    np.testing.assert_allclose(bin_power(spec).psd, [1.0, 4.0], rtol=1e-15)
 
 
 def test_bin_power_needs_two_points():
@@ -401,7 +438,7 @@ def test_combine_reports_out_of_span_lines_by_harmonic_index():
 
 
 def test_every_producer_keeps_only_the_meta_keys_that_are_read():
-    closed = {"kind", "dropped_freqs"}
+    closed = {"kind", "limit_freqs"}
     grid = FrequencyGrid.offset_linspace(3.0 / 64, 601)
     transition = continuous_psd_transition(grid, _params())
     assert set(transition.meta) == closed
@@ -425,10 +462,11 @@ def test_analytic_on_fft_grid_keeps_line_power():
     params = TrainParams(Variant.TRANSITION_STRETCH, t0=64, delta=3, prob_one=0.55)
     spec = analytic_on_fft_grid(params, 4096)
     assert spec.meta["kind"] == "combined"
-    # the bin nearest the clock frequency carries the k=1 line power plus
-    # a deep-null continuum sliver, so it is line-dominated
+    # the harmonic bin itself carries the k=1 line power plus a deep-null
+    # continuum sliver, so it is line-dominated
     f = spec.freqs
     i_line = int(np.argmin(np.abs(f - 1.0 / 64.0)))
+    assert f[i_line] == 1.0 / 64.0
     line = discrete_lines_transition(1, params).power[0]
     assert spec.psd[i_line] == pytest.approx(line, rel=0.05)
     assert spec.psd[i_line] > 4 * spec.psd[i_line - 3]

@@ -138,11 +138,10 @@ def test_blank_laws_coincide_at_zero_delta():
     np.testing.assert_allclose(gen, expected, atol=1e-12)
 
 
-def test_blank_theta_at_half_is_bit_identical_to_the_equiprobable_form():
+def test_blank_theta_matches_the_equiprobable_forms():
     # the equiprobable closed forms this package shipped before it took p;
-    # the one-formula theta keeps the paper law bit for bit, and reaches the
-    # generator form p z / (1 - u) as p z + p z u / (1 - u), within 4 ULP
-    # (4.8e-16 relative measured)
+    # theta = exp(jw t0)(1 - q (1 - theta_l)) reaches them in another float
+    # order, within 1.3e-14 relative (paper law) and 1.0e-15 (generator) measured
     rng = np.random.default_rng(7)
     w = rng.uniform(-5.0, 5.0, 1000)
     for t0, delta in ((100, 10.0), (32, 3.0), (64, 0.0), (100, 10.5)):
@@ -150,11 +149,21 @@ def test_blank_theta_at_half_is_bit_identical_to_the_equiprobable_form():
         u = 0.5 * np.exp(1j * w * (t0 - delta))
         paper = 0.5 * z + u * u / (1.0 - u)
         generator = z / (2.0 - 2.0 * u)
-        np.testing.assert_array_equal(theta_blank(w, _blank(t0, delta)), paper)
+        np.testing.assert_allclose(theta_blank(w, _blank(t0, delta)), paper, rtol=2e-14, atol=0)
         np.testing.assert_allclose(
             theta_blank(w, _blank(t0, delta, BlankLaw.GENERATOR_K_MINUS_ONE_DELTA)), generator,
-            rtol=4 * np.finfo(float).eps, atol=0,
+            rtol=2e-15, atol=0,
         )
+
+
+def test_blank_theta_at_small_p_has_no_cancellation_near_dc():
+    # at p = 1e-3 and w <= 1e-2 theta meets the series oracle to 1.2e-15; the
+    # direct form p z + (p/q) u h / (1 - u) carried the rounding of 1 - u, 8.2e-14
+    w = np.geomspace(1e-8, 1e-2, 13)
+    for law in BlankLaw:
+        theta = theta_blank(w, _blank(100, 10.0, law, 1e-3))
+        expected = [_series_blank(wi, 100, 10.0, law, 1e-3) for wi in w]
+        np.testing.assert_allclose(theta, expected, rtol=0, atol=2e-14)
 
 
 def test_blank_laws_differ_for_positive_delta():

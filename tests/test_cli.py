@@ -110,17 +110,22 @@ def test_manifest_reports_what_the_closed_form_dropped_or_clamped(tmp_path, comm
     out = tmp_path / command
     argv = [command, "--model", "transition", "--t0", "16", "--delta", "2", "--p", "0.55"]
     if command == "compare":
-        argv += ["--fft", "1024", "--realizations", "2", "--workers", "1"]
+        argv += ["--fft", "1024", "--realizations", "200", "--seed", "3", "--workers", "1"]
     assert main(argv + ["--out-dir", str(out)]) == 0
     diagnostics = _load(out / f"{command}_manifest.json")["diagnostics"]
-    # the density is a sum of nonnegative terms: nothing is clamped, so no count is kept
-    assert set(diagnostics) == {"dropped_freqs"}
+    # nothing is dropped or clamped: the manifest names where the limit was taken
+    assert set(diagnostics) == {"limit_freqs"}
     if command == "analytic":
         # the offset grid never lands on a clock harmonic
-        assert diagnostics["dropped_freqs"] == []
+        assert diagnostics["limit_freqs"] == []
     else:
         # FFT bins 64, 128, ..., 512 of 1024 sit on the harmonics k/16
-        assert diagnostics["dropped_freqs"] == [k / 16.0 for k in range(1, 9)]
+        assert diagnostics["limit_freqs"] == [k / 16.0 for k in range(1, 9)]
+        # each has its row, which holds the line, and agrees with the estimate
+        # like the row below it does (0.05 and 0.12 dB at k = 1, 0.49 and 0.62 dB at k = 2)
+        rows = {float(r[0]): float(r[3]) for r in _read_csv(out / "compare.csv")[1:]}
+        for k in (1.0, 2.0):
+            assert abs(rows[k]) < 1.0 and abs(rows[k - 16 / 1024]) < 1.0
 
 
 def test_analytic_blank_needs_room_for_the_reference_window(tmp_path, capsys):
@@ -693,16 +698,11 @@ def test_analytic_scale_outside_zero_to_inf_exits_one(tmp_path, capsys, model):
          ["--scale 1e+308 overflows", "peak is 15.7896"]),
         (["--model", "transition", "--t0", "64", "--fmax-norm", "1e-300"],
          ["--fmax-norm 1e-300", "--points 4096", "f/f0 = 1.2207e-304", "must be finite"]),
-        # the one grid point sits on the clock harmonic, where delta = 0 makes
-        # the front process periodic
-        (["--model", "blank", "--t0", "64", "--delta", "0", "--fmax-norm", "2", "--points", "1",
-          "--scale", "1"],
-         ["--fmax-norm 2.0", "--points 1", "all 1 grid points"]),
         (["--model", "blank", "--t0", "64", "--delta", "3", "--fmax-norm", "1e-300",
           "--scale", "1"],
          ["--fmax-norm 1e-300", "--points 20001", "f/f0 = 2.49988e-305", "must be finite"]),
     ],
-    ids=["overflowing-scale", "vanishing-grid", "emptied-grid", "vanishing-blank-grid"],
+    ids=["overflowing-scale", "vanishing-grid", "vanishing-blank-grid"],
 )
 def test_non_finite_spectra_exit_one_with_one_line_and_no_warning(tmp_path, capsys, argv, cause):
     with warnings.catch_warnings(record=True) as caught:
@@ -713,6 +713,17 @@ def test_non_finite_spectra_exit_one_with_one_line_and_no_warning(tmp_path, caps
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert all(part in err for part in cause), err
     assert not any((tmp_path / "x").glob("*.csv"))
+
+
+def test_a_grid_on_a_blank_resonance_writes_the_limit_zero(tmp_path):
+    # the one grid point sits on the clock harmonic, where delta = 0 makes the
+    # front process periodic: the continuum takes its limit there, exactly 0
+    argv = ["analytic", "--model", "blank", "--t0", "64", "--delta", "0", "--fmax-norm", "2",
+            "--points", "1", "--scale", "1"]
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 0
+    rows = _read_csv(tmp_path / "analytic_spectrum.csv")[1:]
+    assert [(float(r[0]), float(r[1])) for r in rows] == [(1.0, 0.0)]
+    assert _load(tmp_path / "analytic_manifest.json")["diagnostics"]["limit_freqs"] == [1 / 64]
 
 
 def test_an_unallocatable_grid_exits_one_with_one_line(tmp_path, capsys):
