@@ -166,6 +166,20 @@ def _psd(grid: FrequencyGrid, params: TrainParams) -> SpectrumGrid:
     return SpectrumGrid(grid, values, meta)
 
 
+def _psd_slope(freqs: np.ndarray, params: TrainParams) -> np.ndarray:
+    """dS/df of the density at ``freqs`` (1-D), away from f = 0 and from the points that take S*.
+
+    From the first form, with D = A + B - A B and A', B' the slopes in w:
+    dS/dw = 2 / (w^2 <G>) Re[(A' B^2 + B' A^2) / D^2 - 2 A B / (w D)].
+    """
+    w = 2.0 * np.pi * freqs
+    (a, _), (b, _) = charfn.run_pair(w, params)
+    da, db = charfn._run_slopes(w, params)
+    d = a + b - a * b
+    inner = ((da * b * b + db * a * a) / d - 2.0 * a * b / w) / d
+    return 4.0 * np.pi * inner.real / (w * w * interval_stats(params).mean_g)
+
+
 def _lines(k_max: int, params: TrainParams) -> DiscreteLineSet:
     """Line powers |A|^2 / (w_k <G>)^2 at k/t0, k = 1 .. k_max, where theta_tau theta_l = 1."""
     k, w_k, a, periodic = charfn.clock_harmonics(params, k_max)

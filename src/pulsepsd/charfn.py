@@ -89,6 +89,18 @@ def run_pair(omega, params: TrainParams):
     return _pair(params, lambda x: _expm1j(w, x))
 
 
+def _run_slopes(omega: np.ndarray, params: TrainParams):
+    """d/domega of 1 - theta of tau and of l at ``omega`` (1-D, away from 0).
+
+    For a law (P, a, r), theta' = j theta (a + r z / (1 - z)) with z = (1 - P) exp(j omega r).
+    """
+    slopes = []
+    for P, a, r in run_laws(params):
+        z = (1.0 - P) * np.exp(1j * omega * r)
+        slopes.append(-1j * P * np.exp(1j * omega * a) / (1.0 - z) * (a + r * z / (1.0 - z)))
+    return slopes
+
+
 def _harmonic_pair(params: TrainParams, k):
     """:func:`run_pair` at the clock harmonics w = 2 pi k / t0 of the integers ``k``.
 

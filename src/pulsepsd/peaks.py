@@ -9,14 +9,10 @@ a PeakReport never depends on the absolute scale of the input spectrum.
 A given spectrum, such as a Monte Carlo estimate, is read off its grid
 points by :func:`find_clock_peak`. An analytic sweep measures the closed
 form itself: the sweep grid's points inside the peak window bracket the
-peak, and the center, the half-height crossings and the second lobe are
-refined on the closed form by nested zoom grids and bisection (after
-Brent 1973, Algorithms for Minimization without Derivatives) until each
-bracket is 1e-12 f/f0 wide, so the results are not quantized to a grid
-step. The crossings, where the density is steep, hold to that width.
-The center of the flat-topped peak holds only to about 1e-9 f/f0: a
-maximum is located to the square root of the values' precision, and
-relative value changes of 1e-13 moved it by up to 3.2e-10.
+peak, and one bracketing root finder refines it on the closed form. The
+center and the second lobe are where dS/df changes sign, the half-height
+crossings where S - half does, and each is the first float past its
+sign change, so a result is exact to one float, not to a grid step.
 """
 
 from __future__ import annotations
@@ -27,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .analytic import FrequencyGrid, SpectrumGrid, psd_blank_shorten
+from .analytic import FrequencyGrid, SpectrumGrid, _psd_slope, psd_blank_shorten
 from .model import TrainParams, Variant, require_variant
 from .sim import SimConfig, estimate_psd
 
@@ -52,9 +48,7 @@ SWEEP_SPAN = (0.3, 3.0)
 SWEEP_POINTS = 400001
 # the second lobe is broad, so every 16th grid point brackets it
 LOBE_STRIDE = 16
-# refinement stops once a bracket is this narrow, in f/f0; each level
-# evaluates REFINE_POINTS points across the bracket
-REFINE_TOL = 1e-12
+# each refinement level evaluates this many points across its bracket
 REFINE_POINTS = 33
 
 
@@ -189,71 +183,39 @@ def default_sweep_grid(t0: float) -> FrequencyGrid:
     return FrequencyGrid(x / t0)
 
 
-def _closed_form(params: TrainParams, freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized frequencies ``freqs * t0`` and the closed form's values there."""
-    spectrum = psd_blank_shorten(FrequencyGrid(freqs), params)
-    return spectrum.freqs * params.t0, spectrum.psd
+def _density(params: TrainParams, freqs: np.ndarray) -> np.ndarray:
+    """The closed form's values at the frequencies ``freqs``, in cycles/sample."""
+    return psd_blank_shorten(FrequencyGrid(freqs), params).psd
 
 
-def _refine_max(params: TrainParams, x: np.ndarray, s: np.ndarray, k: int) -> tuple[float, float]:
-    """Maximum of the closed form between the neighbours of x[k], the argmax of s.
+def _first_past(fn, inner: float, outer: float) -> float:
+    """The first float from ``inner`` toward ``outer`` where ``fn`` is at or below 0.
 
-    Nested zoom grids: each level evaluates REFINE_POINTS points across
-    the bracket and keeps the two neighbours of their argmax, until the
-    bracket is under REFINE_TOL. Returns the best (x, value) seen, so
-    the result never falls below s[k].
+    ``fn`` maps ascending frequencies to values, taken as above 0 at
+    ``inner`` and at or below it at ``outer``. Each level keeps the
+    section where REFINE_POINTS values across the bracket first reach 0,
+    until its ends are neighbouring floats.
     """
-    best = (float(x[k]), float(s[k]))
-    a, b = x[max(k - 1, 0)], x[min(k + 1, len(x) - 1)]
-    while b - a > REFINE_TOL:
-        x, s = _closed_form(params, np.linspace(a, b, REFINE_POINTS) / params.t0)
-        k = int(np.argmax(s))
-        if s[k] > best[1]:
-            best = (float(x[k]), float(s[k]))
-        a, b = x[max(k - 1, 0)], x[min(k + 1, len(x) - 1)]
-    return best
-
-
-def _refine_crossing(params: TrainParams, inner: float, outer: float, half: float) -> float:
-    """Where the closed form falls to ``half`` between ``inner`` (above it) and ``outer``.
-
-    Bisection with REFINE_POINTS - 1 sections per level, keeping the
-    section where the value first drops to ``half`` or below.
-    """
-    while abs(outer - inner) > REFINE_TOL:
-        a, b = sorted((inner, outer))
-        x, s = _closed_form(params, np.linspace(a, b, REFINE_POINTS) / params.t0)
+    while np.nextafter(inner, outer) != outer:
+        u = np.unique(np.linspace(min(inner, outer), max(inner, outer), REFINE_POINTS))
+        v = fn(u)
         if outer < inner:
-            x, s = x[::-1], s[::-1]
-        past = s <= half
+            u, v = u[::-1], v[::-1]
+        past = v <= 0.0
         past[0], past[-1] = False, True
         m = int(np.argmax(past))
-        inner, outer = x[m - 1], x[m]
-    return float(0.5 * (inner + outer))
+        inner, outer = u[m - 1], u[m]
+    return float(outer)
 
 
-def _half_height(
-    params: TrainParams,
-    center: float,
-    half: float,
-    x: np.ndarray,
-    s: np.ndarray,
-    beyond: np.ndarray,
-    side: int,
-) -> float:
-    """Half-height crossing on ``side`` (-1 or +1) of ``center``.
+def _top(params: TrainParams, u: np.ndarray, k: int) -> tuple[float, float]:
+    """Frequency and value of the closed form's maximum between the neighbours of u[k].
 
-    Walks out from the center over the evaluated points (x, s), then over
-    the sweep-grid frequencies ``beyond`` the window, to the first point
-    at or below ``half``, and refines between it and the point before.
+    It is the first float where dS/df is at or below 0; a maximum on an end
+    of ``u``, where dS/df need not change sign, is read within one float.
     """
-    out = (x - center) * side > 0
-    xs, ss = x[out][::side], s[out][::side]
-    if not np.any(ss <= half) and len(beyond):
-        xb, sb = _closed_form(params, beyond)
-        xs, ss = np.concatenate([xs, xb[::side]]), np.concatenate([ss, sb[::side]])
-    j = _first_at_or_below(ss, half)
-    return _refine_crossing(params, xs[j - 1] if j > 0 else center, float(xs[j]), half)
+    top = _first_past(lambda v: _psd_slope(v, params), u[max(k - 1, 0)], u[min(k + 1, len(u) - 1)])
+    return top, float(_density(params, np.array([top]))[0])
 
 
 def _refined_peak(
@@ -268,20 +230,30 @@ def _refined_peak(
     its points inside ``window``, so detection and its boundary failure
     are those of :func:`find_clock_peak` on the full grid; the center,
     the half-height crossings and the second lobe are then refined on the
-    closed form to REFINE_TOL. The lobe is bracketed on every
-    LOBE_STRIDE-th grid point of each side of the exclusion, plus the
-    exclusion boundary itself.
+    closed form to one float. Each crossing is bracketed by the first
+    point at or below half height walking out from the center, over the
+    window's points and then the grid beyond it. The lobe is bracketed on
+    every LOBE_STRIDE-th grid point of each side of the exclusion, plus
+    the exclusion boundary itself.
     """
     t0 = params.t0
     grid_x = freqs * t0
     i0, i1 = np.searchsorted(grid_x, window[0]), np.searchsorted(grid_x, window[1], "right")
-    x, s = _closed_form(params, freqs[i0:i1]) if i1 > i0 else (grid_x[:0], grid_x[:0])
-    k = _peak_index(x, s, window)
-    center, peak_value = _refine_max(params, x, s, k)
+    u = freqs[i0:i1]
+    s = _density(params, u) if i1 > i0 else u
+    top, peak_value = _top(params, u, _peak_index(grid_x[i0:i1], s, window))
     half = peak_value / 2.0
-    left = _half_height(params, center, half, x, s, freqs[:i0], -1)
-    right = _half_height(params, center, half, x, s, freqs[i1:], +1)
-    fwhm = right - left
+    crossings = []
+    for side, beyond in ((-1, freqs[:i0]), (+1, freqs[i1:])):
+        out = (u - top) * side > 0
+        us, ss = u[out][::side], s[out][::side]
+        if not np.any(ss <= half) and len(beyond):
+            us = np.concatenate([us, beyond[::side]])
+            ss = np.concatenate([ss, _density(params, beyond)[::side]])
+        j = _first_at_or_below(ss, half)
+        crossings.append(_first_past(lambda v: _density(params, v) - half,
+                                     us[j - 1] if j > 0 else top, us[j]))
+    center, fwhm = top * t0, (crossings[1] - crossings[0]) * t0
     step = (SWEEP_SPAN[1] - SWEEP_SPAN[0]) / (SWEEP_POINTS - 1)
     exclusion = max(3.0 * step, 1.5 * fwhm)
     lo, hi = lobe_window
@@ -292,8 +264,7 @@ def _refined_peak(
         if max(lo, SWEEP_SPAN[0]) < edge < min(hi, SWEEP_SPAN[1]):
             pts = np.unique(np.append(pts, edge / t0))
         if len(pts):
-            xl, sl = _closed_form(params, pts)
-            lobes.append(_refine_max(params, xl, sl, int(np.argmax(sl)))[1])
+            lobes.append(_top(params, pts, int(np.argmax(_density(params, pts))))[1])
     return _report(center, peak_value, fwhm, lobes, lobe_window)
 
 
@@ -309,9 +280,9 @@ def sweep_delta(
     A ``TrainParams`` source sweeps the closed form at its ``prob_one``
     and ``blank_law``, in absolute units, bracketed on the points of
     :func:`default_sweep_grid` and refined off the grid: center, height,
-    FWHM and second lobe are those of the closed form to REFINE_TOL in
-    f/f0. A ``SimConfig`` source estimates each spectrum at its
-    ``params`` (whole-sample deltas only, ``workers`` passed on to
+    FWHM and second lobe are those of the closed form, each position
+    exact to one float. A ``SimConfig`` source estimates each spectrum at
+    its ``params`` (whole-sample deltas only, ``workers`` passed on to
     :func:`estimate_psd`), with one seed and fft size for all items, and
     reads it by :func:`find_clock_peak` on the FFT bins. Peak heights
     compare item to item via ``report.peak_height``. Every delta is

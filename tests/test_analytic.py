@@ -330,6 +330,30 @@ def test_blank_density_equals_the_alternating_run_form(law, t0, delta, p):
     assert np.max(np.abs(spec.psd - expected)) <= 1e-8 * np.max(spec.psd)
 
 
+@pytest.mark.parametrize("p", [0.2, 0.5, 0.7])
+@pytest.mark.parametrize("law", list(BlankLaw))
+def test_psd_slope_meets_a_centred_difference_of_the_density(law, p):
+    # over the sweep span, 1e-3 f/f0 or more from each harmonic and from each
+    # extremum of the density, which a 1e-5 grid brackets
+    t0, params = 100, _blank(law=law, p=p)
+
+    def density(x):
+        return psd_blank_shorten(FrequencyGrid(x / t0), params).psd
+
+    fine = np.linspace(0.3, 3.0, 270_001)
+    turns = fine[1:-1][np.diff(np.sign(np.diff(density(fine)))) != 0]
+    x = np.linspace(0.3, 3.0, 2_701)
+    far = np.abs(x - np.round(x)) >= 1e-3
+    far &= np.min(np.abs(x[:, None] - turns[None, :]), axis=1) >= 1e-3
+    x = x[far]
+    h = 1e-6
+    centred = (density(x + h) - density(x - h)) / (2.0 * h / t0)
+    slope = analytic._psd_slope(x / t0, params)
+    assert len(x) > 2_000
+    assert np.all(np.sign(slope) == np.sign(centred))
+    np.testing.assert_allclose(slope, centred, rtol=1e-6)
+
+
 def _run_laws(params: TrainParams):
     """(P, a, r) of the high and the low run: a run lasts a with probability P, each further symbol adds r."""
     p, q, t0, d = params.prob_one, params.prob_zero, params.t0, params.delta

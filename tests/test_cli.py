@@ -106,7 +106,7 @@ def test_analytic_blank_normalizes_to_the_second_lobe(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["analytic", "compare"])
-def test_manifest_reports_what_the_closed_form_dropped_or_clamped(tmp_path, command):
+def test_manifest_reports_limit_freqs(tmp_path, command):
     out = tmp_path / command
     argv = [command, "--model", "transition", "--t0", "16", "--delta", "2", "--p", "0.55"]
     if command == "compare":

@@ -22,6 +22,7 @@ from pulsepsd import (
     psd_blank_shorten,
     sweep_delta,
 )
+from pulsepsd.analytic import _psd_slope
 from pulsepsd.peaks import default_sweep_grid
 
 GEN = BlankLaw.GENERATOR_K_MINUS_ONE_DELTA
@@ -168,20 +169,34 @@ def test_half_height_crossings_may_lie_outside_the_peak_window():
     assert narrow.amplitude_linear == pytest.approx(wide.amplitude_linear, rel=1e-12)
 
 
+@pytest.mark.parametrize("law, prob_one", [(BlankLaw.PAPER_K_DELTA, 0.5), (GEN, 0.3)])
+def test_analytic_sweep_centers_are_exact_to_one_float(law, prob_one):
+    # README's sweep and a generator-law one: dS/df changes sign between the
+    # neighbouring floats of every reported center
+    base = TrainParams(Variant.BLANK_SHORTEN, 100, 1.0, prob_one, law)
+    for delta, rep in sweep_delta(base, range(1, 11)):
+        params = TrainParams(Variant.BLANK_SHORTEN, 100, delta, prob_one, law)
+        c = rep.center_freq_norm
+        around = np.array([np.nextafter(c, 0.0), np.nextafter(c, 2.0)]) / 100.0
+        before, after = _psd_slope(around, params)
+        assert before > 0.0 > after, delta
+
+
 def test_analytic_sweep_work_stays_under_a_point_budget(monkeypatch):
     points = []
-    real = pulsepsd.peaks.psd_blank_shorten
+    for name in ("psd_blank_shorten", "_psd_slope"):
 
-    def counting(grid, params):
-        points.append(len(grid))
-        return real(grid, params)
+        def counting(grid, params, real=getattr(pulsepsd.peaks, name)):
+            points.append(len(grid))
+            return real(grid, params)
 
-    monkeypatch.setattr(pulsepsd.peaks, "psd_blank_shorten", counting)
+        monkeypatch.setattr(pulsepsd.peaks, name, counting)
     base = TrainParams(Variant.BLANK_SHORTEN, t0=100, delta=1)
     deltas = tuple(range(1, 11))
     items = sweep_delta(base, deltas)
     assert len(items) == len(deltas)
-    # reading the whole default grid would cost 400001 points per delta
+    # reading the whole default grid would cost 400001 points per delta;
+    # points of the density and of its slope count alike
     assert sum(points) <= 100_000 * len(deltas)
 
 
