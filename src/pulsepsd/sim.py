@@ -11,40 +11,31 @@ A real signal's transform is conjugate-symmetric, so the upper half of a
 full complex FFT carries no extra information; only
 :func:`periodogram_bins` rebuilds it, by mirroring.
 
-Every edge of a realization sits on a lattice of g samples, g the largest
-power of two dividing both t0 and delta (capped at fft_size/4). The
-realization is then a g-sample hold of the realization of a model g times
-shorter (t0/g, delta/g, the same bits), so the estimator transforms that
-signal on M = fft_size/g points and applies the hold once to the mean:
+Every realization is a sequence of symbols of T samples, T dividing
+fft_size, and every symbol a sum of fixed disjoint rows [a, b) with 0/1
+coefficients, as the spectrum of a random pulse train factors into pulse
+shape and symbol sequence (Papoulis, Probability, Random Variables and
+Stochastic Processes). A transition-stretch config with delta > 0 whose
+t0 divides fft_size has T = t0 and two rows (:mod:`pulsepsd.model`):
+[0, delta), high unless the symbol is a plain "zero", and [delta, t0),
+high in a "one". Every other config has T = g, the largest power of two
+dividing both t0 and delta (capped at fft_size/4), and the one row
+[0, g): every edge sits on that lattice, so the realization is the one
+of a model g times shorter (t0/g, delta/g, the same bits) with every
+sample held for g samples. With c_i the coefficients of row i less the
+sample mean, C_i their transform on P = fft_size/T points and L' = L/T,
 
-    |X_k / L|^2 = |Y_j / L'|^2 * (sin(pi k g / N) / (g sin(pi k / N)))^2
+    X_k / L = sum_i A_i(k) exp(-j pi k (a_i + b_i - 1) / N) C_i(j) / L'
+    A_i(k) = sin(pi k (b_i - a_i) / N) / (T sin(pi k / N))
 
-with N = fft_size, L' = L/g and j = k mod M folded into 0 .. M/2
-(Oppenheim & Schafer, Discrete-Time Signal Processing, ch. 4). The
-hold's nulls, k a nonzero multiple of M, are exactly 0. For odd
-gcd(t0, delta), g = 1 and this is the direct transform.
-
-A transition-stretch symbol is t0 samples holding one of three rows
-(:mod:`pulsepsd.model`), so when t0 divides fft_size the estimator
-transforms the symbol sequence instead of the samples, as the spectrum of
-a random pulse train factors into pulse shape and symbol sequence
-(Papoulis, Probability, Random Variables and Stochastic Processes). With
-u the first delta samples of a "one" and v the rest, which are disjoint,
-sample r of symbol m less the mean mu is h_m u_r + o_m v_r, where
-h_m = [symbol m is not a plain "zero"] - mu and o_m = [symbol m is a
-"one"] - mu; then, on the reduced signal,
-
-    X_k = U_k H_j + V_k O_j,    j = k mod P, P = fft_size/t0
-
-with U and V the M-point transforms of u and v and H and O the P-point
-transforms of h and o. The mean of |X_k|^2 needs only the sums of
-|H_j|^2, |O_j|^2 and H_j conj(O_j) over realizations: one P-point
-transform of two sequences per realization, and one combination per
-estimate. The disjoint pair keeps the expansion free of cancellation, so
-the estimate is the sample transform's to rounding (1e-12 relative, or
-1e-15 of the largest bin). Blank-shorten configs, transition configs
-whose t0 does not divide fft_size, and those whose lattice g is t0 itself
-(delta = 0), where a symbol is one reduced sample, transform samples.
+with N = fft_size and j = k mod P folded into 0 .. P/2 (Oppenheim &
+Schafer, Discrete-Time Signal Processing, ch. 4). The estimator sums
+|C_i / L'|^2 over realizations, and for two rows C_0 conj(C_1) / L'^2,
+whose phase factor is exp(j pi k t0 / N): one P-point transform per row
+and realization, and one combination per estimate. A row's nulls, k (b -
+a) a nonzero multiple of N, are exactly 0. With one row and g = 1 the
+estimate is the full-rate sample transform's bit for bit; otherwise it is
+that to rounding (1e-12 relative, or 1e-15 of the largest bin).
 
 Realization i of a run with seed s draws its bits from
 ``numpy.random.SeedSequence((s, i))``. That scheme is part of the public
@@ -61,6 +52,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -72,7 +64,6 @@ from .model import (
     TrainParams,
     Variant,
     _transition_codes,
-    _transition_rows,
     gen_bits,
     synth_blank_shorten,
     synth_transition_stretch,
@@ -88,7 +79,7 @@ __all__ = [
 
 THREADS_ENV = "PULSEPSD_THREADS"
 _BLOCK = 32
-# symbol-path transform points per rfft call: a whole block of short
+# transform points per rfft call, for every config: a whole block of short
 # transforms in one call, long ones one realization at a time
 _BATCH_POINTS = 1 << 16
 
@@ -175,9 +166,10 @@ def synthesize_realization(config: SimConfig, index: int) -> np.ndarray:
     """The signal realization at this index, whose periodogram the estimator computes.
 
     Samples are uint8 levels in {0, 1}; cast with ``.astype(float)``
-    before signed arithmetic. The estimator transforms the realization of
-    the config reduced by its lattice (:func:`_lattice_config`); this
-    signal is that one with every sample held for g samples.
+    before signed arithmetic. The estimator transforms the coefficients
+    of this signal's symbols (:func:`_alphabet`): for a one-row alphabet,
+    the realization of the config g times shorter, of which this signal
+    holds every sample for g samples.
     """
     params = config.params
     bits = _realization_bits(config, index)
@@ -187,99 +179,98 @@ def synthesize_realization(config: SimConfig, index: int) -> np.ndarray:
     return synth_blank_shorten(bits, params)[: config.fft_size]
 
 
-def _lattice_config(config: SimConfig) -> tuple[SimConfig, int]:
-    """The config g times shorter whose realizations, held g samples, are config's; and g.
+def _alphabet(config: SimConfig) -> tuple[tuple[int, ...], int, Callable]:
+    """The row ends of the config's symbols, its lattice g, and its coefficient maker.
 
-    g is the largest power of two dividing t0 and delta (t0 alone when
-    delta is 0), at most fft_size/4 so the reduced FFT keeps 4 points.
-    It divides fft_size, every transition length n_symbols*t0 and every
-    run length, so the reduced model draws the same bits and cuts
-    blank-shorten realizations at fft_size/g.
-    """
-    params = config.params
-    both = params.t0 | whole_sample_delta(params)
-    g = min(both & -both, config.fft_size // 4)
-    reduced = replace(params, t0=params.t0 // g, delta=params.delta // g)
-    return replace(config, fft_size=config.fft_size // g, params=reduced), g
-
-
-def _hold_response(fft_size: int, g: int) -> np.ndarray:
-    """(sin(pi k g / N) / (g sin(pi k / N)))^2 of a g-sample hold, k = 1 .. N/2.
-
-    The numerator's angle is reduced to [0, pi/2] in integers first, so
-    the response is accurate to rounding next to its nulls, which are
-    exactly 0; for g = 1 it is exactly 1.
-    """
-    k = np.arange(1, fft_size // 2 + 1)
-    r = k * g % fft_size
-    num = np.sin(np.pi * np.minimum(r, fft_size - r) / fft_size)
-    return (num / (g * np.sin(np.pi * k / fft_size))) ** 2
-
-
-def _block_sum(config: SimConfig, start: int, stop: int) -> np.ndarray:
-    acc = np.zeros(config.fft_size // 2 + 1)
-    for i in range(start, stop):
-        acc += _half_bins(synthesize_realization(config, i), config.fft_size)
-    return acc
-
-
-def _takes_symbol_path(config: SimConfig) -> bool:
-    """Whether the estimator transforms symbol sequences: transition, 1 < t0 dividing fft_size.
-
-    At t0 = 1 the symbol sequences are as long as the samples, and two
-    transforms cost more than one.
-    """
-    params = config.params
-    return (
-        params.variant is Variant.TRANSITION_STRETCH
-        and params.t0 > 1
-        and config.fft_size % params.t0 == 0
-    )
-
-
-def _symbol_block_sum(config: SimConfig, start: int, stop: int) -> np.ndarray:
-    """Sums of |H_j|^2, |O_j|^2 and H_j conj(O_j), j = 0 .. P/2, over these realizations.
-
-    H and O are the P = fft_size/t0 point transforms of h_m = [code != 0]
-    - mean and o_m = [code 1] - mean (module docstring). The mean is the
-    sum of the samples over L, in integers, as :func:`_half_bins` takes it.
+    Row i spans [ends[i-1], ends[i]) of a T = ends[-1] sample symbol, row
+    0 from 0 (module docstring). g divides fft_size, every transition
+    length and every run length, so the config g times shorter draws the
+    same bits and cuts blank-shorten realizations at fft_size/g. The maker
+    maps realization indices to 0/1 coefficients (realizations, rows, L').
     """
     params = config.params
     t0, delta = params.t0, whole_sample_delta(params)
-    size = config.fft_size // t0
+    both = t0 | delta
+    g = min(both & -both, config.fft_size // 4)
+    if params.variant is Variant.TRANSITION_STRETCH and delta and config.fft_size % t0 == 0:
+
+        def symbols(indices: range) -> np.ndarray:
+            codes = np.stack([_transition_codes(_realization_bits(config, i)) for i in indices])
+            return np.stack((codes != 0, codes == 1), axis=1)
+
+        return (delta, t0), g, symbols
+    reduced = replace(config, fft_size=config.fft_size // g,
+                      params=replace(params, t0=t0 // g, delta=delta // g))
+
+    def samples(indices: range) -> np.ndarray:
+        return np.stack([synthesize_realization(reduced, i) for i in indices])[:, None]
+
+    return (g,), g, samples
+
+
+def _block_sum(coefficients: Callable, ends: tuple, size: int, start: int, stop: int) -> np.ndarray:
+    """Sums of |C_i / L'|^2, j = 0 .. size/2, over these realizations, a row per row i.
+
+    Two rows add Re and Im of C_0 conj(C_1) / L'^2 as rows 2 and 3. The
+    mean is the samples' sum over L in integers, and each realization is
+    added in index order, so one row sums :func:`_half_bins` of the config
+    g times shorter bit for bit.
+    """
+    widths = np.diff(ends, prepend=0)
+    acc = np.zeros((1 if len(ends) == 1 else 4, size // 2 + 1))
     step = max(1, _BATCH_POINTS // size)
-    acc = np.zeros((3, size // 2 + 1), dtype=complex)
     for first in range(start, stop, step):
-        indices = range(first, min(first + step, stop))
-        codes = np.stack([_transition_codes(_realization_bits(config, i)) for i in indices])
-        high, ones = codes != 0, codes == 1
-        n_ones = np.count_nonzero(ones, axis=1)
-        mean = (t0 * n_ones + delta * (np.count_nonzero(high, axis=1) - n_ones)) / (
-            config.n_symbols * t0
-        )
-        seq = np.stack((high, ones), axis=1) - mean[:, None, None]
-        h, o = np.moveaxis(np.fft.rfft(seq, n=size), 1, 0)
-        acc[0] += (h.real**2 + h.imag**2).sum(axis=0)
-        acc[1] += (o.real**2 + o.imag**2).sum(axis=0)
-        acc[2] += (h * o.conj()).sum(axis=0)
+        coef = coefficients(range(first, min(first + step, stop)))
+        count = coef.shape[2]
+        mean = np.count_nonzero(coef, axis=2) @ widths / (count * ends[-1])
+        spec = np.fft.rfft((coef - mean[:, None, None]).reshape(-1, count), n=size)
+        spec /= count
+        spec = spec.reshape(len(coef), len(ends), -1)
+        terms = spec.real**2 + spec.imag**2
+        if len(ends) == 2:
+            cross = spec[:, 0] * spec[:, 1].conj()
+            terms = np.concatenate((terms, cross.real[:, None], cross.imag[:, None]), axis=1)
+        for term in terms:
+            acc += term
     return acc
 
 
-def _symbol_bins(config: SimConfig, sums: np.ndarray) -> np.ndarray:
-    """Summed |X_k / L|^2, k = 0 .. fft_size/2, from :func:`_symbol_block_sum` sums."""
-    params = config.params
-    rows = _transition_rows(params)
-    # the head (delta high samples) and the tail of a "one": disjoint, so nothing cancels
-    u, v = np.fft.rfft(np.stack((rows[2], rows[1] - rows[2])), n=config.fft_size)
-    size = config.fft_size // params.t0
-    j = np.arange(config.fft_size // 2 + 1) % size
-    s = sums[:, np.minimum(j, size - j)]
+def _row_response(fft_size: int, symbol: int, width: int) -> np.ndarray:
+    """Signed sin(pi k w / N) / (T sin(pi k / N)) of a w-sample row, k = 1 .. N/2.
+
+    The numerator's angle is reduced to [0, pi/2] in integers, so the
+    response is accurate to rounding next to its nulls, which are exactly
+    0; for w = T = 1 it is exactly 1.
+    """
+    k = np.arange(1, fft_size // 2 + 1)
+    r = k * width
+    flip = r // fft_size % 2 == 1  # sin(pi (q + r/N)) = (-1)^q sin(pi r/N)
+    r %= fft_size
+    num = np.sin(np.pi * np.minimum(r, fft_size - r) / fft_size)
+    np.negative(num, out=num, where=flip)
+    return num / (symbol * np.sin(np.pi * k / fft_size))
+
+
+def _combine(fft_size: int, ends: tuple, mean: np.ndarray) -> np.ndarray:
+    """Mean |X_k / L|^2, k = 1 .. fft_size/2, from the mean :func:`_block_sum` rows.
+
+    C_j for j above size/2 is the conjugate of C_(size - j).
+    """
+    size = fft_size // ends[-1]
+    k = np.arange(1, fft_size // 2 + 1)
+    j = k % size
     fold = size - j < j
-    s[2, fold] = s[2, fold].conj()  # H_(P-j) conj(O_(P-j)) = conj(H_j conj(O_j))
-    cross = (u * v.conj() * s[2]).real
-    length = config.n_symbols * params.t0
-    return ((u.real**2 + u.imag**2) * s[0].real + (v.real**2 + v.imag**2) * s[1].real
-            + 2.0 * cross) / length**2
+    j = np.minimum(j, size - j)
+    head = _row_response(fft_size, ends[-1], ends[0])
+    psd = mean[0][j] * head**2
+    if len(ends) == 2:
+        tail = _row_response(fft_size, ends[-1], ends[1] - ends[0])
+        psd += mean[1][j] * tail**2
+        turn = np.pi * (k % (2 * size)) / size  # the phase pi k t0 / N between the rows
+        imag = mean[3][j]
+        imag[fold] *= -1.0
+        psd += 2.0 * head * tail * (np.cos(turn) * mean[2][j] - np.sin(turn) * imag)
+    return psd
 
 
 def resolve_workers(requested: int | None = None) -> int:
@@ -306,40 +297,34 @@ def estimate_psd(config: SimConfig, workers: int | None = None) -> SpectrumGrid:
     """Ensemble-average periodogram for the configured model.
 
     Returns the one-sided estimate on bins k/fft_size, k = 1 .. fft_size/2.
-    The periodograms are taken at the lattice rate, fft_size/g points
-    each, and expanded with the hold response once (module docstring);
-    ``meta["lattice"]`` records g and ``meta["symbols_drawn"]`` the bits
-    each realization drew. A transition config whose t0 divides fft_size
-    and exceeds g transforms symbol sequences instead (module docstring);
-    ``meta["transform_points"]`` records the points of each realization's
-    transform, fft_size/t0 or fft_size/g. Blocks of 32 realizations are
-    evaluated (possibly in parallel) and their partial sums added in
-    index order, so the result is bit-identical for any worker count.
-    ``meta["workers"]`` records how many workers actually ran: the
-    request, capped by PULSEPSD_THREADS and by the block count.
+    Each realization is transformed as T-sample symbols of fixed rows,
+    fft_size/T points per row, and the row responses are applied once to
+    the mean (module docstring). ``meta["transform_points"]`` records
+    fft_size/T, ``meta["lattice"]`` the lattice g, and
+    ``meta["symbols_drawn"]`` the bits each realization drew. Blocks of 32
+    realizations are evaluated (possibly in parallel) and their partial
+    sums added in index order, so the result is bit-identical for any
+    worker count. ``meta["workers"]`` records how many workers actually
+    ran: the request, capped by PULSEPSD_THREADS and by the block count.
     """
-    reduced, g = _lattice_config(config)
-    symbols = _takes_symbol_path(reduced)
-    block_sum = _symbol_block_sum if symbols else _block_sum
+    ends, g, coefficients = _alphabet(config)
+    size = config.fft_size // ends[-1]
     blocks = [
         (start, min(start + _BLOCK, config.n_realizations))
         for start in range(0, config.n_realizations, _BLOCK)
     ]
     n_workers = min(resolve_workers(workers), len(blocks))
-    if n_workers <= 1:
-        partials = [block_sum(reduced, a, b) for a, b in blocks]
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            partials = list(pool.map(lambda ab: block_sum(reduced, *ab), blocks))
-    total = np.zeros_like(partials[0])
-    for part in partials:
-        total += part
-    if symbols:
-        total = _symbol_bins(reduced, total)
-    mean = total / config.n_realizations
-    m = reduced.fft_size
-    j = np.arange(1, config.fft_size // 2 + 1) % m
-    psd = mean[np.minimum(j, m - j)] * _hold_response(config.fft_size, g)
+
+    def block_sum(block: tuple[int, int]) -> np.ndarray:
+        return _block_sum(coefficients, ends, size, *block)
+
+    # partial sums are added as they arrive, in index order; one worker starts no thread
+    with ThreadPoolExecutor(max_workers=n_workers) as pool:
+        partials = pool.map(block_sum, blocks) if n_workers > 1 else map(block_sum, blocks)
+        total = next(partials)
+        for part in partials:
+            total += part
+    psd = _combine(config.fft_size, ends, total / config.n_realizations)
     meta = {
         "kind": "simulated",
         "n_symbols": config.n_symbols,
@@ -350,7 +335,7 @@ def estimate_psd(config: SimConfig, workers: int | None = None) -> SpectrumGrid:
         "seed_scheme": "SeedSequence((seed, realization_index))",
         "workers": n_workers,
         "lattice": g,
-        "transform_points": config.fft_size // (config.params.t0 if symbols else g),
+        "transform_points": size,
     }
     return SpectrumGrid(grid=FrequencyGrid.fft_bins(config.fft_size), psd=psd, meta=meta)
 

@@ -225,3 +225,21 @@ def test_only_the_run_pair_tells_the_trains_apart_in_the_closed_forms():
             and (node.attr == "variant" or getattr(node.value, "id", None) == "Variant")
         ]
         assert not lines, f"{name} tells the trains apart on lines {lines}"
+
+
+def test_only_the_alphabet_tells_the_trains_apart_in_the_estimator():
+    # sim reads .variant or names Variant only to check a config, to draw and
+    # synthesize a realization and to pick the symbol alphabet; past the
+    # alphabet one transform path serves both trains
+    allowed = {"SimConfig", "_symbols_drawn", "synthesize_realization", "_alphabet"}
+    tree = ast.parse((Path(pulsepsd.__file__).parent / "sim.py").read_text())
+    readers = {
+        getattr(top, "name", f"line {top.lineno}")
+        for top in tree.body
+        if not isinstance(top, (ast.Import, ast.ImportFrom))
+        for node in ast.walk(top)
+        if (isinstance(node, ast.Attribute) and node.attr == "variant")
+        or (isinstance(node, ast.Name) and node.id == "Variant")
+    }
+    assert readers <= allowed, f"sim tells the trains apart in {sorted(readers - allowed)}"
+    assert "_alphabet" in readers

@@ -1,6 +1,8 @@
 """Monte Carlo estimator: periodograms, seeding, parallel determinism."""
 
 import math
+import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -23,7 +25,7 @@ from pulsepsd import (
     synthesize_realization,
 )
 from pulsepsd.analytic import analytic_on_fft_grid
-from pulsepsd.sim import _half_bins, _hold_response, compare_on_common_bins, resolve_workers
+from pulsepsd.sim import _half_bins, _row_response, compare_on_common_bins, resolve_workers
 
 
 def _transition(t0=64, delta=3, p=0.55) -> TrainParams:
@@ -246,14 +248,30 @@ def test_lattice_estimate_equals_the_full_rate_periodogram_mean(
     assert np.all(est.psd[nulls - 1] == 0.0)
 
 
-def test_hold_response_is_accurate_next_to_its_nulls():
+def test_row_response_is_the_row_transform_and_exactly_0_at_its_nulls():
+    # the N-point transform of row [a, b) of a t0-sample symbol, over t0, is the
+    # signed response times exp(-j pi k (a + b - 1) / N)
+    n = 4096
+    k = np.arange(1, n // 2 + 1)
+    for t0, delta in ((64, 3), (64, 8), (48, 16), (8, 1)):
+        for a, b in ((0, delta), (delta, t0)):
+            row = np.zeros(t0)
+            row[a:b] = 1.0
+            direct = np.fft.rfft(row, n=n)[1:] / t0
+            response = _row_response(n, t0, b - a)
+            phase = np.exp(-1j * np.pi * (k * (a + b - 1) % (2 * n)) / n)
+            peak = (b - a) / t0
+            np.testing.assert_allclose(response * phase, direct, rtol=0, atol=2e-15 * peak)
+            nulls = k * (b - a) % n == 0
+            assert np.all(response[nulls] == 0.0)
+            assert not np.any(response[~nulls] == 0.0)
     # a 2-sample hold has response cos^2(pi k / N) = sin^2(pi (N/2 - k) / N),
     # which the second form evaluates to rounding up to the null at N/2
     n = 262144
     k = np.arange(1, n // 2 + 1)
     expected = np.sin(np.pi * (n // 2 - k) / n) ** 2
-    np.testing.assert_allclose(_hold_response(n, 2), expected, rtol=1e-14, atol=0)
-    np.testing.assert_array_equal(_hold_response(n, 1), np.ones(n // 2))
+    np.testing.assert_allclose(_row_response(n, 2, 2) ** 2, expected, rtol=1e-14, atol=0)
+    np.testing.assert_array_equal(_row_response(n, 1, 1), np.ones(n // 2))
 
 
 def test_estimate_is_bit_identical_for_any_worker_count():
@@ -272,39 +290,64 @@ def test_estimate_is_bit_identical_for_any_worker_count():
 def test_periodograms_are_taken_at_the_lattice_rate(monkeypatch):
     # criterion 4's gcd(100, 10) = 10 holds one factor 2, so its 262144-point
     # realizations are transformed on 131072 points; gcd(48, 3) = 1 keeps 8192
-    seen = []
+    seen = Counter()  # (row length, transform points) -> rows transformed
     synthesized = []
+    rfft = np.fft.rfft
 
-    def counting(x, fft_size):
-        seen.append((len(x), fft_size))
-        return _half_bins(x, fft_size)
+    def counting(x, n=None, *args, **kwargs):
+        rows = np.reshape(x, (-1, np.shape(x)[-1]))
+        seen[rows.shape[1], n] += rows.shape[0]
+        return rfft(x, n, *args, **kwargs)
 
     def synthesizing(config, index):
         synthesized.append(index)
         return synthesize_realization(config, index)
 
-    monkeypatch.setattr(pulsepsd.sim, "_half_bins", counting)
+    monkeypatch.setattr(pulsepsd.sim.np.fft, "rfft", counting)
     monkeypatch.setattr(pulsepsd.sim, "synthesize_realization", synthesizing)
     criterion4 = SimConfig(n_symbols=2000, n_realizations=2, fft_size=262144, seed=1,
                            params=_blank(t0=100, delta=10))
     assert estimate_psd(criterion4, workers=1).meta["lattice"] == 2
-    assert seen == [(131072, 131072)] * 2
+    assert seen == {(131072, 131072): 2}
     seen.clear()
     odd = SimConfig(n_symbols=128, n_realizations=2, fft_size=8192, seed=1,
                     params=_transition(t0=48))
     assert estimate_psd(odd, workers=1).meta["lattice"] == 1
-    assert seen == [(6144, 8192)] * 2
+    assert seen == {(6144, 8192): 2}
     seen.clear()
     synthesized.clear()
-    # t0 = 64 divides 8192: symbol sequences are transformed, no sample is made
+    # t0 = 64 divides 8192: two rows of symbol coefficients are transformed, no sample is made
     symbols = SimConfig(n_symbols=128, n_realizations=2, fft_size=8192, seed=1,
                         params=_transition())
     assert estimate_psd(symbols, workers=1).meta["transform_points"] == 128
-    assert seen == [] and synthesized == []
-    # at delta = 0 the lattice is t0 itself: one sample per symbol, so samples are transformed
+    assert seen == {(128, 128): 4} and synthesized == []
+    seen.clear()
+    # at delta = 0 the lattice is t0 itself: one sample per symbol, one row
     plain = replace(symbols, params=_transition(delta=0))
     assert estimate_psd(plain, workers=1).meta["lattice"] == 64
-    assert seen == [(128, 128)] * 2
+    assert seen == {(128, 128): 2}
+
+
+@pytest.mark.parametrize(
+    "params, n_symbols",
+    [
+        (_transition(t0=2, delta=1), 131072),
+        (_transition(t0=4, delta=1), 65536),
+        (_blank(t0=100, delta=10, law=BlankLaw.GENERATOR_K_MINUS_ONE_DELTA), 2000),  # criterion 4
+    ],
+    ids=["transition-t0=2", "transition-t0=4", "criterion-4"],
+)
+def test_estimate_memory_is_bounded_by_the_fft_size(params, n_symbols):
+    # 96 bytes per FFT point, two dozen float64 arrays of fft_size/2 bins, over two blocks
+    fft = 262144
+    cfg = SimConfig(n_symbols=n_symbols, n_realizations=33, fft_size=fft, seed=1, params=params)
+    tracemalloc.start()
+    try:
+        estimate_psd(cfg, workers=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 96 * fft, f"peak {peak / 2**20:.1f} MiB"
 
 
 @pytest.mark.parametrize(
@@ -324,8 +367,13 @@ def test_periodograms_are_taken_at_the_lattice_rate(monkeypatch):
     ids=["transition-even", "transition-odd", "transition-short", "blank-even", "blank-odd"],
 )
 def test_uint8_realizations_give_the_float64_periodogram_bit_for_bit(cfg):
-    # a 0/1 sum is a whole number in any order, so uint8 and float64 share mean and bits
-    for config in (cfg, pulsepsd.sim._lattice_config(cfg)[0]):
+    # a 0/1 sum is a whole number in any order, so uint8 and float64 share mean and bits;
+    # the config g times shorter is the one whose samples the estimator transforms
+    both = cfg.params.t0 | int(cfg.params.delta)
+    g = min(both & -both, cfg.fft_size // 4)
+    reduced = replace(cfg, fft_size=cfg.fft_size // g, params=replace(
+        cfg.params, t0=cfg.params.t0 // g, delta=cfg.params.delta // g))
+    for config in (cfg, reduced):
         for i in range(3):
             x = synthesize_realization(config, i)
             assert x.dtype == np.uint8
