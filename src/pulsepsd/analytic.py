@@ -21,7 +21,10 @@ form. Grid points with |1 - theta_tau theta_l| < DETECTOR_TOL at f/f0 > 1/2
 take its limit S* = (Var tau |B0|^2 + Var l |A0|^2) / (w^2 <G>^3), A0 and B0
 at w_k, exactly 0 where both runs resonate; the meta reports them. The
 densities take a grid and one TrainParams (delta may be fractional), return
-a value at every grid point, and are absolute.
+a value at every grid point, and are absolute. They evaluate the closed
+form _CHUNK_POINTS grid points at a time, so their memory peaks at about
+10 bytes per grid point, the 8-byte output included, plus one block's
+complex temporaries.
 """
 
 from __future__ import annotations
@@ -44,6 +47,9 @@ __all__ = [
     "combine",
 ]
 
+# grid points per block of the closed form; bounds its complex temporaries
+_CHUNK_POINTS = 1 << 13
+
 
 @dataclass(frozen=True, eq=False)
 class FrequencyGrid:
@@ -59,7 +65,7 @@ class FrequencyGrid:
             raise ValueError("frequency grid values must be finite")
         if v[0] <= 0.0:
             raise ValueError(f"frequency grid must start above 0, got {v[0]!r}")
-        if np.any(np.diff(v) <= 0.0):
+        if np.any(v[1:] <= v[:-1]):  # v is finite here: np.diff(v) <= 0 without its float copy
             raise ValueError("frequency grid must be strictly increasing")
         object.__setattr__(self, "values", v)
 
@@ -146,23 +152,32 @@ class DiscreteLineSet:
 
 
 def _psd(grid: FrequencyGrid, params: TrainParams) -> SpectrumGrid:
-    """The density of the module docstring, in its nonnegative form, on ``grid``."""
-    w = 2.0 * np.pi * grid.values
-    (a, loss_a), (b, loss_b) = charfn.run_pair(w, params)
-    values = loss_a * np.abs(b) ** 2 + loss_b * np.abs(a) ** 2
-    d = a - a * b
-    d += b  # 1 - theta_tau theta_l
-    del a, b
-    product = np.abs(d) ** 2
-    limit = (product < charfn.DETECTOR_TOL**2) & (grid.values * params.t0 > 0.5)
+    """The density of the module docstring, in its nonnegative form, on ``grid``.
+
+    Every step is elementwise, so a value does not depend on the block of
+    _CHUNK_POINTS points it falls in; S* is taken once, after the blocks.
+    """
+    f = grid.values
+    values = np.empty(len(f))
+    limit = np.empty(len(f), dtype=bool)
     mean_g = interval_stats(params).mean_g
-    np.divide(values, w * w * mean_g * product, out=values, where=~limit)
+    for start in range(0, len(f), _CHUNK_POINTS):
+        block = slice(start, start + _CHUNK_POINTS)
+        w = 2.0 * np.pi * f[block]
+        (a, loss_a), (b, loss_b) = charfn.run_pair(w, params)
+        values[block] = loss_a * np.abs(b) ** 2 + loss_b * np.abs(a) ** 2
+        d = a - a * b
+        d += b  # 1 - theta_tau theta_l
+        del a, b
+        product = np.abs(d) ** 2
+        limit[block] = (product < charfn.DETECTOR_TOL**2) & (f[block] * params.t0 > 0.5)
+        np.divide(values[block], w * w * mean_g * product, out=values[block], where=~limit[block])
     if limit.any():
-        (a, _), (b, _) = charfn._harmonic_pair(params, np.round(grid.values[limit] * params.t0))
+        (a, _), (b, _) = charfn._harmonic_pair(params, np.round(f[limit] * params.t0))
         var_tau, var_l = (r * r * (1.0 - P) / (P * P) for P, _, r in run_laws(params))
         values[limit] = var_tau * np.abs(b) ** 2 + var_l * np.abs(a) ** 2
-        values[limit] /= w[limit] ** 2 * mean_g**3
-    meta = {"kind": "continuous", "limit_freqs": tuple(grid.values[limit].tolist())}
+        values[limit] /= (2.0 * np.pi * f[limit]) ** 2 * mean_g**3
+    meta = {"kind": "continuous", "limit_freqs": tuple(f[limit].tolist())}
     return SpectrumGrid(grid, values, meta)
 
 

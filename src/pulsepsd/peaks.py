@@ -17,6 +17,7 @@ sign change, so a result is exact to one float, not to a grid step.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -180,7 +181,8 @@ def _second_lobe_max(spectrum: SpectrumGrid, t0: float) -> float:
 def default_sweep_grid(t0: float) -> FrequencyGrid:
     """Dense normalized-span grid that brackets analytic sweeps."""
     x = np.linspace(SWEEP_SPAN[0], SWEEP_SPAN[1], SWEEP_POINTS)
-    return FrequencyGrid(x / t0)
+    x /= t0
+    return FrequencyGrid(x)
 
 
 def _density(params: TrainParams, freqs: np.ndarray) -> np.ndarray:
@@ -218,6 +220,12 @@ def _top(params: TrainParams, u: np.ndarray, k: int) -> tuple[float, float]:
     return top, float(_density(params, np.array([top]))[0])
 
 
+def _bisect_x(freqs: np.ndarray, t0: float, x: float, side: str) -> int:
+    """``np.searchsorted(freqs * t0, x, side)``, comparing the same products, without the copy."""
+    find = bisect.bisect_left if side == "left" else bisect.bisect_right
+    return find(freqs, x, key=lambda v: v * t0)
+
+
 def _refined_peak(
     params: TrainParams,
     freqs: np.ndarray,
@@ -237,11 +245,10 @@ def _refined_peak(
     the exclusion boundary itself.
     """
     t0 = params.t0
-    grid_x = freqs * t0
-    i0, i1 = np.searchsorted(grid_x, window[0]), np.searchsorted(grid_x, window[1], "right")
+    i0, i1 = _bisect_x(freqs, t0, window[0], "left"), _bisect_x(freqs, t0, window[1], "right")
     u = freqs[i0:i1]
     s = _density(params, u) if i1 > i0 else u
-    top, peak_value = _top(params, u, _peak_index(grid_x[i0:i1], s, window))
+    top, peak_value = _top(params, u, _peak_index(u * t0, s, window))
     half = peak_value / 2.0
     crossings = []
     for side, beyond in ((-1, freqs[:i0]), (+1, freqs[i1:])):
@@ -260,7 +267,7 @@ def _refined_peak(
     lobes = []
     for a, b, edge in ((lo, min(hi, center - exclusion), center - exclusion),
                        (max(lo, center + exclusion), hi, center + exclusion)):
-        pts = freqs[np.searchsorted(grid_x, a, "right"):np.searchsorted(grid_x, b):LOBE_STRIDE]
+        pts = freqs[_bisect_x(freqs, t0, a, "right"):_bisect_x(freqs, t0, b, "left"):LOBE_STRIDE]
         if max(lo, SWEEP_SPAN[0]) < edge < min(hi, SWEEP_SPAN[1]):
             pts = np.unique(np.append(pts, edge / t0))
         if len(pts):

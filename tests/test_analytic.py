@@ -1,5 +1,7 @@
 """Analytic spectra: grids, continuous densities, lines, binning."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -51,6 +53,20 @@ def test_grid_rejects_non_increasing_values():
         FrequencyGrid(np.array([0.1, 0.1, 0.2]))
     with pytest.raises(ValueError):
         FrequencyGrid(np.array([0.2, 0.1]))
+
+
+@pytest.mark.parametrize("values", [[0.1, 0.1, 0.2], [0.1, 0.3, 0.2], [5e-324, 5e-324]])
+def test_grid_order_check_names_the_rule(values):
+    with pytest.raises(ValueError, match="frequency grid must be strictly increasing"):
+        FrequencyGrid(np.array(values))
+
+
+@pytest.mark.parametrize("lo", [5e-324, 1e-300, 1.0 / 64.0, 0.5, 1e300])
+def test_grid_accepts_neighbours_one_ulp_apart(lo):
+    # on finite values v[1:] <= v[:-1] reads as np.diff(v) <= 0: a
+    # difference of two distinct floats is never 0, down to the subnormals
+    v = np.array([lo, np.nextafter(lo, np.inf), np.nextafter(np.nextafter(lo, np.inf), np.inf)])
+    np.testing.assert_array_equal(FrequencyGrid(v).values, v)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -163,6 +179,81 @@ def test_continuous_is_finite_near_harmonics():
     spec = continuous_psd_transition(grid, _params(t0=t0))
     assert np.all(np.isfinite(spec.psd))
     assert np.all(spec.psd < 1.0)
+
+
+# --- block evaluation ---
+
+
+def _blocked_and_whole(grid: FrequencyGrid, params: TrainParams, chunk: int = 7):
+    """The closed form on ``grid`` in blocks of ``chunk`` points, and in one block."""
+    assert len(grid) <= analytic._CHUNK_POINTS
+    whole = analytic._psd(grid, params)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analytic, "_CHUNK_POINTS", chunk)
+        blocked = analytic._psd(grid, params)
+    return blocked, whole
+
+
+def _assert_same_bits(blocked: SpectrumGrid, whole: SpectrumGrid) -> None:
+    assert blocked.psd.tobytes() == whole.psd.tobytes()
+    assert blocked.meta == whole.meta
+
+
+@st.composite
+def _any_train(draw) -> TrainParams:
+    t0 = draw(st.integers(1, 128))
+    frac = draw(st.one_of(st.sampled_from([0.0, 0.1, 0.25]), st.floats(0.0, 0.45)))
+    p = draw(st.floats(0.05, 0.95))
+    law = draw(st.sampled_from([None, *BlankLaw]))
+    if law is None:
+        return _params(t0, frac * t0, p)
+    return _blank(t0, frac * t0, law, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    params=_any_train(),
+    per_harmonic=st.integers(1, 3),
+    first=st.integers(1, 4),
+    n=st.integers(1, 21),
+    extra=st.lists(st.floats(1e-3, 4.0), max_size=8),
+)
+def test_block_boundaries_leave_every_bit_in_place(params, per_harmonic, first, n, extra):
+    # lattice points j / (per_harmonic t0) put clock harmonics, where S* is
+    # taken, on either side of the 7-point block boundaries
+    x = np.concatenate([(first + np.arange(n)) / per_harmonic, extra])
+    _assert_same_bits(*_blocked_and_whole(FrequencyGrid(np.unique(x / params.t0)), params))
+
+
+@pytest.mark.parametrize(
+    "params, f0",
+    [(_params(8, 3, 0.55), 1.0 / 8), (_blank(64, 0), 1.0 / 64), (_blank(100, 10), 0.1)],
+    ids=["transition-lines", "blank-delta-0", "blank-resonances"],
+)
+def test_limit_points_straddle_block_boundaries(params, f0):
+    # every point of three 7-point blocks takes S*
+    grid = FrequencyGrid(np.arange(1, 22) * f0)
+    blocked, whole = _blocked_and_whole(grid, params)
+    assert blocked.meta["limit_freqs"] == tuple(grid.values.tolist())
+    _assert_same_bits(blocked, whole)
+
+
+@pytest.mark.parametrize(
+    "closed_form, params",
+    [(psd_blank_shorten, _blank()), (continuous_psd_transition, _params())],
+    ids=["blank", "transition"],
+)
+def test_closed_form_memory_is_bounded_by_the_block(closed_form, params):
+    # the output takes 8 bytes per point and its limit flags 1; the
+    # complex temporaries take about 100 bytes per point of one block
+    grid = FrequencyGrid.offset_linspace(0.5, 1_000_000)
+    tracemalloc.start()
+    try:
+        closed_form(grid, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * len(grid), f"peak {peak / len(grid):.1f} bytes per point"
 
 
 _GRID = FrequencyGrid.offset_linspace(0.1, 8)

@@ -1,5 +1,7 @@
 """Clock-peak detection, sweeps, and the fitting helpers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,7 +25,7 @@ from pulsepsd import (
     sweep_delta,
 )
 from pulsepsd.analytic import _psd_slope
-from pulsepsd.peaks import default_sweep_grid
+from pulsepsd.peaks import LOBE_WINDOW, PEAK_WINDOW, _bisect_x, default_sweep_grid
 
 GEN = BlankLaw.GENERATOR_K_MINUS_ONE_DELTA
 
@@ -198,6 +200,30 @@ def test_analytic_sweep_work_stays_under_a_point_budget(monkeypatch):
     # reading the whole default grid would cost 400001 points per delta;
     # points of the density and of its slope count alike
     assert sum(points) <= 100_000 * len(deltas)
+
+
+@pytest.mark.parametrize("t0", [7, 64, 100, 128])
+def test_sweep_bounds_equal_searchsorted_on_the_scaled_grid(t0):
+    freqs = default_sweep_grid(t0).values
+    grid_x = freqs * t0
+    on_point = float(grid_x[123_457])  # an edge that is some grid point's v * t0
+    edges = [*PEAK_WINDOW, *LOBE_WINDOW, 1.0123456789, on_point, np.nextafter(on_point, 0.0), 0.0, 9.0]
+    for x in edges:
+        for side in ("left", "right"):
+            assert _bisect_x(freqs, t0, x, side) == np.searchsorted(grid_x, x, side), (x, side)
+    assert _bisect_x(freqs, t0, on_point, "right") > _bisect_x(freqs, t0, on_point, "left")
+
+
+def test_analytic_sweep_memory_stays_under_the_grid_and_one_window():
+    # the sweep grid takes 3.2 MB; no copy of it is made per delta
+    base = TrainParams(Variant.BLANK_SHORTEN, t0=100, delta=1)
+    tracemalloc.start()
+    try:
+        sweep_delta(base, tuple(range(1, 11)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, f"peak {peak / 1e6:.2f} MB"
 
 
 def test_default_sweep_grid_covers_the_search_band():
