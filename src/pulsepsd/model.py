@@ -14,7 +14,9 @@ symbol is one of three fixed ``t0``-sample rows (a "zero", a "one", a
 "zero" after a "one"), looked up by symbol code; blank-shorten repeats
 levels over its runs. :func:`measure_intervals` counts high samples and
 edges one fixed block at a time and reads edge positions from at most
-three blocks; all randomness flows through :func:`gen_bits`. The closed
+three blocks. All randomness is numpy's SeedSequence and PCG64:
+:func:`gen_bits` draws one seed's bits, :func:`_bit_rows` the same bits
+for many ``(seed, index)`` seeds from one vectorized seed pass. The closed
 forms see the trains only through the run laws of :func:`run_laws`.
 """
 
@@ -42,6 +44,16 @@ __all__ = [
 _CHUNK_SAMPLES = 1 << 18
 # symbols per block of transition synthesis; bounds its intp index copy
 _CHUNK_SYMBOLS = 1 << 16
+# doubles drawn before they are thresholded into bits; bounds the float scratch
+_CHUNK_DRAWS = 1 << 16
+# SeedSequence's pool size and hash constants (numpy/random/bit_generator.pyx)
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+# PCG64's 128-bit LCG multiplier
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 # least min(p, 1 - p) of a train, sqrt of the least normal float 2^-1022:
 # below it P^2 underflows in the run pair
 _PROB_FLOOR = 2.0**-511
@@ -169,8 +181,100 @@ def gen_bits(n_symbols: int, prob_one: float, seed) -> np.ndarray:
     if n_symbols <= 0:
         raise ValueError(f"n_symbols must be positive, got {n_symbols}")
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    rng = np.random.default_rng(ss)
-    return (rng.random(n_symbols) < prob_one).astype(np.uint8)
+    gen = np.random.default_rng(ss)
+    out = np.empty(n_symbols, dtype=np.uint8)
+    # _CHUNK_DRAWS doubles at a time: the stream is the one of a single draw
+    scratch = np.empty(min(n_symbols, _CHUNK_DRAWS))
+    for start in range(0, n_symbols, len(scratch)):
+        draws = scratch[: n_symbols - start]
+        gen.random(out=draws)
+        np.less(draws, prob_one, out=out[start : start + len(draws)].view(bool))
+    return out
+
+
+def _hash_words(words: np.ndarray, const: int, mult: int) -> tuple[np.ndarray, int]:
+    """One SeedSequence hash of uint32 words: the hashed copy and the next hash constant."""
+    words = words ^ const
+    const = const * mult & _MASK32
+    words *= const
+    words ^= words >> 16
+    return words, const
+
+
+def _mix(dst: np.ndarray, words: np.ndarray, const: int) -> int:
+    """Mix ``words``, hashed, into the pool words ``dst`` in place; the next hash constant."""
+    hashed, const = _hash_words(words, const, _MULT_A)
+    hashed *= _MIX_MULT_R
+    dst *= _MIX_MULT_L
+    dst -= hashed
+    dst ^= dst >> 16
+    return const
+
+
+def _seed_states(seed: int, indices: range) -> np.ndarray:
+    """``SeedSequence((seed, i)).generate_state(4, np.uint64)`` for each i, one row each.
+
+    Realization i's entropy is the seed's 32-bit words, least first, then
+    i as one word (0 <= i < 2^32). It is mixed into a pool of 4 words and
+    the pool hashed out, as numpy does, in uint32 arithmetic over every i
+    at once. The index and the pool wait in each realization's 8 output
+    words, so the pass holds 32 bytes per realization and two word
+    temporaries. The array is read-only, so worker threads may share it.
+    """
+    seed = int(seed)
+    out = np.empty((len(indices), 2 * _POOL), dtype=np.uint32)
+    pool = [out[:, _POOL + j] for j in range(_POOL)]
+    # the index words wait in output word 0, which the mix never writes
+    out[:, 0] = np.arange(indices.start, indices.stop, dtype=np.uint32)
+    entropy = [np.array([seed >> shift & _MASK32], dtype=np.uint32)
+               for shift in range(0, max(seed.bit_length(), 1), 32)] + [out[:, 0]]
+    entropy += [np.zeros(1, dtype=np.uint32)] * (_POOL - len(entropy))
+    const = _INIT_A
+    for dst, word in zip(pool, entropy):
+        dst[...], const = _hash_words(word, const, _MULT_A)
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                const = _mix(pool[dst], pool[src], const)
+    for word in entropy[_POOL:]:
+        for dst in pool:
+            const = _mix(dst, word, const)
+    # output word k hashes pool word k mod 4; the last four overwrite the pool they read
+    const = _INIT_B
+    for k in range(2 * _POOL):
+        out[:, k], const = _hash_words(pool[k % _POOL], const, _MULT_B)
+    states = out.astype("<u4", copy=False).view("<u8")
+    states.flags.writeable = False
+    return states
+
+
+def _bit_rows(n_symbols: int, prob_one: float, words: np.ndarray) -> np.ndarray:
+    """Bits of the realizations whose :func:`_seed_states` rows are ``words``, one row each.
+
+    Row r equals ``gen_bits(n_symbols, prob_one, SeedSequence((seed, i)))``
+    for the i of ``words[r]``. One PCG64 and one Generator serve every row:
+    PCG64's seeding step, inc = 2 initseq + 1 and state = (inc + initstate)
+    M + inc mod 2^128, is taken on the row's words in Python ints and the
+    state set through ``bit_generator.state``. Rows are drawn into one
+    float scratch of at most _CHUNK_DRAWS doubles, or of one longer row,
+    and thresholded together. Each call owns its generator.
+    """
+    bitgen = np.random.PCG64(0)
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state
+    out = np.empty((len(words), n_symbols), dtype=np.uint8)
+    group = max(1, _CHUNK_DRAWS // n_symbols)
+    draws = np.empty((min(group, len(words)), n_symbols))
+    for first in range(0, len(words), group):
+        seeds = words[first : first + group].tolist()
+        for draw, (seed_hi, seed_lo, inc_hi, inc_lo) in zip(draws, seeds):
+            inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
+            seeded = ((inc + (seed_hi << 64 | seed_lo)) * _PCG_MULT + inc) & _MASK128
+            state["state"] = {"state": seeded, "inc": inc}
+            bitgen.state = state
+            gen.random(out=draw)
+        np.less(draws[: len(seeds)], prob_one, out=out[first : first + len(seeds)].view(bool))
+    return out
 
 
 def _transition_rows(params: TrainParams) -> np.ndarray:
@@ -186,10 +290,10 @@ def _transition_rows(params: TrainParams) -> np.ndarray:
 
 
 def _transition_codes(bits: np.ndarray) -> np.ndarray:
-    """Symbol codes of a bit stream: the bit, or 2 for a "zero" right after a "one"."""
+    """Symbol codes of bit streams along the last axis: the bit, or 2 for a "zero" after a "one"."""
     b = np.asarray(bits, dtype=bool)
     codes = b.astype(np.uint8)
-    codes[1:][b[:-1] & ~b[1:]] = 2
+    codes[..., 1:] |= (b[..., :-1] > b[..., 1:]).view(np.uint8) << 1
     return codes
 
 

@@ -40,8 +40,12 @@ that to rounding (1e-12 relative, or 1e-15 of the largest bin).
 Realization i of a run with seed s draws its bits from
 ``numpy.random.SeedSequence((s, i))``. That scheme is part of the public
 contract: estimates are bit-identical for a given config regardless of
-scheduling, worker count, or process boundaries. Accumulation happens in
-fixed 32-realization blocks combined in index order, so thread-level
+scheduling, worker count, or process boundaries. An estimate takes every
+realization's PCG64 seed words in one vectorized pass and draws each
+block from one reused generator, bit for bit what
+:func:`pulsepsd.model.gen_bits` draws for seed (s, i), the reference that
+:func:`synthesize_realization` keeps. Accumulation happens in fixed
+32-realization blocks combined in index order, so thread-level
 parallelism cannot perturb floating-point results.
 
 :func:`compare_on_common_bins` joins a closed form binned on these FFT
@@ -63,6 +67,8 @@ from .io import db10
 from .model import (
     TrainParams,
     Variant,
+    _bit_rows,
+    _seed_states,
     _transition_codes,
     gen_bits,
     synth_blank_shorten,
@@ -95,10 +101,14 @@ class SimConfig:
     params: TrainParams
 
     def __post_init__(self) -> None:
+        for name in ("n_symbols", "n_realizations", "fft_size", "seed"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.n_symbols <= 0:
             raise ValueError(f"n_symbols must be positive, got {self.n_symbols}")
-        if self.n_realizations <= 0:
-            raise ValueError(f"n_realizations must be positive, got {self.n_realizations}")
+        # every realization index is one 32-bit SeedSequence entropy word
+        if not 0 < self.n_realizations <= 2**32:
+            raise ValueError(f"n_realizations must lie in 1 .. 2**32, got {self.n_realizations}")
         if self.fft_size < 4 or self.fft_size & (self.fft_size - 1):
             raise ValueError(f"fft_size must be a power of two >= 4, got {self.fft_size}")
         if self.seed < 0:
@@ -186,24 +196,33 @@ def _alphabet(config: SimConfig) -> tuple[tuple[int, ...], int, Callable]:
     0 from 0 (module docstring). g divides fft_size, every transition
     length and every run length, so the config g times shorter draws the
     same bits and cuts blank-shorten realizations at fft_size/g. The maker
-    maps realization indices to 0/1 coefficients (realizations, rows, L').
+    maps realization indices to 0/1 coefficients (realizations, rows, L'),
+    drawing their bits from seed words taken once for the whole estimate.
     """
     params = config.params
     t0, delta = params.t0, whole_sample_delta(params)
     both = t0 | delta
     g = min(both & -both, config.fft_size // 4)
-    if params.variant is Variant.TRANSITION_STRETCH and delta and config.fft_size % t0 == 0:
+    transition = params.variant is Variant.TRANSITION_STRETCH
+    n_symbols = _symbols_drawn(config)
+    states = _seed_states(config.seed, range(config.n_realizations))
+
+    def bits(indices: range) -> np.ndarray:
+        return _bit_rows(n_symbols, params.prob_one, states[indices.start : indices.stop])
+
+    if transition and delta and config.fft_size % t0 == 0:
 
         def symbols(indices: range) -> np.ndarray:
-            codes = np.stack([_transition_codes(_realization_bits(config, i)) for i in indices])
+            codes = _transition_codes(bits(indices))
             return np.stack((codes != 0, codes == 1), axis=1)
 
         return (delta, t0), g, symbols
-    reduced = replace(config, fft_size=config.fft_size // g,
-                      params=replace(params, t0=t0 // g, delta=delta // g))
+    reduced, cut = replace(params, t0=t0 // g, delta=delta // g), config.fft_size // g
 
     def samples(indices: range) -> np.ndarray:
-        return np.stack([synthesize_realization(reduced, i) for i in indices])[:, None]
+        # a transition realization never outlasts the FFT, so the cut is blank-shorten's
+        synth = synth_transition_stretch if transition else synth_blank_shorten
+        return np.stack([synth(row, reduced)[:cut] for row in bits(indices)])[:, None]
 
     return (g,), g, samples
 

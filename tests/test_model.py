@@ -129,6 +129,74 @@ def test_gen_bits_rejects_bad_probability():
         gen_bits(10, 1.0, seed=0)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 60),
+    chunk=st.integers(1, 9),
+    p=st.floats(0.01, 0.99),
+    seed=st.integers(0, 2**70),
+)
+def test_chunked_draws_are_one_draw_across_chunk_boundaries(n, chunk, p, seed):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pulsepsd.model, "_CHUNK_DRAWS", chunk)
+        bits = gen_bits(n, p, seed)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    np.testing.assert_array_equal(bits, (rng.random(n) < p).astype(np.uint8))
+
+
+def test_gen_bits_peak_memory_is_the_bits_and_one_chunk_of_doubles():
+    # the bits are 1 MB; one float draw of every symbol peaked at 8.6 MiB
+    gen_bits(1, 0.55, seed=3)  # numpy's first-call caches are not the draw's memory
+    tracemalloc.start()
+    try:
+        gen_bits(1_000_000, 0.55, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, f"{peak / 2**20:.2f} MiB"
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.one_of(
+        st.just(0),
+        st.integers(1, 2**32 - 1),
+        st.integers(2**64, 2**96 - 1),
+        st.integers(2**96, 2**200),  # more entropy words than SeedSequence's pool of 4
+    ),
+    n=st.sampled_from([1, 128]),
+    start=st.one_of(st.just(0), st.integers(0, 2**32 - 1)),
+    count=st.integers(1, 5),
+    p=st.floats(0.01, 0.99),
+    chunk=st.sampled_from([1, 300, 1 << 16]),  # rows thresholded together: 1, 2 or all
+)
+@example(seed=7, n=128, start=2**32 - 5, count=5, p=0.55, chunk=300)
+def test_block_bit_rows_are_the_per_index_streams(seed, n, start, count, p, chunk):
+    indices = range(start, min(start + count, 2**32))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pulsepsd.model, "_CHUNK_DRAWS", chunk)
+        rows = pulsepsd.model._bit_rows(n, p, pulsepsd.model._seed_states(seed, indices))
+    assert rows.shape == (len(indices), n) and rows.dtype == np.uint8
+    for row, i in zip(rows, indices):
+        np.testing.assert_array_equal(row, gen_bits(n, p, (seed, i)))
+
+
+def test_block_seed_words_are_seed_sequence_states_and_read_only():
+    for seed in (0, 1, 2**32, 2**96 + 3, 3**120):
+        states = pulsepsd.model._seed_states(seed, range(2**32 - 3, 2**32))
+        assert not states.flags.writeable
+        for row, i in zip(states, range(2**32 - 3, 2**32)):
+            ref = np.random.SeedSequence((seed, i)).generate_state(4, np.uint64)
+            np.testing.assert_array_equal(row, ref)
+
+
+def test_block_bit_rows_longer_than_one_chunk_of_draws():
+    n = pulsepsd.model._CHUNK_DRAWS + 3
+    rows = pulsepsd.model._bit_rows(n, 0.3, pulsepsd.model._seed_states(2**100 + 9, range(2)))
+    for row, i in zip(rows, range(2)):
+        np.testing.assert_array_equal(row, gen_bits(n, 0.3, (2**100 + 9, i)))
+
+
 # --- transition-stretch synthesis ---
 
 
@@ -200,6 +268,29 @@ def test_transition_row_lookup_synthesis_equals_matrix(bits, t0, delta):
     ref = _transition_by_matrix(stream, t0, delta)
     assert out.dtype == np.uint8
     np.testing.assert_array_equal(out, ref)
+
+
+def _codes_by_mask(bits) -> np.ndarray:
+    """Reference symbol codes of one stream: the bit, with 2 scattered where a one ends."""
+    b = np.asarray(bits, dtype=bool)
+    codes = b.astype(np.uint8)
+    codes[1:][b[:-1] & ~b[1:]] = 2
+    return codes
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=st.integers(1, 5),
+    length=st.integers(0, 40),
+    data=st.data(),
+)
+def test_transition_codes_along_the_last_axis_equal_the_mask_scatter(rows, length, data):
+    flat = data.draw(st.lists(st.integers(0, 1), min_size=rows * length, max_size=rows * length))
+    bits = _stream(flat).reshape(rows, length)
+    codes = pulsepsd.model._transition_codes(bits)
+    assert codes.dtype == np.uint8
+    np.testing.assert_array_equal(codes, np.stack([_codes_by_mask(b) for b in bits]))
+    np.testing.assert_array_equal(pulsepsd.model._transition_codes(bits[0]), _codes_by_mask(bits[0]))
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, 7])

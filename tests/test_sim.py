@@ -58,6 +58,21 @@ def test_config_rejects_negative_seed_and_empty_runs():
         SimConfig(n_symbols=8, n_realizations=0, fft_size=1024, seed=0, params=_transition())
 
 
+def test_config_refuses_what_the_seed_words_cannot_hold():
+    # a float count or seed reached range() or numpy's SeedSequence as a
+    # TypeError; an index past 2^32 - 1 would wrap in its uint32 entropy word
+    base = dict(n_symbols=8, n_realizations=2, fft_size=1024, seed=0, params=_transition())
+    for name, bad in (("seed", 2.0), ("seed", "7"), ("seed", None), ("n_symbols", 8.5),
+                      ("n_realizations", 2.0), ("fft_size", 1024.0)):
+        with pytest.raises(ValueError, match=name):
+            SimConfig(**{**base, name: bad})
+    with pytest.raises(ValueError, match="n_realizations"):
+        SimConfig(n_symbols=8, n_realizations=2**32 + 1, fft_size=1024, seed=0,
+                  params=_transition())
+    SimConfig(n_symbols=8, n_realizations=2**32, fft_size=1024, seed=np.uint64(2**63),
+              params=_transition())
+
+
 def test_config_transition_signal_must_fit_the_fft():
     with pytest.raises(ValueError):
         SimConfig(n_symbols=100, n_realizations=2, fft_size=1024, seed=0, params=_transition(t0=64))
@@ -281,10 +296,50 @@ def test_estimate_is_bit_identical_for_any_worker_count():
                   params=_transition(t0=48)),  # the sample path
         SimConfig(n_symbols=64, n_realizations=70, fft_size=2048, seed=5,
                   params=_blank(t0=32, delta=4)),  # lattice g = 4
+        SimConfig(n_symbols=64, n_realizations=12 * 32 + 5, fft_size=1024, seed=2**70 + 3,
+                  params=_transition(t0=16, delta=2)),  # many blocks of one seed pass
     ):
         serial = estimate_psd(cfg, workers=1)
         threaded = estimate_psd(cfg, workers=4)
         np.testing.assert_array_equal(serial.psd, threaded.psd)
+
+
+def test_estimate_draws_its_bits_without_gen_bits(monkeypatch):
+    # every block draws from the estimate's one seed pass; gen_bits stays the
+    # per-index reference that synthesize_realization and the tests read
+    calls = Counter()
+    gen_bits = pulsepsd.sim.gen_bits
+
+    def counting(*args, **kwargs):
+        calls["gen_bits"] += 1
+        return gen_bits(*args, **kwargs)
+
+    monkeypatch.setattr(pulsepsd.sim, "gen_bits", counting)
+    for params, n_symbols in (
+        (_transition(t0=16, delta=2), 64),  # two rows
+        (_transition(t0=24, delta=4), 40),  # one row, lattice 4
+        (_blank(t0=32, delta=4), 64),
+    ):
+        cfg = SimConfig(n_symbols=n_symbols, n_realizations=3 * 32 + 1, fft_size=1024, seed=9,
+                        params=params)
+        estimate_psd(cfg, workers=1)
+    assert calls == Counter()
+    synthesize_realization(cfg, 0)
+    assert calls == Counter(gen_bits=1)
+
+
+def test_seed_words_hold_at_most_48_bytes_per_realization():
+    # four uint64 words each; a list of Python ints would take about 150 bytes
+    cfg = SimConfig(n_symbols=8, n_realizations=20_000, fft_size=64, seed=3,
+                    params=_transition(t0=8, delta=3))
+    estimate_psd(replace(cfg, n_realizations=40), workers=1)  # numpy's first-call caches
+    tracemalloc.start()
+    try:
+        estimate_psd(cfg, workers=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * cfg.n_realizations, f"{peak / cfg.n_realizations:.1f} bytes per realization"
 
 
 def test_periodograms_are_taken_at_the_lattice_rate(monkeypatch):
