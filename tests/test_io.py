@@ -2,14 +2,26 @@
 
 import csv
 import json
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pulsepsd import DiscreteLineSet, FrequencyGrid, SpectrumGrid
+from pulsepsd import (
+    DiscreteLineSet,
+    FrequencyGrid,
+    SimConfig,
+    SpectrumGrid,
+    TrainParams,
+    Variant,
+    synthesize_realization,
+)
 from pulsepsd.io import (
     _CHUNK_ROWS,
+    _repr_rows,
     db10,
     write_compare_csv,
     write_json,
@@ -180,3 +192,66 @@ def test_chunked_writers_with_no_rows_write_the_header_only(tmp_path):
     path = tmp_path / "empty.csv"
     write_compare_csv(path, [])
     assert path.read_text() == ",".join(COMPARE) + "\n"
+
+
+# --- the vectorized float formatter against repr ---
+
+
+def _repr_lines(values) -> bytes:
+    return "".join(f"{float(v)!r}\n" for v in values).encode()
+
+
+def _formatted(values) -> bytes:
+    return _repr_rows(np.asarray(values, dtype=np.float64)[:, None], b"\n")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+def test_formatter_matches_repr_on_any_bit_pattern(patterns):
+    x = np.array(patterns, dtype=np.uint64).view(np.float64)
+    assert _formatted(x) == _repr_lines(x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=64))
+def test_formatter_matches_repr_on_floats(values):
+    assert _formatted(values) == _repr_lines(values)
+
+
+def test_formatter_matches_repr_at_powers_and_notation_switches():
+    twos = np.ldexp(1.0, np.arange(-1074, 1024))
+    tens = np.array([float(f"1e{e}") for e in range(-323, 309)])
+    # 2^53 - 1, 2^53 and 2^53 + 2 bound the odd integer 2^53 + 1 no float holds;
+    # repr leaves positional notation below 1e-4 and from 1e16 on
+    edges = np.array([2.0**53 - 1, 2.0**53, 2.0**53 + 2, 1e-5, 1e-4, 1e16])
+    x = np.concatenate([twos, tens, edges])
+    x = np.concatenate([x, np.nextafter(x, 0.0), np.nextafter(x, np.inf)])
+    x = np.concatenate([x, -x, [0.0, -0.0, np.inf, -np.inf, np.nan]])
+    assert _formatted(x) == _repr_lines(x)
+
+
+def test_signal_dump_matches_repr_on_a_blank_realization(tmp_path):
+    params = TrainParams(Variant.BLANK_SHORTEN, t0=100, delta=10)
+    config = SimConfig(n_symbols=2000, n_realizations=1, fft_size=262144, seed=7, params=params)
+    samples = synthesize_realization(config, 0)
+    path = tmp_path / "first.txt"
+    write_signal_txt(path, samples)
+    assert path.read_bytes() == _repr_lines(np.asarray(samples, dtype=np.float64))
+
+
+def test_spectrum_writer_peak_memory_is_bounded_by_the_chunk(tmp_path):
+    rng = np.random.default_rng(5)
+    peaks = []
+    for chunks in (2, 16):
+        n = chunks * _CHUNK_ROWS
+        grid = FrequencyGrid(np.arange(1, n + 1) / (2.0 * n))
+        spectrum = SpectrumGrid(grid=grid, psd=rng.random(n) ** 3, meta={"kind": "simulated"})
+        tracemalloc.start()
+        try:
+            write_spectrum_csv(tmp_path / "spec.csv", spectrum, t0=100.0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # a temporary as long as the spectrum would add 8 bytes per row: 14 chunks' worth
+    assert max(peaks) <= 2048 * _CHUNK_ROWS
+    assert peaks[1] - peaks[0] < 2 * _CHUNK_ROWS
