@@ -51,6 +51,7 @@ from .io import (
 from .model import BlankLaw, TrainParams, Variant
 from .peaks import (
     SWEEP_SPAN,
+    PeakDetectionError,
     _second_lobe_max,
     linear_fit,
     sweep_delta,
@@ -59,7 +60,6 @@ from .sim import (
     SimConfig,
     compare_on_common_bins,
     estimate_psd,
-    resolve_workers,
     synthesize_realization,
 )
 
@@ -198,7 +198,7 @@ def _add_sim_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--realizations", type=int, default=None, help="default 500")
     p.add_argument("--seed", type=int, default=None, help="default 0")
     p.add_argument("--workers", type=int, default=None,
-                   help="worker threads (PULSEPSD_THREADS caps; never changes results)")
+                   help="worker threads, at most the cores (never changes results)")
 
 
 def _train_params(args, variant: Variant, delta: float, simulated: bool) -> TrainParams:
@@ -384,7 +384,8 @@ def cmd_peaks_sweep(args) -> tuple[list[Path], dict]:
     lobe_window = _parse_pair(args.lobe_window, "--lobe-window")
     simulated = args.source == "simulated"
     base = _train_params(args, Variant.BLANK_SHORTEN, 0, simulated)
-    resolve_workers(args.workers)
+    if args.workers is not None and args.workers < 1:
+        raise CliUsageError(f"workers must be at least 1, got {args.workers}")
     given = [f for f in ("fft", "symbols", "realizations", "seed") if getattr(args, f) is not None]
     if given and not simulated:
         raise CliUsageError(f"--{given[0]} applies to --source simulated only")
@@ -496,12 +497,12 @@ def main(argv: list[str] | None = None) -> int:
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             outputs, extra = args.func(args)
         _manifest(args, args.command, outputs, extra, started)
-    except (CliUsageError, ValueError, OSError, MemoryError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except RuntimeError as err:  # PeakDetectionError is the only one raised
+    except PeakDetectionError as err:
         print(f"detection failure: {err}", file=sys.stderr)
         return 2
+    except (CliUsageError, ValueError, OSError, MemoryError, RuntimeError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -255,26 +255,22 @@ def _bit_rows(n_symbols: int, prob_one: float, words: np.ndarray) -> np.ndarray:
     for the i of ``words[r]``. One PCG64 and one Generator serve every row:
     PCG64's seeding step, inc = 2 initseq + 1 and state = (inc + initstate)
     M + inc mod 2^128, is taken on the row's words in Python ints and the
-    state set through ``bit_generator.state``. Rows are drawn into one
-    float scratch of at most _CHUNK_DRAWS doubles, or of one longer row,
-    and thresholded together. Each call owns its generator.
+    state set through ``bit_generator.state``. All rows are drawn into one
+    (rows, n_symbols) float scratch and thresholded together; the
+    estimator bounds a call's draws by its batch of transform points.
+    Each call owns its generator.
     """
     bitgen = np.random.PCG64(0)
     gen = np.random.Generator(bitgen)
     state = bitgen.state
-    out = np.empty((len(words), n_symbols), dtype=np.uint8)
-    group = max(1, _CHUNK_DRAWS // n_symbols)
-    draws = np.empty((min(group, len(words)), n_symbols))
-    for first in range(0, len(words), group):
-        seeds = words[first : first + group].tolist()
-        for draw, (seed_hi, seed_lo, inc_hi, inc_lo) in zip(draws, seeds):
-            inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
-            seeded = ((inc + (seed_hi << 64 | seed_lo)) * _PCG_MULT + inc) & _MASK128
-            state["state"] = {"state": seeded, "inc": inc}
-            bitgen.state = state
-            gen.random(out=draw)
-        np.less(draws[: len(seeds)], prob_one, out=out[first : first + len(seeds)].view(bool))
-    return out
+    draws = np.empty((len(words), n_symbols))
+    for draw, (seed_hi, seed_lo, inc_hi, inc_lo) in zip(draws, words.tolist()):
+        inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
+        seeded = ((inc + (seed_hi << 64 | seed_lo)) * _PCG_MULT + inc) & _MASK128
+        state["state"] = {"state": seeded, "inc": inc}
+        bitgen.state = state
+        gen.random(out=draw)
+    return (draws < prob_one).view(np.uint8)
 
 
 def _transition_rows(params: TrainParams) -> np.ndarray:

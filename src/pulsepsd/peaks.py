@@ -121,8 +121,6 @@ def _peak_index(x: np.ndarray, s: np.ndarray, window: tuple[float, float]) -> in
         raise PeakDetectionError(
             f"peak sits on the boundary of the search window {window} at x={x[ipk]:.6g}"
         )
-    if s[ipk] <= 0.0:
-        raise PeakDetectionError("peak value is not positive")
     return ipk
 
 

@@ -83,7 +83,6 @@ __all__ = [
     "synthesize_realization",
 ]
 
-THREADS_ENV = "PULSEPSD_THREADS"
 _BLOCK = 32
 # transform points per rfft call, for every config: a whole block of short
 # transforms in one call, long ones one realization at a time
@@ -292,26 +291,6 @@ def _combine(fft_size: int, ends: tuple, mean: np.ndarray) -> np.ndarray:
     return psd
 
 
-def resolve_workers(requested: int | None = None) -> int:
-    """Worker count for block evaluation; PULSEPSD_THREADS caps it.
-
-    A request or a cap below 1 is an error, not a silent 1.
-    """
-    if requested is not None and requested < 1:
-        raise ValueError(f"workers must be at least 1, got {requested}")
-    n = requested if requested is not None else (os.cpu_count() or 1)
-    cap = os.environ.get(THREADS_ENV)
-    if cap is not None:
-        try:
-            limit = int(cap)
-        except ValueError:
-            raise ValueError(f"{THREADS_ENV} must be an integer, got {cap!r}") from None
-        if limit < 1:
-            raise ValueError(f"{THREADS_ENV} must be at least 1, got {cap!r}")
-        n = min(n, limit)
-    return n
-
-
 def estimate_psd(config: SimConfig, workers: int | None = None) -> SpectrumGrid:
     """Ensemble-average periodogram for the configured model.
 
@@ -324,15 +303,19 @@ def estimate_psd(config: SimConfig, workers: int | None = None) -> SpectrumGrid:
     realizations are evaluated (possibly in parallel) and their partial
     sums added in index order, so the result is bit-identical for any
     worker count. ``meta["workers"]`` records how many workers actually
-    ran: the request, capped by PULSEPSD_THREADS and by the block count.
+    ran: the request (all cores if None), capped by the cores and by the
+    block count. A request below 1 is an error, not a silent 1.
     """
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     ends, g, coefficients = _alphabet(config)
     size = config.fft_size // ends[-1]
     blocks = [
         (start, min(start + _BLOCK, config.n_realizations))
         for start in range(0, config.n_realizations, _BLOCK)
     ]
-    n_workers = min(resolve_workers(workers), len(blocks))
+    cores = os.cpu_count() or 1
+    n_workers = min(workers or cores, cores, len(blocks))
 
     def block_sum(block: tuple[int, int]) -> np.ndarray:
         return _block_sum(coefficients, ends, size, *block)

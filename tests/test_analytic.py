@@ -93,6 +93,15 @@ def test_fft_bins_match_dft_frequencies():
     np.testing.assert_array_equal(g.values, np.arange(1, 513) / 1024.0)
 
 
+def test_grid_constructors_refuse_empty_grids():
+    with pytest.raises(ValueError, match="non-empty 1-D array"):
+        FrequencyGrid([])
+    with pytest.raises(ValueError, match="f_max > 0"):
+        FrequencyGrid.offset_linspace(0.0, 8)
+    with pytest.raises(ValueError, match="fft_size too small"):
+        FrequencyGrid.fft_bins(2)
+
+
 def test_spectrum_grid_validates_psd():
     g = FrequencyGrid(np.array([0.1, 0.2]))
     with pytest.raises(ValueError):

@@ -8,7 +8,9 @@ import warnings
 import numpy as np
 import pytest
 
+import pulsepsd.cli
 import pulsepsd.peaks
+import pulsepsd.sim
 from pulsepsd import __version__
 from pulsepsd.cli import CliUsageError, _parse_deltas, main
 
@@ -183,15 +185,14 @@ def test_analytic_manifest_records_the_scale_of_each_data_file(tmp_path):
 # --- simulate subcommand ---
 
 
-def test_simulate_is_byte_identical_across_worker_counts(tmp_path, monkeypatch):
+def test_simulate_is_byte_identical_across_worker_counts(tmp_path):
     base = [
         "simulate", "--model", "transition", "--t0", "16", "--delta", "2",
         "--p", "0.55", "--fft", "2048", "--realizations", "70", "--seed", "13",
     ]
-    outs = [tmp_path / name for name in ("w1", "w3", "env2")]
+    outs = [tmp_path / name for name in ("w1", "w3", "default")]
     assert main(base + ["--workers", "1", "--out-dir", str(outs[0])]) == 0
     assert main(base + ["--workers", "3", "--out-dir", str(outs[1])]) == 0
-    monkeypatch.setenv("PULSEPSD_THREADS", "2")
     assert main(base + ["--out-dir", str(outs[2])]) == 0
     ref = (outs[0] / "simulated_spectrum.csv").read_bytes()
     assert (outs[1] / "simulated_spectrum.csv").read_bytes() == ref
@@ -222,8 +223,9 @@ def test_simulate_writes_manifest_and_optional_signal_dump(tmp_path):
 @pytest.mark.parametrize("command", ["simulate", "compare"])
 def test_manifest_records_the_resolved_config_and_workers_used(tmp_path, monkeypatch, command):
     # --symbols alone leaves the raw --fft flag null; the manifest must
-    # still say which FFT size, seed scheme and worker count were used
-    monkeypatch.setenv("PULSEPSD_THREADS", "2")
+    # still say which FFT size, seed scheme and worker count were used;
+    # the request of 3 stops at the 2 patched cores
+    monkeypatch.setattr(pulsepsd.sim.os, "cpu_count", lambda: 2)
     out = tmp_path / command
     code = main(
         [
@@ -617,6 +619,7 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         (sweep + ["--deltas", "5:1:1"], "--deltas"),
         (sweep + ["--deltas", "x,y"], "--deltas"),
         (sweep + ["--deltas", ","], "--deltas"),
+        (sweep + ["--deltas", " "], "--deltas must not be empty"),
         (sweep + ["--deltas", ",".join(["1"] * 10_001)], "--deltas"),
         # a config file that cannot be read or parsed
         (["simulate", "--config", str(missing)], "missing.conf"),
@@ -759,6 +762,18 @@ def test_detection_failures_exit_two(tmp_path, capsys):
     )
     assert code == 2
     assert "detection failure" in capsys.readouterr().err
+
+
+def test_other_runtime_errors_exit_one(tmp_path, capsys, monkeypatch):
+    # exit 2 is a failed peak detection only; any other RuntimeError is exit 1
+    def failing(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(pulsepsd.cli, "estimate_psd", failing)
+    argv = ["simulate", "--model", "transition", "--t0", "16", "--delta", "2",
+            "--fft", "1024", "--realizations", "4", "--out-dir", str(tmp_path / "x")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: boom\n"
 
 
 def test_unwritable_paths_exit_one(tmp_path, capsys):

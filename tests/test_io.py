@@ -141,6 +141,19 @@ def test_svg_chart_is_well_formed(tmp_path):
     assert "polyline" in path.read_text()
 
 
+@pytest.mark.parametrize(
+    "xs, ys, points",
+    [([0.5], [2.0], "60.00,420.00"), ([1.0, 2.0], [3.0, 3.0], "60.00,420.00 780.00,420.00")],
+    ids=["one-point", "constant-ys"],
+)
+def test_svg_chart_of_a_degenerate_span_draws_finite_points(tmp_path, xs, ys, points):
+    # a zero x or y span is widened to 1, so the polyline stays finite
+    path = tmp_path / "chart.svg"
+    write_svg(path, xs, ys, title="t", x_label="f", y_label="S")
+    polyline = ET.fromstring(path.read_text()).find("{http://www.w3.org/2000/svg}polyline")
+    assert polyline.get("points") == points
+
+
 def test_writers_are_byte_deterministic(tmp_path):
     p1, p2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
     write_spectrum_csv(p1, _spectrum(), t0=64.0)

@@ -168,14 +168,11 @@ def test_gen_bits_peak_memory_is_the_bits_and_one_chunk_of_doubles():
     start=st.one_of(st.just(0), st.integers(0, 2**32 - 1)),
     count=st.integers(1, 5),
     p=st.floats(0.01, 0.99),
-    chunk=st.sampled_from([1, 300, 1 << 16]),  # rows thresholded together: 1, 2 or all
 )
-@example(seed=7, n=128, start=2**32 - 5, count=5, p=0.55, chunk=300)
-def test_block_bit_rows_are_the_per_index_streams(seed, n, start, count, p, chunk):
+@example(seed=7, n=128, start=2**32 - 5, count=5, p=0.55)
+def test_block_bit_rows_are_the_per_index_streams(seed, n, start, count, p):
     indices = range(start, min(start + count, 2**32))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pulsepsd.model, "_CHUNK_DRAWS", chunk)
-        rows = pulsepsd.model._bit_rows(n, p, pulsepsd.model._seed_states(seed, indices))
+    rows = pulsepsd.model._bit_rows(n, p, pulsepsd.model._seed_states(seed, indices))
     assert rows.shape == (len(indices), n) and rows.dtype == np.uint8
     for row, i in zip(rows, indices):
         np.testing.assert_array_equal(row, gen_bits(n, p, (seed, i)))

@@ -81,6 +81,19 @@ def test_a_grid_ending_above_half_height_fails_the_width_walk():
         find_clock_peak(spec, float(t0))
 
 
+def test_a_lobe_window_without_points_or_power_fails_the_report():
+    # the peak and both half-height crossings lie inside the grid, which
+    # ends before the lobe window; a spectrum that is 0 there has no lobe
+    spec = _blank_spectrum(n=8001)
+    before = spec.freqs * 100 <= 1.1
+    short = SpectrumGrid(grid=FrequencyGrid(spec.freqs[before]), psd=spec.psd[before])
+    with pytest.raises(PeakDetectionError, match="no grid points left in the lobe window"):
+        find_clock_peak(short, 100.0, lobe_window=(1.5, 2.0))
+    flat = SpectrumGrid(grid=spec.grid, psd=np.where(spec.freqs * 100 > 1.4, 0.0, spec.psd))
+    with pytest.raises(PeakDetectionError, match="second lobe value is not positive"):
+        find_clock_peak(flat, 100.0, lobe_window=(1.5, 2.0))
+
+
 @settings(max_examples=25, deadline=None)
 @given(scale=st.floats(1e-6, 1e6))
 def test_report_shape_is_scale_invariant(scale):
@@ -115,6 +128,17 @@ def test_normalize_second_lobe_pins_the_reference_window_to_one():
     np.testing.assert_allclose(twice.psd, normed.psd, rtol=1e-12)
     # and the input is untouched
     assert spec.psd.max() > 10.0
+
+
+def test_normalize_second_lobe_needs_power_in_its_window():
+    spec = _blank_spectrum(n=8001)
+    below = spec.freqs * 100 < 1.2
+    short = SpectrumGrid(grid=FrequencyGrid(spec.freqs[below]), psd=spec.psd[below])
+    with pytest.raises(ValueError, match="no grid points inside the normalization window"):
+        normalize_second_lobe(short, 100.0)
+    zeroed = SpectrumGrid(grid=spec.grid, psd=np.where(below, spec.psd, 0.0))
+    with pytest.raises(ValueError, match="second-lobe maximum is not positive"):
+        normalize_second_lobe(zeroed, 100.0)
 
 
 # --- sweeps ---
@@ -298,3 +322,10 @@ def test_linear_fit_matches_polyfit_on_noisy_data():
 def test_linear_fit_needs_three_points():
     with pytest.raises(ValueError):
         linear_fit([1.0, 2.0], [2.0, 4.0])
+
+
+def test_linear_fit_refuses_mismatched_shapes_and_constant_xs():
+    with pytest.raises(ValueError, match="equal length"):
+        linear_fit([1.0, 2.0, 3.0], [2.0, 4.0])
+    with pytest.raises(ValueError, match="xs are all equal"):
+        linear_fit([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])

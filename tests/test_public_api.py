@@ -243,3 +243,20 @@ def test_only_the_alphabet_tells_the_trains_apart_in_the_estimator():
     }
     assert readers <= allowed, f"sim tells the trains apart in {sorted(readers - allowed)}"
     assert "_alphabet" in readers
+
+
+def test_no_module_reads_the_environment():
+    # every setting is a flag or an argument; the worker cap is the core count
+    package = Path(pulsepsd.__file__).parent
+    env = {"environ", "environb", "getenv", "getenvb"}
+    reads = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "os":
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = {node.attr} if node.value.id == "os" else set()
+            else:
+                continue
+            reads += [f"{path.name}:{node.lineno} os.{name}" for name in sorted(names & env)]
+    assert not reads, f"environment reads: {reads}"

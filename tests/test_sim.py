@@ -25,7 +25,7 @@ from pulsepsd import (
     synthesize_realization,
 )
 from pulsepsd.analytic import analytic_on_fft_grid
-from pulsepsd.sim import _half_bins, _row_response, compare_on_common_bins, resolve_workers
+from pulsepsd.sim import _half_bins, _row_response, compare_on_common_bins
 
 
 def _transition(t0=64, delta=3, p=0.55) -> TrainParams:
@@ -56,6 +56,8 @@ def test_config_rejects_negative_seed_and_empty_runs():
         SimConfig(n_symbols=8, n_realizations=2, fft_size=1024, seed=-1, params=_transition())
     with pytest.raises(ValueError):
         SimConfig(n_symbols=8, n_realizations=0, fft_size=1024, seed=0, params=_transition())
+    with pytest.raises(ValueError, match="n_symbols must be positive"):
+        SimConfig(n_symbols=0, n_realizations=2, fft_size=1024, seed=0, params=_transition())
 
 
 def test_config_refuses_what_the_seed_words_cannot_hold():
@@ -120,6 +122,8 @@ def test_periodogram_rejects_long_signals():
     x = np.random.default_rng(4).normal(size=600)
     with pytest.raises(ValueError):
         periodogram_bins(x, 512)
+    with pytest.raises(ValueError, match="non-empty 1-D array"):
+        periodogram_bins(np.array([]), 8)
 
 
 # --- realization synthesis ---
@@ -289,7 +293,8 @@ def test_row_response_is_the_row_transform_and_exactly_0_at_its_nulls():
     np.testing.assert_array_equal(_row_response(n, 1, 1), np.ones(n // 2))
 
 
-def test_estimate_is_bit_identical_for_any_worker_count():
+def test_estimate_is_bit_identical_for_any_worker_count(monkeypatch):
+    monkeypatch.setattr(pulsepsd.sim.os, "cpu_count", lambda: 4)  # 4 threads on any host
     for cfg in (
         SimConfig(n_symbols=32, n_realizations=70, fft_size=2048, seed=5, params=_transition()),
         SimConfig(n_symbols=32, n_realizations=70, fft_size=2048, seed=5,
@@ -301,6 +306,7 @@ def test_estimate_is_bit_identical_for_any_worker_count():
     ):
         serial = estimate_psd(cfg, workers=1)
         threaded = estimate_psd(cfg, workers=4)
+        assert threaded.meta["workers"] == min(4, -(-cfg.n_realizations // 32))
         np.testing.assert_array_equal(serial.psd, threaded.psd)
 
 
@@ -461,23 +467,21 @@ def test_estimate_meta_documents_the_seed_scheme():
     assert estimate_psd(cfg, workers=4).meta["workers"] == 1  # one block, one worker
 
 
-def test_thread_env_caps_requested_workers(monkeypatch):
-    monkeypatch.setenv("PULSEPSD_THREADS", "2")
-    assert resolve_workers(8) == 2
-    assert resolve_workers(1) == 1
-    monkeypatch.setenv("PULSEPSD_THREADS", "banana")
-    with pytest.raises(ValueError):
-        resolve_workers(8)
-    # a cap or a request below 1 is refused, not clamped to 1
-    monkeypatch.setenv("PULSEPSD_THREADS", "0")
-    with pytest.raises(ValueError, match="PULSEPSD_THREADS must be at least 1"):
-        resolve_workers(8)
-    monkeypatch.delenv("PULSEPSD_THREADS")
-    assert resolve_workers(8) == 8
-    assert resolve_workers() >= 1
+def test_worker_request_below_one_is_refused():
+    cfg = SimConfig(n_symbols=32, n_realizations=70, fft_size=2048, seed=5, params=_transition())
     for requested in (0, -3):
         with pytest.raises(ValueError, match="workers must be at least 1"):
-            resolve_workers(requested)
+            estimate_psd(cfg, workers=requested)
+
+
+def test_workers_are_capped_by_the_cores(monkeypatch):
+    # 10 blocks; the request and the default both stop at the 2 patched cores
+    monkeypatch.setattr(pulsepsd.sim.os, "cpu_count", lambda: 2)
+    cfg = SimConfig(n_symbols=8, n_realizations=10 * 32, fft_size=256, seed=5,
+                    params=_transition(t0=16, delta=2))
+    assert estimate_psd(cfg, workers=8).meta["workers"] == 2
+    assert estimate_psd(cfg).meta["workers"] == 2
+    assert estimate_psd(cfg, workers=1).meta["workers"] == 1
 
 
 def test_estimate_error_shrinks_like_root_realization_count():
