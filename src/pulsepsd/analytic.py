@@ -195,6 +195,37 @@ def _psd_slope(freqs: np.ndarray, params: TrainParams) -> np.ndarray:
     return 4.0 * np.pi * inner.real / (w * w * interval_stats(params).mean_g)
 
 
+def _psd_bound(lo: np.ndarray, hi: np.ndarray, params: TrainParams) -> np.ndarray:
+    """Upper bounds of :func:`_psd`'s values over the frequencies [lo, hi] (1-D arrays), or inf.
+
+    Each run law has |theta'| <= its mean, so D = 1 - theta_tau theta_l
+    moves by at most <G> per rad/sample and N = (1 - |theta_tau|^2)|B|^2 +
+    (1 - |theta_l|^2)|A|^2, with every factor at most 1 or 4, by at most
+    12 <G>. From N and D at the center w_c, over |w - w_c| <= r:
+
+        S <= (N(w_c) + 12 <G> r) / (w_lo^2 <G> (|D(w_c)| - <G> r)^2).
+
+    N and D are widened by eps, which covers their rounding at any w of the
+    interval (it grows as 1 / min P near a law's resonance), and the bound
+    by a relative 2^-40 for the division's. Where |D| - <G> r does not clear
+    DETECTOR_TOL the interval may hold S* points, and the bound is inf.
+    """
+    mean_g = interval_stats(params).mean_g
+    runs = run_laws(params)
+    w_lo, w_hi = 2.0 * np.pi * lo, 2.0 * np.pi * hi  # as _psd computes every w
+    w_c = 0.5 * (w_lo + w_hi)
+    r = np.maximum(w_hi - w_c, w_c - w_lo) * (1.0 + 2.0**-40)
+    (a, loss_a), (b, loss_b) = charfn.run_pair(w_c, params)
+    longest, least_p = max(max(law[1:]) for law in runs), min(law[0] for law in runs)
+    eps = 2.0**-40 * (1.0 + w_hi * longest) / least_p
+    num = loss_a * np.abs(b) ** 2 + loss_b * np.abs(a) ** 2 + 12.0 * mean_g * r + 2.0 * eps
+    gap = np.abs(a + b - a * b) - mean_g * r - 2.0 * eps
+    bound = np.full(len(w_c), np.inf)
+    sure = gap > charfn.DETECTOR_TOL
+    bound[sure] = num[sure] / (w_lo[sure] ** 2 * mean_g * gap[sure] ** 2) * (1.0 + 2.0**-40)
+    return bound
+
+
 def _lines(k_max: int, params: TrainParams) -> DiscreteLineSet:
     """Line powers |A|^2 / (w_k <G>)^2 at k/t0, k = 1 .. k_max, where theta_tau theta_l = 1."""
     k, w_k, a, periodic = charfn.clock_harmonics(params, k_max)

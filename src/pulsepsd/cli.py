@@ -198,7 +198,8 @@ def _add_sim_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--realizations", type=int, default=None, help="default 500")
     p.add_argument("--seed", type=int, default=None, help="default 0")
     p.add_argument("--workers", type=int, default=None,
-                   help="worker threads, at most the cores (never changes results)")
+                   help="worker threads, at most the cores (never changes results); "
+                   "default one per core, one for transforms under 2048 points")
 
 
 def _train_params(args, variant: Variant, delta: float, simulated: bool) -> TrainParams:

@@ -13,6 +13,14 @@ peak, and one bracketing root finder refines it on the closed form. The
 center and the second lobe are where dS/df changes sign, the half-height
 crossings where S - half does, and each is the first float past its
 sign change, so a result is exact to one float, not to a grid step.
+
+The brackets are those of a full read of the grid, but the sweep reads
+far fewer points. A Lipschitz bound of the density over each run of grid
+points (Piyavskii 1972; Shubert, SIAM J. Numer. Anal. 9, 1972) excludes
+every run that cannot hold the maximum, so the peak window and the
+second lobe take the argmax of the runs that remain; the half-height
+walks read outward from the top in growing chunks. The density is
+elementwise, so every value read has the bits a full read gives it.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .analytic import FrequencyGrid, SpectrumGrid, _psd_slope, psd_blank_shorten
+from .analytic import FrequencyGrid, SpectrumGrid, _psd_bound, _psd_slope, psd_blank_shorten
 from .model import TrainParams, Variant, require_variant
 from .sim import SimConfig, estimate_psd
 
@@ -51,6 +59,9 @@ SWEEP_POINTS = 400001
 LOBE_STRIDE = 16
 # each refinement level evaluates this many points across its bracket
 REFINE_POINTS = 33
+# the pruned argmax bounds runs of this many consecutive points; the
+# half-height walk reads its first chunk of this many
+RUN_POINTS = 64
 
 
 class PeakDetectionError(RuntimeError):
@@ -111,16 +122,21 @@ def _report(center: float, peak: float, fwhm: float, lobes: Sequence[float], lob
     return PeakReport(center, peak / second_lobe, fwhm, second_lobe)
 
 
+def _off_the_edges(ipk: int, first: int, last: int, x: float, window: tuple[float, float]) -> None:
+    """Refuse a peak index ``ipk``, at normalized ``x``, on the first or last of the window's points."""
+    if ipk == first or ipk == last:
+        raise PeakDetectionError(
+            f"peak sits on the boundary of the search window {window} at x={x:.6g}"
+        )
+
+
 def _peak_index(x: np.ndarray, s: np.ndarray, window: tuple[float, float]) -> int:
     """Index of the largest s over the points x inside ``window``, off its edges."""
     inside = np.flatnonzero((x >= window[0]) & (x <= window[1]))
     if len(inside) == 0:
         raise PeakDetectionError(f"no grid points inside the peak window {window}")
     ipk = int(inside[np.argmax(s[inside])])
-    if ipk == inside[0] or ipk == inside[-1]:
-        raise PeakDetectionError(
-            f"peak sits on the boundary of the search window {window} at x={x[ipk]:.6g}"
-        )
+    _off_the_edges(ipk, inside[0], inside[-1], x[ipk], window)
     return ipk
 
 
@@ -224,6 +240,51 @@ def _bisect_x(freqs: np.ndarray, t0: float, x: float, side: str) -> int:
     return find(freqs, x, key=lambda v: v * t0)
 
 
+def _pruned_argmax(params: TrainParams, u: np.ndarray) -> int:
+    """``np.argmax(_density(params, u))`` for ascending ``u``, reading only what the bound cannot exclude.
+
+    Each run of RUN_POINTS consecutive points is bounded by
+    :func:`~pulsepsd.analytic._psd_bound`; the run of the highest bound is
+    read first, then every unread run whose bound reaches the best value
+    read, until none does. An unread point is then below the maximum, so
+    the first index of the maximum is the full read's.
+    """
+    starts = np.arange(0, len(u), RUN_POINTS)
+    stops = np.minimum(starts + RUN_POINTS, len(u))
+    bound = _psd_bound(u[starts], u[stops - 1], params)
+    unread = np.ones(len(starts), dtype=bool)
+    best, first = -np.inf, len(u)
+    take = [int(np.argmax(bound))]
+    while len(take):
+        unread[take] = False
+        idx = np.concatenate([np.arange(starts[k], stops[k]) for k in take])
+        s = _density(params, u[idx])
+        j = int(np.argmax(s))
+        if s[j] > best or (s[j] == best and idx[j] < first):
+            best, first = s[j], int(idx[j])
+        take = np.flatnonzero(unread & (bound >= best))
+    return first
+
+
+def _walk_to_half(params: TrainParams, freqs: np.ndarray, top: float, side: int, half: float) -> float:
+    """The first float past the half-height crossing on the ``side`` of ``top`` (-1 below, +1 above).
+
+    The crossing is bracketed by the first grid point at or below ``half``
+    walking outward from ``top``, read in chunks that double from
+    RUN_POINTS, and the point before it (``top`` itself for the first).
+    """
+    i = bisect.bisect_right(freqs, top) if side > 0 else bisect.bisect_left(freqs, top) - 1
+    inner, chunk = top, RUN_POINTS
+    while 0 <= i < len(freqs):
+        part = freqs[i:i + chunk] if side > 0 else freqs[max(i - chunk + 1, 0):i + 1][::-1]
+        below = _density(params, part[::side])[::side] <= half
+        if below.any():
+            j = int(np.argmax(below))
+            return _first_past(lambda v: _density(params, v) - half, part[j - 1] if j else inner, part[j])
+        inner, i, chunk = part[-1], i + side * len(part), 2 * chunk
+    raise PeakDetectionError("half height never crossed inside the grid")
+
+
 def _refined_peak(
     params: TrainParams,
     freqs: np.ndarray,
@@ -234,31 +295,28 @@ def _refined_peak(
 
     ``freqs`` is the sweep grid. The peak is bracketed by the argmax of
     its points inside ``window``, so detection and its boundary failure
-    are those of :func:`find_clock_peak` on the full grid; the center,
-    the half-height crossings and the second lobe are then refined on the
-    closed form to one float. Each crossing is bracketed by the first
-    point at or below half height walking out from the center, over the
-    window's points and then the grid beyond it. The lobe is bracketed on
-    every LOBE_STRIDE-th grid point of each side of the exclusion, plus
-    the exclusion boundary itself.
+    are those of :func:`find_clock_peak` on the full grid, but only the
+    runs of points that :func:`_pruned_argmax` cannot exclude are read.
+    The center, the half-height crossings and the second lobe are then
+    refined on the closed form to one float. Each crossing is bracketed
+    by the first grid point at or below half height walking out from the
+    center, in or beyond the window, read in growing chunks. The lobe is
+    bracketed by the pruned argmax of every LOBE_STRIDE-th grid point of
+    each side of the exclusion, plus the exclusion boundary itself. Every
+    value read is the one a full read gives, since the density is
+    elementwise.
     """
     t0 = params.t0
     i0, i1 = _bisect_x(freqs, t0, window[0], "left"), _bisect_x(freqs, t0, window[1], "right")
+    if i1 == i0:
+        raise PeakDetectionError(f"no grid points inside the peak window {window}")
     u = freqs[i0:i1]
-    s = _density(params, u) if i1 > i0 else u
-    top, peak_value = _top(params, u, _peak_index(u * t0, s, window))
+    k = _pruned_argmax(params, u)
+    _off_the_edges(k, 0, len(u) - 1, u[k] * t0, window)
+    top, peak_value = _top(params, u, k)
     half = peak_value / 2.0
-    crossings = []
-    for side, beyond in ((-1, freqs[:i0]), (+1, freqs[i1:])):
-        out = (u - top) * side > 0
-        us, ss = u[out][::side], s[out][::side]
-        if not np.any(ss <= half) and len(beyond):
-            us = np.concatenate([us, beyond[::side]])
-            ss = np.concatenate([ss, _density(params, beyond)[::side]])
-        j = _first_at_or_below(ss, half)
-        crossings.append(_first_past(lambda v: _density(params, v) - half,
-                                     us[j - 1] if j > 0 else top, us[j]))
-    center, fwhm = top * t0, (crossings[1] - crossings[0]) * t0
+    left, right = (_walk_to_half(params, freqs, top, side, half) for side in (-1, +1))
+    center, fwhm = top * t0, (right - left) * t0
     step = (SWEEP_SPAN[1] - SWEEP_SPAN[0]) / (SWEEP_POINTS - 1)
     exclusion = max(3.0 * step, 1.5 * fwhm)
     lo, hi = lobe_window
@@ -269,7 +327,7 @@ def _refined_peak(
         if max(lo, SWEEP_SPAN[0]) < edge < min(hi, SWEEP_SPAN[1]):
             pts = np.unique(np.append(pts, edge / t0))
         if len(pts):
-            lobes.append(_top(params, pts, int(np.argmax(_density(params, pts))))[1])
+            lobes.append(_top(params, pts, _pruned_argmax(params, pts))[1])
     return _report(center, peak_value, fwhm, lobes, lobe_window)
 
 

@@ -154,6 +154,32 @@ def test_svg_chart_of_a_degenerate_span_draws_finite_points(tmp_path, xs, ys, po
     assert polyline.get("points") == points
 
 
+def _polyline_points(path) -> np.ndarray:
+    polyline = ET.fromstring(path.read_text()).find("{http://www.w3.org/2000/svg}polyline")
+    return np.array([p.split(",") for p in polyline.get("points").split()], dtype=float)
+
+
+def test_svg_polyline_stays_under_four_vertices_per_pixel_column(tmp_path):
+    # 131072 points on a 720-pixel plot: each column keeps its first,
+    # lowest, highest and last point, the chart's ends and extremes included
+    path = tmp_path / "chart.svg"
+    xs = np.arange(1, 131073) / 2048.0
+    ys = np.sin(xs) + np.random.default_rng(3).normal(0.0, 0.1, len(xs))
+    write_svg(path, xs, ys, title="t", x_label="f", y_label="S")
+    pts = _polyline_points(path)
+    assert len(pts) <= 4 * (720 + 1)
+    assert np.all(np.diff(pts[:, 0]) >= 0.0)
+    assert (pts[0, 0], pts[-1, 0]) == (60.0, 780.0)
+    assert (pts[:, 1].min(), pts[:, 1].max()) == (60.0, 420.0)
+
+
+def test_svg_polyline_keeps_every_point_of_a_sparse_chart(tmp_path):
+    path = tmp_path / "chart.svg"
+    xs = np.linspace(0.1, 3.0, 2000)  # under 3 points per pixel column
+    write_svg(path, xs, np.cos(7.0 * xs), title="t", x_label="f", y_label="S")
+    assert len(_polyline_points(path)) == 2000
+
+
 def test_writers_are_byte_deterministic(tmp_path):
     p1, p2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
     write_spectrum_csv(p1, _spectrum(), t0=64.0)

@@ -1,5 +1,6 @@
 """Clock-peak detection, sweeps, and the fitting helpers."""
 
+import functools
 import tracemalloc
 
 import numpy as np
@@ -24,8 +25,23 @@ from pulsepsd import (
     psd_blank_shorten,
     sweep_delta,
 )
-from pulsepsd.analytic import _psd_slope
-from pulsepsd.peaks import LOBE_WINDOW, PEAK_WINDOW, _bisect_x, default_sweep_grid
+from pulsepsd.analytic import _psd_bound, _psd_slope
+from pulsepsd.peaks import (
+    LOBE_STRIDE,
+    LOBE_WINDOW,
+    PEAK_WINDOW,
+    SWEEP_POINTS,
+    SWEEP_SPAN,
+    _bisect_x,
+    _density,
+    _first_at_or_below,
+    _first_past,
+    _peak_index,
+    _refined_peak,
+    _report,
+    _top,
+    default_sweep_grid,
+)
 
 GEN = BlankLaw.GENERATOR_K_MINUS_ONE_DELTA
 
@@ -221,9 +237,119 @@ def test_analytic_sweep_work_stays_under_a_point_budget(monkeypatch):
     deltas = tuple(range(1, 11))
     items = sweep_delta(base, deltas)
     assert len(items) == len(deltas)
-    # reading the whole default grid would cost 400001 points per delta;
-    # points of the density and of its slope count alike
-    assert sum(points) <= 100_000 * len(deltas)
+    # reading the whole peak window costs 74074 points per delta, and the
+    # pruned reads about 12300 in all; points of the density and of its
+    # slope count alike
+    assert sum(points) <= 14_000 * len(deltas)
+
+
+@functools.lru_cache(maxsize=None)
+def _sweep_grid(t0: int) -> np.ndarray:
+    return default_sweep_grid(t0).values
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    t0=st.sampled_from([7, 64, 100, 1000]),
+    law=st.sampled_from(list(BlankLaw)),
+    prob_one=st.one_of(
+        st.floats(1e-6, 1e-3), st.floats(1.0 - 1e-3, 1.0 - 1e-6), st.floats(0.01, 0.99)
+    ),
+    delta=st.one_of(st.just(0.0), st.just(0.5), st.floats(0.0, 1.0, exclude_max=True)),
+    start=st.integers(0, SWEEP_POINTS - 1),
+    length=st.integers(1, 4096),
+    run=st.integers(1, 512),
+)
+def test_the_density_bound_holds_at_every_point_of_its_interval(t0, law, prob_one, delta, start, length, run):
+    # delta is drawn as a fraction of t0; the paper law stops at t0/2
+    if law is BlankLaw.PAPER_K_DELTA:
+        delta = min(delta, 0.5)
+    params = TrainParams(Variant.BLANK_SHORTEN, t0, delta * t0, prob_one, law)
+    u = _sweep_grid(t0)[start:start + length]
+    starts = np.arange(0, len(u), run)
+    stops = np.minimum(starts + run, len(u))
+    bound = _psd_bound(u[starts], u[stops - 1], params)
+    assert np.all(np.maximum.reduceat(_density(params, u), starts) <= bound)
+
+
+def _full_window_peak(params, freqs, window, lobe_window):
+    """The sweep's peak as read before pruning: every window point, then the grid beyond it."""
+    t0 = params.t0
+    i0, i1 = _bisect_x(freqs, t0, window[0], "left"), _bisect_x(freqs, t0, window[1], "right")
+    u = freqs[i0:i1]
+    s = _density(params, u) if i1 > i0 else u
+    top, peak_value = _top(params, u, _peak_index(u * t0, s, window))
+    half = peak_value / 2.0
+    crossings = []
+    for side, beyond in ((-1, freqs[:i0]), (+1, freqs[i1:])):
+        out = (u - top) * side > 0
+        us, ss = u[out][::side], s[out][::side]
+        if not np.any(ss <= half) and len(beyond):
+            us = np.concatenate([us, beyond[::side]])
+            ss = np.concatenate([ss, _density(params, beyond)[::side]])
+        j = _first_at_or_below(ss, half)
+        crossings.append(_first_past(lambda v: _density(params, v) - half,
+                                     us[j - 1] if j > 0 else top, us[j]))
+    center, fwhm = top * t0, (crossings[1] - crossings[0]) * t0
+    step = (SWEEP_SPAN[1] - SWEEP_SPAN[0]) / (SWEEP_POINTS - 1)
+    exclusion = max(3.0 * step, 1.5 * fwhm)
+    lo, hi = lobe_window
+    lobes = []
+    for a, b, edge in ((lo, min(hi, center - exclusion), center - exclusion),
+                       (max(lo, center + exclusion), hi, center + exclusion)):
+        pts = freqs[_bisect_x(freqs, t0, a, "right"):_bisect_x(freqs, t0, b, "left"):LOBE_STRIDE]
+        if max(lo, SWEEP_SPAN[0]) < edge < min(hi, SWEEP_SPAN[1]):
+            pts = np.unique(np.append(pts, edge / t0))
+        if len(pts):
+            lobes.append(_top(params, pts, int(np.argmax(_density(params, pts))))[1])
+    return _report(center, peak_value, fwhm, lobes, lobe_window)
+
+
+def _outcome(peak, params, window, lobe_window):
+    """A report's repr, every float's shortest digits, or the detection failure's message."""
+    try:
+        return repr(peak(params, _sweep_grid(params.t0), window, lobe_window))
+    except PeakDetectionError as err:
+        return f"PeakDetectionError: {err}"
+
+
+@pytest.mark.parametrize(
+    "params, window",
+    [
+        # the FWHM is about one grid step
+        (TrainParams(Variant.BLANK_SHORTEN, 100, 0.5, 0.2), PEAK_WINDOW),
+        (TrainParams(Variant.BLANK_SHORTEN, 100, 0.5, 0.3), PEAK_WINDOW),
+        # the half-height crossings lie beyond the window
+        (TrainParams(Variant.BLANK_SHORTEN, 100, 10.0), (1.08, 1.09)),
+        # the window maximum is its first point
+        (TrainParams(Variant.BLANK_SHORTEN, 100, 10.0, 0.8), PEAK_WINDOW),
+    ],
+    ids=["p0.2-fwhm-one-step", "p0.3-fwhm-one-step", "crossings-beyond-window", "peak-on-boundary"],
+)
+def test_the_pruned_sweep_reports_what_the_full_window_read_does(params, window):
+    pruned = _outcome(_refined_peak, params, window, LOBE_WINDOW)
+    assert pruned == _outcome(_full_window_peak, params, window, LOBE_WINDOW)
+    if params.prob_one == 0.8:
+        assert "peak sits on the boundary" in pruned
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    t0=st.sampled_from([7, 64, 100]),
+    law=st.sampled_from(list(BlankLaw)),
+    prob_one=st.floats(0.05, 0.95),
+    delta=st.floats(0.0, 0.5),
+    window=st.tuples(st.floats(0.5, 2.5), st.floats(0.002, 0.8)),
+    lobe_window=st.tuples(st.floats(0.3, 2.9), st.floats(0.01, 1.5)),
+)
+def test_the_pruned_sweep_reports_what_the_full_window_read_does_on_random_windows(
+    t0, law, prob_one, delta, window, lobe_window
+):
+    params = TrainParams(Variant.BLANK_SHORTEN, t0, delta * t0, prob_one, law)
+    window = (window[0], window[0] + window[1])
+    lobe_window = (lobe_window[0], lobe_window[0] + lobe_window[1])
+    pruned = _outcome(_refined_peak, params, window, lobe_window)
+    assert pruned == _outcome(_full_window_peak, params, window, lobe_window)
 
 
 @pytest.mark.parametrize("t0", [7, 64, 100, 128])

@@ -475,13 +475,25 @@ def test_worker_request_below_one_is_refused():
 
 
 def test_workers_are_capped_by_the_cores(monkeypatch):
-    # 10 blocks; the request and the default both stop at the 2 patched cores
+    # 10 blocks; the request stops at the 2 patched cores
     monkeypatch.setattr(pulsepsd.sim.os, "cpu_count", lambda: 2)
     cfg = SimConfig(n_symbols=8, n_realizations=10 * 32, fft_size=256, seed=5,
                     params=_transition(t0=16, delta=2))
     assert estimate_psd(cfg, workers=8).meta["workers"] == 2
-    assert estimate_psd(cfg).meta["workers"] == 2
     assert estimate_psd(cfg, workers=1).meta["workers"] == 1
+
+
+def test_the_default_runs_short_transforms_on_one_thread(monkeypatch):
+    # the default is one thread per core from _THREAD_POINTS points per transform
+    monkeypatch.setattr(pulsepsd.sim.os, "cpu_count", lambda: 2)
+    cfg = SimConfig(n_symbols=8, n_realizations=10 * 32, fft_size=256, seed=5,
+                    params=_transition(t0=16, delta=2))
+    for fft_size, workers in ((16 * pulsepsd.sim._THREAD_POINTS // 2, 1), (16 * pulsepsd.sim._THREAD_POINTS, 2)):
+        item = replace(cfg, n_symbols=fft_size // 16, fft_size=fft_size)
+        default = estimate_psd(item)
+        assert (default.meta["transform_points"], default.meta["workers"]) == (fft_size // 16, workers)
+        # the thread count never changes a bit
+        assert np.array_equal(default.psd, estimate_psd(item, workers=3 - workers).psd)
 
 
 def test_estimate_error_shrinks_like_root_realization_count():
