@@ -24,11 +24,13 @@ densities take a grid and one TrainParams (delta may be fractional), return
 a value at every grid point, and are absolute. They evaluate the closed
 form _CHUNK_POINTS grid points at a time, so their memory peaks at about
 10 bytes per grid point, the 8-byte output included, plus one block's
-complex temporaries.
+complex temporaries. The private array forms under them also take params
+and point indices as :func:`~pulsepsd.charfn.run_pair` does.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -151,51 +153,71 @@ class DiscreteLineSet:
         return len(self.k)
 
 
-def _psd(grid: FrequencyGrid, params: TrainParams) -> SpectrumGrid:
-    """The density of the module docstring, in its nonnegative form, on ``grid``.
+@functools.lru_cache(maxsize=4096)
+def _constants(params: TrainParams) -> tuple:
+    """t0, <G>, the longest run length and the least P of ``params``."""
+    runs = run_laws(params)
+    return params.t0, interval_stats(params).mean_g, max(max(law[1:]) for law in runs), min(law[0] for law in runs)
 
-    Every step is elementwise, so a value does not depend on the block of
-    _CHUNK_POINTS points it falls in; S* is taken once, after the blocks.
+
+def _columns(params, item) -> list:
+    """:func:`_constants` at each point, for ``params`` and ``item`` as :func:`~pulsepsd.charfn.run_pair` takes them."""
+    return [charfn._column(c, item) for c in zip(*(_constants(p) for p in ((params,) if item is None else params)))]
+
+
+def _density(f: np.ndarray, params, item=None) -> tuple[np.ndarray, np.ndarray]:
+    """The density of the module docstring, in its nonnegative form, at ``f`` (1-D), and where it took S*.
+
+    Every step is elementwise, so a value depends neither on the block of
+    _CHUNK_POINTS points it falls in nor on the other params; S* is taken
+    per params, after the blocks.
     """
-    f = grid.values
-    values = np.empty(len(f))
-    limit = np.empty(len(f), dtype=bool)
-    mean_g = interval_stats(params).mean_g
+    values, limit = np.empty(len(f)), np.empty(len(f), dtype=bool)
     for start in range(0, len(f), _CHUNK_POINTS):
         block = slice(start, start + _CHUNK_POINTS)
+        at = None if item is None else item[block]
         w = 2.0 * np.pi * f[block]
-        (a, loss_a), (b, loss_b) = charfn.run_pair(w, params)
+        (a, loss_a), (b, loss_b) = charfn.run_pair(w, params, at)
         values[block] = loss_a * np.abs(b) ** 2 + loss_b * np.abs(a) ** 2
         d = a - a * b
         d += b  # 1 - theta_tau theta_l
         del a, b
         product = np.abs(d) ** 2
-        limit[block] = (product < charfn.DETECTOR_TOL**2) & (f[block] * params.t0 > 0.5)
+        t0, mean_g = _columns(params, at)[:2]
+        limit[block] = (product < charfn.DETECTOR_TOL**2) & (f[block] * t0 > 0.5)
         np.divide(values[block], w * w * mean_g * product, out=values[block], where=~limit[block])
-    if limit.any():
-        (a, _), (b, _) = charfn._harmonic_pair(params, np.round(f[limit] * params.t0))
-        var_tau, var_l = (r * r * (1.0 - P) / (P * P) for P, _, r in run_laws(params))
-        values[limit] = var_tau * np.abs(b) ** 2 + var_l * np.abs(a) ** 2
-        values[limit] /= (2.0 * np.pi * f[limit]) ** 2 * mean_g**3
-    meta = {"kind": "continuous", "limit_freqs": tuple(f[limit].tolist())}
-    return SpectrumGrid(grid, values, meta)
+    hits = np.flatnonzero(limit)
+    owner = np.zeros(len(hits), dtype=int) if item is None else item[hits]
+    for i in set(owner.tolist()):
+        p, at = ((params,) if item is None else params)[i], hits[owner == i]
+        (a, _), (b, _) = charfn._harmonic_pair(p, np.round(f[at] * p.t0))
+        var_tau, var_l = (r * r * (1.0 - P) / (P * P) for P, _, r in run_laws(p))
+        values[at] = var_tau * np.abs(b) ** 2 + var_l * np.abs(a) ** 2
+        values[at] /= (2.0 * np.pi * f[at]) ** 2 * _constants(p)[1] ** 3
+    return values, limit
 
 
-def _psd_slope(freqs: np.ndarray, params: TrainParams) -> np.ndarray:
+def _psd(grid: FrequencyGrid, params: TrainParams) -> SpectrumGrid:
+    """:func:`_density` on ``grid``, with the frequencies where it took S* in the meta."""
+    values, limit = _density(grid.values, params)
+    return SpectrumGrid(grid, values, {"kind": "continuous", "limit_freqs": tuple(grid.values[limit].tolist())})
+
+
+def _psd_slope(freqs: np.ndarray, params, item=None) -> np.ndarray:
     """dS/df of the density at ``freqs`` (1-D), away from f = 0 and from the points that take S*.
 
     From the first form, with D = A + B - A B and A', B' the slopes in w:
     dS/dw = 2 / (w^2 <G>) Re[(A' B^2 + B' A^2) / D^2 - 2 A B / (w D)].
     """
     w = 2.0 * np.pi * freqs
-    (a, _), (b, _) = charfn.run_pair(w, params)
-    da, db = charfn._run_slopes(w, params)
+    (a, _), (b, _) = charfn.run_pair(w, params, item)
+    da, db = charfn._run_slopes(w, params, item)
     d = a + b - a * b
     inner = ((da * b * b + db * a * a) / d - 2.0 * a * b / w) / d
-    return 4.0 * np.pi * inner.real / (w * w * interval_stats(params).mean_g)
+    return 4.0 * np.pi * inner.real / (w * w * _columns(params, item)[1])
 
 
-def _psd_bound(lo: np.ndarray, hi: np.ndarray, params: TrainParams) -> np.ndarray:
+def _psd_bound(lo: np.ndarray, hi: np.ndarray, params, item=None) -> np.ndarray:
     """Upper bounds of :func:`_psd`'s values over the frequencies [lo, hi] (1-D arrays), or inf.
 
     Each run law has |theta'| <= its mean, so D = 1 - theta_tau theta_l
@@ -210,20 +232,18 @@ def _psd_bound(lo: np.ndarray, hi: np.ndarray, params: TrainParams) -> np.ndarra
     by a relative 2^-40 for the division's. Where |D| - <G> r does not clear
     DETECTOR_TOL the interval may hold S* points, and the bound is inf.
     """
-    mean_g = interval_stats(params).mean_g
-    runs = run_laws(params)
+    _, mean_g, longest, least_p = _columns(params, item)
     w_lo, w_hi = 2.0 * np.pi * lo, 2.0 * np.pi * hi  # as _psd computes every w
     w_c = 0.5 * (w_lo + w_hi)
     r = np.maximum(w_hi - w_c, w_c - w_lo) * (1.0 + 2.0**-40)
-    (a, loss_a), (b, loss_b) = charfn.run_pair(w_c, params)
-    longest, least_p = max(max(law[1:]) for law in runs), min(law[0] for law in runs)
+    (a, loss_a), (b, loss_b) = charfn.run_pair(w_c, params, item)
     eps = 2.0**-40 * (1.0 + w_hi * longest) / least_p
     num = loss_a * np.abs(b) ** 2 + loss_b * np.abs(a) ** 2 + 12.0 * mean_g * r + 2.0 * eps
     gap = np.abs(a + b - a * b) - mean_g * r - 2.0 * eps
     bound = np.full(len(w_c), np.inf)
     sure = gap > charfn.DETECTOR_TOL
-    bound[sure] = num[sure] / (w_lo[sure] ** 2 * mean_g * gap[sure] ** 2) * (1.0 + 2.0**-40)
-    return bound
+    np.divide(num, w_lo**2 * mean_g * gap**2, out=bound, where=sure)
+    return np.multiply(bound, 1.0 + 2.0**-40, out=bound, where=sure)
 
 
 def _lines(k_max: int, params: TrainParams) -> DiscreteLineSet:

@@ -27,6 +27,8 @@ rad/sample throughout.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .model import TrainParams, Variant, require_variant, run_laws
@@ -52,7 +54,7 @@ def _expm1j(w, x):
 
 
 def _run(run, e: dict):
-    """(1 - theta, 1 - |theta|^2) of the law ``run``; ``e`` maps x to exp(j omega x) - 1."""
+    """(1 - theta, 1 - |theta|^2) of the law ``run``; ``e`` maps its a and r to exp(j omega x) - 1."""
     P, a, r = run
     loss = -2.0 * (1.0 - P) * e[r].real  # g = 4 (1 - P) sin^2(omega r / 2)
     loss /= loss + P * P  # |P - (1 - P) E(r)|^2 = P^2 + g
@@ -63,39 +65,71 @@ def _run(run, e: dict):
     return np.divide(num, den, out=num), loss
 
 
-def _pair(params: TrainParams, expm1j):
-    """:func:`_run` of tau and of l, with ``expm1j`` the map x -> exp(j omega x) - 1.
+def _column(values, item):
+    """Per-params ``values`` at each point's params index ``item``; one value if ``item`` is None or all are equal."""
+    return values[0] if item is None or len(set(values)) == 1 else np.asarray(values)[item]
+
+
+@functools.lru_cache(maxsize=4096)
+def _roles(params: TrainParams):
+    """(whether :func:`_pair` derives the least length, each run's a and r as indices of the lengths),
+    and the lengths, ascending, then each run's P."""
+    runs = run_laws(params)
+    lengths = sorted({x for _, a, r in runs for x in (a, r)})
+    derive = len(lengths) == 3 and bool(lengths[0] + lengths[2] == 2 * lengths[1])
+    slots = tuple((lengths.index(a), lengths.index(r)) for _, a, r in runs)
+    return (derive, slots), (*lengths, *(P for P, _, _ in runs))
+
+
+def _pair(params, item, expm1j):
+    """:func:`_run` of tau and of l, ``expm1j`` the map (x, points or None for all) -> exp(j omega x) - 1.
 
     Of three equally spaced lengths, the least follows from the others as
     exp(j w lo) = exp(j w mid)^2 exp(-j w hi): one transcendental fewer.
+    Params are taken in groups that derive and assign lengths alike.
     """
-    runs = run_laws(params)
-    lengths = sorted({x for _, a, r in runs for x in (a, r)})
-    derive = len(lengths) == 3 and lengths[0] + lengths[2] == 2 * lengths[1]
-    e = {x: expm1j(x) for x in (lengths[1:] if derive else lengths)}
-    if derive:
-        lo, mid, hi = lengths
-        e[lo] = (e[mid] + 2.0) * e[mid] * np.conj(1.0 + e[hi]) + np.conj(e[hi])
-    tau, l = runs
-    pair_tau = _run(tau, e)
-    for x in set(tau[1:]) - set(l[1:]):  # free what only tau reads
-        del e[x]
-    return pair_tau, _run(l, e)
+    roles = [_roles(p) for p in ((params,) if item is None else params)]
+    groups: dict = {}
+    for i, (key, _) in enumerate(roles):
+        groups.setdefault(key, []).append(i)
+    out = [[np.empty(len(item), complex), np.empty(len(item))] for _ in "ab"] if len(groups) > 1 else None
+    for (derive, ((ta, tr), (la, lr))), members in groups.items():
+        at = None if out is None else np.flatnonzero(np.isin(item, members))
+        local = item if at is None else np.searchsorted(members, item[at])
+        x = [_column(column, local) for column in zip(*(roles[i][1] for i in members))]
+        e = {k: expm1j(x[k], at) for k in range(derive, len(x) - 2)}
+        if derive:
+            e[0] = (e[1] + 2.0) * e[1] * np.conj(1.0 + e[2]) + np.conj(e[2])
+        pair_tau = _run((x[-2], ta, tr), e)
+        for k in {ta, tr} - {la, lr}:  # free what only tau reads
+            del e[k]
+        pair = pair_tau, _run((x[-1], la, lr), e)
+        if out is None:
+            return pair
+        for run, values in zip(out, pair):
+            for column, value in zip(run, values):
+                column[at] = value
+    return tuple(map(tuple, out))
 
 
-def run_pair(omega, params: TrainParams):
-    """((1 - theta, 1 - |theta|^2) of tau, the same of l) at ``omega``, each at least 1-D."""
+def run_pair(omega, params, item=None):
+    """((1 - theta, 1 - |theta|^2) of tau, the same of l) at ``omega``, each at least 1-D.
+
+    ``params`` is one TrainParams, or a sequence with ``item`` each omega's index into it;
+    each value has the bits of its params alone.
+    """
     w = np.atleast_1d(np.asarray(omega, dtype=float))
-    return _pair(params, lambda x: _expm1j(w, x))
+    return _pair(params, item, lambda x, at: _expm1j(w if at is None else w[at], x))
 
 
-def _run_slopes(omega: np.ndarray, params: TrainParams):
-    """d/domega of 1 - theta of tau and of l at ``omega`` (1-D, away from 0).
+def _run_slopes(omega: np.ndarray, params, item=None):
+    """d/domega of 1 - theta of tau and of l at ``omega`` (1-D, away from 0), taking ``params`` as :func:`run_pair`.
 
     For a law (P, a, r), theta' = j theta (a + r z / (1 - z)) with z = (1 - P) exp(j omega r).
     """
     slopes = []
-    for P, a, r in run_laws(params):
+    for runs in zip(*(run_laws(p) for p in ((params,) if item is None else params))):
+        P, a, r = (_column(values, item) for values in zip(*runs))
         z = (1.0 - P) * np.exp(1j * omega * r)
         slopes.append(-1j * P * np.exp(1j * omega * a) / (1.0 - z) * (a + r * z / (1.0 - z)))
     return slopes
@@ -106,7 +140,7 @@ def _harmonic_pair(params: TrainParams, k):
 
     Lengths are reduced modulo t0, so a whole number of periods gives exactly 0.
     """
-    return _pair(params, lambda x: _expm1j(2.0 * np.pi / params.t0, np.mod(k * x, params.t0)))
+    return _pair(params, None, lambda x, _: _expm1j(2.0 * np.pi / params.t0, np.mod(k * x, params.t0)))
 
 
 def clock_harmonics(params: TrainParams, k_max: int):

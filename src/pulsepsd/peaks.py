@@ -21,6 +21,13 @@ every run that cannot hold the maximum, so the peak window and the
 second lobe take the argmax of the runs that remain; the half-height
 walks read outward from the top in growing chunks. The density is
 elementwise, so every value read has the bits a full read gives it.
+
+An analytic sweep runs its deltas in lockstep, SWEEP_GROUP at a time:
+the window argmax, the center top, both half-height walks and their
+crossings, both lobe argmaxes and the lobe tops each advance every delta
+of the group one round or refinement level per closed-form call, each
+point read with its own delta's params. The sweep grid's points are
+computed where they are read.
 """
 
 from __future__ import annotations
@@ -32,7 +39,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .analytic import FrequencyGrid, SpectrumGrid, _psd_bound, _psd_slope, psd_blank_shorten
+from .analytic import FrequencyGrid, SpectrumGrid, _density, _psd_bound, _psd_slope
+from .analytic import psd_blank_shorten  # noqa: F401  # tracers patch pulsepsd.peaks.psd_blank_shorten
 from .model import TrainParams, Variant, require_variant
 from .sim import SimConfig, estimate_psd
 
@@ -62,6 +70,12 @@ REFINE_POINTS = 33
 # the pruned argmax bounds runs of this many consecutive points; the
 # half-height walk reads its first chunk of this many
 RUN_POINTS = 64
+# the second lobe's pruned argmax bounds runs of this many of its points
+LOBE_RUN_POINTS = 8
+# an analytic sweep measures this many deltas at a time, so its memory
+# does not grow with the number of deltas
+SWEEP_GROUP = 12
+_SWEEP_STEP = (SWEEP_SPAN[1] - SWEEP_SPAN[0]) / (SWEEP_POINTS - 1)
 
 
 class PeakDetectionError(RuntimeError):
@@ -192,143 +206,192 @@ def _second_lobe_max(spectrum: SpectrumGrid, t0: float) -> float:
     return ref
 
 
+class _SweepGrid:
+    """The points of :func:`default_sweep_grid`, each computed, as np.linspace does, only where it is read."""
+
+    def __init__(self, t0: float):
+        self.t0 = t0
+
+    def __len__(self) -> int:
+        return SWEEP_POINTS
+
+    def __getitem__(self, index):
+        i = range(SWEEP_POINTS)[index]
+        if isinstance(i, int):
+            return (SWEEP_SPAN[1] if i == SWEEP_POINTS - 1 else i * _SWEEP_STEP + SWEEP_SPAN[0]) / self.t0
+        x = np.arange(i.start, i.stop, i.step, dtype=float)
+        return np.where(x == SWEEP_POINTS - 1, SWEEP_SPAN[1], x * _SWEEP_STEP + SWEEP_SPAN[0]) / self.t0
+
+
 def default_sweep_grid(t0: float) -> FrequencyGrid:
     """Dense normalized-span grid that brackets analytic sweeps."""
-    x = np.linspace(SWEEP_SPAN[0], SWEEP_SPAN[1], SWEEP_POINTS)
-    x /= t0
-    return FrequencyGrid(x)
+    return FrequencyGrid(_SweepGrid(t0)[:])
 
 
-def _density(params: TrainParams, freqs: np.ndarray) -> np.ndarray:
-    """The closed form's values at the frequencies ``freqs``, in cycles/sample."""
-    return psd_blank_shorten(FrequencyGrid(freqs), params).psd
+def _caught(fn, *args):
+    """``fn(*args)``, or the :class:`PeakDetectionError` it raises."""
+    try:
+        return fn(*args)
+    except PeakDetectionError as err:
+        return err
 
 
-def _first_past(fn, inner: float, outer: float) -> float:
-    """The first float from ``inner`` toward ``outer`` where ``fn`` is at or below 0.
+def _read(parts: list, items, item) -> list:
+    """The density of ``items[item[t]]`` on each of ``parts[t]``, all read in one call."""
+    sizes = list(map(len, parts))
+    return np.split(_density(np.concatenate(parts), items, np.repeat(item, sizes))[0], np.cumsum(sizes)[:-1])
 
-    ``fn`` maps ascending frequencies to values, taken as above 0 at
-    ``inner`` and at or below it at ``outer``. Each level keeps the
-    section where REFINE_POINTS values across the bracket first reach 0,
-    until its ends are neighbouring floats.
+
+def _first_past(fn, inner: np.ndarray, outer: np.ndarray) -> np.ndarray:
+    """The first float from each of ``inner`` toward its ``outer`` where ``fn`` is at or below 0.
+
+    ``fn`` maps frequencies and the index of each one's bracket to values,
+    taken as above 0 at ``inner`` and at or below it at ``outer``. Each
+    level reads np.unique(np.linspace(lo, hi, REFINE_POINTS)) across every
+    bracket whose ends are not yet neighbouring floats and keeps the
+    section where they first reach 0.
     """
-    while np.nextafter(inner, outer) != outer:
-        u = np.unique(np.linspace(min(inner, outer), max(inner, outer), REFINE_POINTS))
-        v = fn(u)
-        if outer < inner:
-            u, v = u[::-1], v[::-1]
-        past = v <= 0.0
-        past[0], past[-1] = False, True
-        m = int(np.argmax(past))
-        inner, outer = u[m - 1], u[m]
-    return float(outer)
+    inner, outer = np.array(inner, dtype=float), np.array(outer, dtype=float)
+    live = np.flatnonzero(np.nextafter(inner, outer) != outer)
+    while len(live):
+        a, b = inner[live], outer[live]
+        u = np.linspace(np.minimum(a, b), np.maximum(a, b), REFINE_POINTS, axis=1)
+        u[b < a] = u[b < a, ::-1]  # each row from inner to outer
+        new = np.ones(u.shape, dtype=bool)
+        new[:, 1:] = u[:, 1:] != u[:, :-1]  # np.unique keeps a row's first copy of a point
+        v = np.empty(u.shape)
+        v[new] = fn(u[new], live[np.nonzero(new)[0]])
+        v = np.take_along_axis(v, np.maximum.accumulate(np.where(new, np.arange(REFINE_POINTS), 0), axis=1), 1)
+        m = np.argmax(((v <= 0.0) & (u != a[:, None])) | (u == b[:, None]), axis=1)
+        inner[live], outer[live] = u[np.arange(len(live)), m - 1], u[np.arange(len(live)), m]
+        live = live[np.nextafter(inner[live], outer[live]) != outer[live]]
+    return outer
 
 
-def _top(params: TrainParams, u: np.ndarray, k: int) -> tuple[float, float]:
-    """Frequency and value of the closed form's maximum between the neighbours of u[k].
+def _tops(items, item: np.ndarray, inner: np.ndarray, outer: np.ndarray):
+    """Frequencies and values of the closed form's maxima, of ``items[item]``, between ``inner`` and ``outer``.
 
-    It is the first float where dS/df is at or below 0; a maximum on an end
-    of ``u``, where dS/df need not change sign, is read within one float.
+    Each is the first float where dS/df is at or below 0; a maximum on an end
+    of its bracket, where dS/df need not change sign, is read within one float.
     """
-    top = _first_past(lambda v: _psd_slope(v, params), u[max(k - 1, 0)], u[min(k + 1, len(u) - 1)])
-    return top, float(_density(params, np.array([top]))[0])
+    top = _first_past(lambda v, k: _psd_slope(v, items, item[k]), inner, outer)
+    return top, _density(top, items, item)[0]
 
 
-def _bisect_x(freqs: np.ndarray, t0: float, x: float, side: str) -> int:
+def _bisect_x(freqs, t0: float, x: float, side: str) -> int:
     """``np.searchsorted(freqs * t0, x, side)``, comparing the same products, without the copy."""
     find = bisect.bisect_left if side == "left" else bisect.bisect_right
     return find(freqs, x, key=lambda v: v * t0)
 
 
-def _pruned_argmax(params: TrainParams, u: np.ndarray) -> int:
-    """``np.argmax(_density(params, u))`` for ascending ``u``, reading only what the bound cannot exclude.
+def _pruned_argmax(items, item: np.ndarray, us: list, run: int) -> np.ndarray:
+    """``np.argmax`` of the density of ``items[item[t]]`` on each ascending ``us[t]``, read where a bound allows.
 
-    Each run of RUN_POINTS consecutive points is bounded by
+    Each run of ``run`` consecutive points is bounded by
     :func:`~pulsepsd.analytic._psd_bound`; the run of the highest bound is
     read first, then every unread run whose bound reaches the best value
     read, until none does. An unread point is then below the maximum, so
     the first index of the maximum is the full read's.
     """
-    starts = np.arange(0, len(u), RUN_POINTS)
-    stops = np.minimum(starts + RUN_POINTS, len(u))
-    bound = _psd_bound(u[starts], u[stops - 1], params)
-    unread = np.ones(len(starts), dtype=bool)
-    best, first = -np.inf, len(u)
-    take = [int(np.argmax(bound))]
-    while len(take):
-        unread[take] = False
-        idx = np.concatenate([np.arange(starts[k], stops[k]) for k in take])
-        s = _density(params, u[idx])
-        j = int(np.argmax(s))
-        if s[j] > best or (s[j] == best and idx[j] < first):
-            best, first = s[j], int(idx[j])
-        take = np.flatnonzero(unread & (bound >= best))
+    starts = [np.arange(0, len(u), run) for u in us]
+    sizes = list(map(len, starts))
+    lo = np.concatenate([u[s] for u, s in zip(us, starts)])
+    hi = np.concatenate([u[np.minimum(s + run, len(u)) - 1] for u, s in zip(us, starts)])
+    bounds = np.split(_psd_bound(lo, hi, items, np.repeat(item, sizes)), np.cumsum(sizes)[:-1])
+    unread = [np.ones(size, dtype=bool) for size in sizes]
+    best, first = np.full(len(us), -np.inf), np.array(list(map(len, us)))
+    take = [np.argmax(b, keepdims=True) for b in bounds]
+    while active := [t for t in range(len(us)) if len(take[t])]:
+        idx = [(starts[t][take[t], None] + np.arange(run)).ravel() for t in active]
+        idx = [i[i < len(us[t])] for t, i in zip(active, idx)]
+        for t, i, s in zip(active, idx, _read([us[t][i] for t, i in zip(active, idx)], items, item[active])):
+            j = np.argmax(s)
+            if s[j] > best[t] or (s[j] == best[t] and i[j] < first[t]):
+                best[t], first[t] = s[j], i[j]
+            unread[t][take[t]] = False
+            take[t] = np.flatnonzero(unread[t] & (bounds[t] >= best[t]))
     return first
 
 
-def _walk_to_half(params: TrainParams, freqs: np.ndarray, top: float, side: int, half: float) -> float:
-    """The first float past the half-height crossing on the ``side`` of ``top`` (-1 below, +1 above).
+def _walk_to_half(items, item: np.ndarray, freqs, top: np.ndarray, side: np.ndarray, half: np.ndarray):
+    """Brackets of the half-height crossings on each ``side`` of each ``top`` (-1 below, +1 above); nan where none is.
 
-    The crossing is bracketed by the first grid point at or below ``half``
+    A crossing is bracketed by the first grid point at or below ``half``
     walking outward from ``top``, read in chunks that double from
     RUN_POINTS, and the point before it (``top`` itself for the first).
     """
-    i = bisect.bisect_right(freqs, top) if side > 0 else bisect.bisect_left(freqs, top) - 1
-    inner, chunk = top, RUN_POINTS
-    while 0 <= i < len(freqs):
-        part = freqs[i:i + chunk] if side > 0 else freqs[max(i - chunk + 1, 0):i + 1][::-1]
-        below = _density(params, part[::side])[::side] <= half
-        if below.any():
-            j = int(np.argmax(below))
-            return _first_past(lambda v: _density(params, v) - half, part[j - 1] if j else inner, part[j])
-        inner, i, chunk = part[-1], i + side * len(part), 2 * chunk
-    raise PeakDetectionError("half height never crossed inside the grid")
+    i = [bisect.bisect_right(freqs, t) if s > 0 else bisect.bisect_left(freqs, t) - 1 for t, s in zip(top, side)]
+    inner, outer, chunk = top.copy(), np.full(len(top), np.nan), RUN_POINTS
+    live = [n for n in range(len(top)) if 0 <= i[n] < len(freqs)]
+    while live:
+        parts = [freqs[i[n]:i[n] + chunk] if side[n] > 0 else freqs[max(i[n] - chunk + 1, 0):i[n] + 1][::-1]
+                 for n in live]
+        for n, part, s in zip(live, parts, _read(parts, items, item[live])):
+            j = int(np.argmax(s <= half[n]))
+            if s[j] <= half[n]:
+                inner[n], outer[n] = part[j - 1] if j else inner[n], part[j]
+            else:
+                inner[n], i[n] = part[-1], i[n] + side[n] * len(part)
+        live, chunk = [n for n in live if np.isnan(outer[n]) and 0 <= i[n] < len(freqs)], 2 * chunk
+    return inner, outer
 
 
-def _refined_peak(
-    params: TrainParams,
-    freqs: np.ndarray,
+def _refined_peaks(
+    items: Sequence[TrainParams],
+    freqs,
     window: tuple[float, float],
     lobe_window: tuple[float, float],
-) -> PeakReport:
-    """:func:`find_clock_peak` of the closed form, refined off the grid.
+) -> list:
+    """:func:`find_clock_peak` of the closed form at each of ``items``, refined off the grid, or its error.
 
-    ``freqs`` is the sweep grid. The peak is bracketed by the argmax of
-    its points inside ``window``, so detection and its boundary failure
-    are those of :func:`find_clock_peak` on the full grid, but only the
-    runs of points that :func:`_pruned_argmax` cannot exclude are read.
-    The center, the half-height crossings and the second lobe are then
-    refined on the closed form to one float. Each crossing is bracketed
-    by the first grid point at or below half height walking out from the
-    center, in or beyond the window, read in growing chunks. The lobe is
-    bracketed by the pruned argmax of every LOBE_STRIDE-th grid point of
-    each side of the exclusion, plus the exclusion boundary itself. Every
-    value read is the one a full read gives, since the density is
-    elementwise.
+    ``freqs`` is the sweep grid of the items' common t0; each stage runs at
+    once for every item not yet failed. The argmax of the grid points
+    inside ``window`` brackets the peak, so detection and its boundary
+    failure are those of :func:`find_clock_peak` on the full grid. Each
+    half-height crossing is bracketed by the first grid point at or below
+    half height walking out from the center, in or beyond the window. The
+    lobe is bracketed by the argmax of every LOBE_STRIDE-th grid point of
+    each side of the exclusion, plus the exclusion boundary itself.
     """
-    t0 = params.t0
+    t0 = items[0].t0
     i0, i1 = _bisect_x(freqs, t0, window[0], "left"), _bisect_x(freqs, t0, window[1], "right")
     if i1 == i0:
-        raise PeakDetectionError(f"no grid points inside the peak window {window}")
+        return [PeakDetectionError(f"no grid points inside the peak window {window}")] * len(items)
     u = freqs[i0:i1]
-    k = _pruned_argmax(params, u)
-    _off_the_edges(k, 0, len(u) - 1, u[k] * t0, window)
-    top, peak_value = _top(params, u, k)
-    half = peak_value / 2.0
-    left, right = (_walk_to_half(params, freqs, top, side, half) for side in (-1, +1))
-    center, fwhm = top * t0, (right - left) * t0
-    step = (SWEEP_SPAN[1] - SWEEP_SPAN[0]) / (SWEEP_POINTS - 1)
-    exclusion = max(3.0 * step, 1.5 * fwhm)
+    k = _pruned_argmax(items, np.arange(len(items)), [u] * len(items), RUN_POINTS)
+    out = [_caught(_off_the_edges, kn, 0, len(u) - 1, u[kn] * t0, window) for kn in k]
+    live = np.flatnonzero([report is None for report in out])
+    top, peak = _tops(items, live, u[k[live] - 1], u[k[live] + 1])
+    walks, half = np.repeat(live, 2), np.repeat(peak / 2.0, 2)
+    inner, outer = _walk_to_half(items, walks, freqs, np.repeat(top, 2), np.tile([-1, 1], len(live)), half)
+    ends, on = np.full(len(walks), np.nan), ~np.isnan(outer)
+    ends[on] = _first_past(lambda v, j: _density(v, items, walks[on][j])[0] - half[on][j],
+                           inner[on], outer[on])
     lo, hi = lobe_window
-    lobes = []
-    for a, b, edge in ((lo, min(hi, center - exclusion), center - exclusion),
-                       (max(lo, center + exclusion), hi, center + exclusion)):
-        pts = freqs[_bisect_x(freqs, t0, a, "right"):_bisect_x(freqs, t0, b, "left"):LOBE_STRIDE]
-        if max(lo, SWEEP_SPAN[0]) < edge < min(hi, SWEEP_SPAN[1]):
-            pts = np.unique(np.append(pts, edge / t0))
-        if len(pts):
-            lobes.append(_top(params, pts, _pruned_argmax(params, pts))[1])
-    return _report(center, peak_value, fwhm, lobes, lobe_window)
+    found, pts, owner = {}, [], []
+    for n, top_n, peak_n, (left, right) in zip(*(x.tolist() for x in (live, top, peak, ends.reshape(-1, 2)))):
+        if np.isnan(left) or np.isnan(right):
+            out[n] = PeakDetectionError("half height never crossed inside the grid")
+            continue
+        center, fwhm = top_n * t0, (right - left) * t0
+        exclusion = max(3.0 * _SWEEP_STEP, 1.5 * fwhm)
+        found[n] = center, peak_n, fwhm, []
+        for a, b, edge in ((lo, min(hi, center - exclusion), center - exclusion),
+                           (max(lo, center + exclusion), hi, center + exclusion)):
+            lobe = freqs[_bisect_x(freqs, t0, a, "right"):_bisect_x(freqs, t0, b, "left"):LOBE_STRIDE]
+            if max(lo, SWEEP_SPAN[0]) < edge < min(hi, SWEEP_SPAN[1]):
+                lobe = np.unique(np.append(lobe, edge / t0))
+            if len(lobe):
+                pts.append(lobe)
+                owner.append(n)
+    if pts:
+        k = _pruned_argmax(items, np.array(owner), pts, LOBE_RUN_POINTS)
+        brackets = np.array([(p[max(j - 1, 0)], p[min(j + 1, len(p) - 1)]) for p, j in zip(pts, k)]).T
+        for n, value in zip(owner, _tops(items, np.array(owner), *brackets)[1].tolist()):
+            found[n][3].append(value)
+    for n, (center, peak_n, fwhm, lobes) in found.items():
+        out[n] = _caught(_report, center, peak_n, fwhm, lobes, lobe_window)
+    return out
 
 
 def sweep_delta(
@@ -350,8 +413,8 @@ def sweep_delta(
     reads it by :func:`find_clock_peak` on the FFT bins. Peak heights
     compare item to item via ``report.peak_height``. Every delta is
     validated, through ``TrainParams`` and ``SimConfig``, before any
-    spectrum is computed. Detection failures propagate tagged with their
-    delta.
+    spectrum is computed. The first detection failure in the order of
+    ``deltas`` propagates tagged with its delta.
     """
     sim = source if isinstance(source, SimConfig) else None
     base = source if sim is None else sim.params
@@ -361,20 +424,19 @@ def sweep_delta(
     items = [dataclasses.replace(base, delta=d) for d in deltas]
     if sim is not None:
         items = [dataclasses.replace(sim, params=params) for params in items]
-    else:
-        freqs = default_sweep_grid(base.t0).values
 
     out: list[tuple[float, PeakReport]] = []
-    for d, item in zip(deltas, items):
-        try:
-            if sim is None:
-                report = _refined_peak(item, freqs, window, lobe_window)
-            else:
-                spectrum = estimate_psd(item, workers=workers)
-                report = find_clock_peak(spectrum, base.t0, window, lobe_window)
-        except PeakDetectionError as err:
-            raise PeakDetectionError(str(err), delta=float(d)) from err
-        out.append((float(d), report))
+    for start in range(0, len(items), SWEEP_GROUP):
+        group = items[start:start + SWEEP_GROUP]
+        if sim is None:
+            reports = _refined_peaks(group, _SweepGrid(base.t0), window, lobe_window)
+        else:
+            reports = (_caught(find_clock_peak, estimate_psd(config, workers=workers), base.t0, window, lobe_window)
+                       for config in group)
+        for d, report in zip(deltas[start:start + SWEEP_GROUP], reports):
+            if isinstance(report, PeakDetectionError):
+                raise PeakDetectionError(str(report), delta=float(d)) from report
+            out.append((float(d), report))
     return out
 
 

@@ -609,3 +609,29 @@ def test_bin_power_total_equals_rectangle_rule_integral(n, fmax, seed):
     binned = bin_power(SpectrumGrid(grid=g, psd=psd))
     widths = np.concatenate(([g.values[0]], np.diff(g.values)))
     assert binned.psd.sum() == pytest.approx(float(np.sum(psd * widths)), rel=1e-12)
+
+
+def test_the_batched_density_slope_and_bound_have_the_bits_of_each_params_alone():
+    # one batch of both trains, several derive groups and points that take S*
+    items = [
+        TrainParams(Variant.BLANK_SHORTEN, 100, delta, p, law)
+        for delta, p, law in [(0.0, 0.5, BlankLaw.PAPER_K_DELTA), (3.0, 0.3, BlankLaw.PAPER_K_DELTA),
+                              (2.7, 0.8, BlankLaw.PAPER_K_DELTA), (50.0, 0.5, BlankLaw.GENERATOR_K_MINUS_ONE_DELTA)]
+    ] + [TrainParams(Variant.TRANSITION_STRETCH, 64, delta, 0.55) for delta in (0.0, 3.0, 32.0)]
+    rng = np.random.default_rng(7)
+    item = rng.integers(0, len(items), 3000)
+    f = rng.uniform(1e-4, 0.5, 3000)
+    f[:300] = rng.integers(1, 20, 300) / np.array([p.t0 for p in items])[item[:300]]  # clock harmonics
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analytic, "_CHUNK_POINTS", 257)
+        values, limit = analytic._density(f, items, item)
+    slope = analytic._psd_slope(f[300:], items, item[300:])
+    bound = analytic._psd_bound(f, f * (1.0 + 1e-3), items, item)
+    assert limit.any()
+    for i, params in enumerate(items):
+        at = item == i
+        alone, alone_limit = analytic._density(f[at], params)
+        assert values[at].tobytes() == alone.tobytes()
+        assert np.array_equal(limit[at], alone_limit)
+        assert slope[at[300:]].tobytes() == analytic._psd_slope(f[300:][at[300:]], params).tobytes()
+        assert bound[at].tobytes() == analytic._psd_bound(f[at], f[at] * (1.0 + 1e-3), params).tobytes()

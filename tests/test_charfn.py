@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pulsepsd import charfn
 from pulsepsd import (
     BlankLaw,
     TrainParams,
@@ -213,3 +214,37 @@ def test_every_theta_is_exact_at_dc_next_to_either_end():
         for law in BlankLaw:
             assert theta_blank(0.0, _blank(law=law, p=p)) == 1.0
 
+
+
+# --- batches ---
+
+_ITEM = st.builds(
+    lambda variant, law, t0, fraction, p, whole: TrainParams(
+        variant, t0, float(int(fraction * t0)) if whole else fraction * t0, p, law
+    ),
+    st.sampled_from(list(Variant)),
+    st.sampled_from(list(BlankLaw)),
+    st.sampled_from([7, 64, 100]),
+    st.one_of(st.just(0.0), st.just(0.5), st.floats(0.0, 0.5)),
+    st.floats(0.05, 0.95),
+    st.booleans(),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(items=st.lists(_ITEM, min_size=1, max_size=6), seed=st.integers(0, 2**32 - 1))
+def test_a_batched_run_pair_has_the_bits_of_each_params_alone(items, seed):
+    # items derive their least length alike or not (delta 0, the generator
+    # law, fractional deltas), so a batch may hold several groups
+    rng = np.random.default_rng(seed)
+    item = rng.integers(0, len(items), 200)
+    omega = rng.uniform(1e-4, np.pi, 200)
+    pair = charfn.run_pair(omega, items, item)
+    slopes = charfn._run_slopes(omega, items, item)
+    for i, params in enumerate(items):
+        at = item == i
+        alone, alone_slopes = charfn.run_pair(omega[at], params), charfn._run_slopes(omega[at], params)
+        for run in (0, 1):
+            assert pair[run][0][at].tobytes() == alone[run][0].tobytes()
+            assert pair[run][1][at].tobytes() == alone[run][1].tobytes()
+            assert slopes[run][at].tobytes() == alone_slopes[run].tobytes()

@@ -25,25 +25,30 @@ from pulsepsd import (
     psd_blank_shorten,
     sweep_delta,
 )
-from pulsepsd.analytic import _psd_bound, _psd_slope
+from pulsepsd import charfn
+from pulsepsd.analytic import _density, _psd_bound, _psd_slope
 from pulsepsd.peaks import (
     LOBE_STRIDE,
     LOBE_WINDOW,
     PEAK_WINDOW,
+    REFINE_POINTS,
     SWEEP_POINTS,
     SWEEP_SPAN,
     _bisect_x,
-    _density,
     _first_at_or_below,
-    _first_past,
     _peak_index,
-    _refined_peak,
+    _refined_peaks,
     _report,
-    _top,
+    _SweepGrid,
     default_sweep_grid,
 )
 
 GEN = BlankLaw.GENERATOR_K_MINUS_ONE_DELTA
+
+
+def _values(params, freqs):
+    """The closed form of one params at ``freqs``."""
+    return _density(freqs, params)[0]
 
 
 def _blank_spectrum(t0=100, delta=10.0, n=40_001, law=GEN) -> SpectrumGrid:
@@ -225,22 +230,28 @@ def test_analytic_sweep_centers_are_exact_to_one_float(law, prob_one):
 
 
 def test_analytic_sweep_work_stays_under_a_point_budget(monkeypatch):
-    points = []
-    for name in ("psd_blank_shorten", "_psd_slope"):
+    points, calls = [], []
+    for module, name, record in (
+        (pulsepsd.peaks, "_density", points),
+        (pulsepsd.peaks, "_psd_slope", points),
+        (charfn, "run_pair", calls),
+    ):
 
-        def counting(grid, params, real=getattr(pulsepsd.peaks, name)):
-            points.append(len(grid))
-            return real(grid, params)
+        def counting(freqs, *args, real=getattr(module, name), record=record):
+            record.append(np.size(freqs))
+            return real(freqs, *args)
 
-        monkeypatch.setattr(pulsepsd.peaks, name, counting)
+        monkeypatch.setattr(module, name, counting)
     base = TrainParams(Variant.BLANK_SHORTEN, t0=100, delta=1)
     deltas = tuple(range(1, 11))
     items = sweep_delta(base, deltas)
     assert len(items) == len(deltas)
-    # reading the whole peak window costs 74074 points per delta, and the
-    # pruned reads about 12300 in all; points of the density and of its
-    # slope count alike
-    assert sum(points) <= 14_000 * len(deltas)
+    # reading the whole peak window costs 74074 points per delta; the
+    # pruned reads take about 8700 in all, points of the density and of
+    # its slope alike, and every delta shares each closed-form call: the
+    # density's, the slope's and the bound's (570 calls swept one by one)
+    assert sum(points) <= 10_000 * len(deltas)
+    assert len(calls) <= 100
 
 
 @functools.lru_cache(maxsize=None)
@@ -269,7 +280,26 @@ def test_the_density_bound_holds_at_every_point_of_its_interval(t0, law, prob_on
     starts = np.arange(0, len(u), run)
     stops = np.minimum(starts + run, len(u))
     bound = _psd_bound(u[starts], u[stops - 1], params)
-    assert np.all(np.maximum.reduceat(_density(params, u), starts) <= bound)
+    assert np.all(np.maximum.reduceat(_values(params, u), starts) <= bound)
+
+
+def _first_past(fn, inner, outer):
+    """The scalar bracketing root finder the sweep ran before it went lockstep, kept as an oracle."""
+    while np.nextafter(inner, outer) != outer:
+        u = np.unique(np.linspace(min(inner, outer), max(inner, outer), REFINE_POINTS))
+        v = fn(u)
+        if outer < inner:
+            u, v = u[::-1], v[::-1]
+        past = v <= 0.0
+        past[0], past[-1] = False, True
+        m = int(np.argmax(past))
+        inner, outer = u[m - 1], u[m]
+    return float(outer)
+
+
+def _top(params, u, k):
+    top = _first_past(lambda v: _psd_slope(v, params), u[max(k - 1, 0)], u[min(k + 1, len(u) - 1)])
+    return top, float(_values(params, np.array([top]))[0])
 
 
 def _full_window_peak(params, freqs, window, lobe_window):
@@ -277,7 +307,7 @@ def _full_window_peak(params, freqs, window, lobe_window):
     t0 = params.t0
     i0, i1 = _bisect_x(freqs, t0, window[0], "left"), _bisect_x(freqs, t0, window[1], "right")
     u = freqs[i0:i1]
-    s = _density(params, u) if i1 > i0 else u
+    s = _values(params, u) if i1 > i0 else u
     top, peak_value = _top(params, u, _peak_index(u * t0, s, window))
     half = peak_value / 2.0
     crossings = []
@@ -286,9 +316,9 @@ def _full_window_peak(params, freqs, window, lobe_window):
         us, ss = u[out][::side], s[out][::side]
         if not np.any(ss <= half) and len(beyond):
             us = np.concatenate([us, beyond[::side]])
-            ss = np.concatenate([ss, _density(params, beyond)[::side]])
+            ss = np.concatenate([ss, _values(params, beyond)[::side]])
         j = _first_at_or_below(ss, half)
-        crossings.append(_first_past(lambda v: _density(params, v) - half,
+        crossings.append(_first_past(lambda v: _values(params, v) - half,
                                      us[j - 1] if j > 0 else top, us[j]))
     center, fwhm = top * t0, (crossings[1] - crossings[0]) * t0
     step = (SWEEP_SPAN[1] - SWEEP_SPAN[0]) / (SWEEP_POINTS - 1)
@@ -301,8 +331,15 @@ def _full_window_peak(params, freqs, window, lobe_window):
         if max(lo, SWEEP_SPAN[0]) < edge < min(hi, SWEEP_SPAN[1]):
             pts = np.unique(np.append(pts, edge / t0))
         if len(pts):
-            lobes.append(_top(params, pts, int(np.argmax(_density(params, pts))))[1])
+            lobes.append(_top(params, pts, int(np.argmax(_values(params, pts))))[1])
     return _report(center, peak_value, fwhm, lobes, lobe_window)
+
+
+def _refined_peak(params, freqs, window, lobe_window):
+    report = _refined_peaks([params], freqs, window, lobe_window)[0]
+    if isinstance(report, PeakDetectionError):
+        raise report
+    return report
 
 
 def _outcome(peak, params, window, lobe_window):
@@ -361,6 +398,7 @@ def test_sweep_bounds_equal_searchsorted_on_the_scaled_grid(t0):
     for x in edges:
         for side in ("left", "right"):
             assert _bisect_x(freqs, t0, x, side) == np.searchsorted(grid_x, x, side), (x, side)
+            assert _bisect_x(_SweepGrid(t0), t0, x, side) == np.searchsorted(grid_x, x, side), (x, side)
     assert _bisect_x(freqs, t0, on_point, "right") > _bisect_x(freqs, t0, on_point, "left")
 
 
@@ -376,9 +414,79 @@ def test_analytic_sweep_memory_stays_under_the_grid_and_one_window():
     assert peak < 8e6, f"peak {peak / 1e6:.2f} MB"
 
 
+def test_a_200_delta_sweep_stays_under_the_same_memory():
+    # deltas are measured SWEEP_GROUP at a time and the sweep grid is
+    # computed only where it is read, so memory does not grow with deltas
+    base = TrainParams(Variant.BLANK_SHORTEN, t0=100, delta=1)
+    tracemalloc.start()
+    try:
+        sweep_delta(base, tuple(np.linspace(1.0, 10.0, 200)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, f"peak {peak / 1e6:.2f} MB"
+
+
+def _one_by_one(base, deltas, window, lobe_window):
+    """The reports of ``deltas`` swept one at a time, or the failure of the first that fails."""
+    out = []
+    for d in deltas:
+        try:
+            out += sweep_delta(base, (d,), window, lobe_window)
+        except PeakDetectionError as err:
+            return f"PeakDetectionError: {err} {err.delta!r}"
+    return repr(out)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    t0=st.sampled_from([7, 64, 100]),
+    law=st.sampled_from(list(BlankLaw)),
+    prob_one=st.floats(0.05, 0.95),
+    picks=st.lists(st.one_of(st.integers(1, 3), st.floats(0.005, 0.1)), min_size=1, max_size=4),
+    odd=st.sampled_from([None, None, 0, "half"]),
+    at=st.integers(0, 4),
+    windows=st.sampled_from(
+        [(PEAK_WINDOW, LOBE_WINDOW)] * 3 + [((1.0, 1.03), LOBE_WINDOW), (PEAK_WINDOW, (1.05, 1.07))]
+    ),
+)
+def test_a_lockstep_sweep_reports_what_sweeping_each_delta_alone_does(t0, law, prob_one, picks, odd, at, windows):
+    # whole and fractional deltas, with a 0 or paper-law t0/2 delta (both
+    # fail at the window's edge) at times; a failing sweep reports its
+    # first failing delta in input order
+    deltas = [x * t0 if isinstance(x, float) else x for x in picks]
+    if odd is not None:
+        deltas.insert(at, t0 / 2 if odd == "half" else odd)
+    base = TrainParams(Variant.BLANK_SHORTEN, t0, 0.0, prob_one, law)
+    try:
+        together = repr(sweep_delta(base, deltas, *windows))
+    except PeakDetectionError as err:
+        together = f"PeakDetectionError: {err} {err.delta!r}"
+    assert together == _one_by_one(base, deltas, *windows)
+
+
+def test_the_first_failing_delta_in_input_order_is_reported():
+    # delta 10 fails at the last stage, with no lobe points left beside its
+    # wide peak; delta 0 fails at the first, its peak on the window's edge
+    base = TrainParams(Variant.BLANK_SHORTEN, t0=100, delta=1)
+    with pytest.raises(PeakDetectionError, match="no grid points left in the lobe window") as exc:
+        sweep_delta(base, (1, 10, 0), lobe_window=(1.05, 1.07))
+    assert exc.value.delta == 10.0
+    with pytest.raises(PeakDetectionError, match="peak sits on the boundary") as exc:
+        sweep_delta(base, (1, 0, 10), lobe_window=(1.05, 1.07))
+    assert exc.value.delta == 0.0
+
+
 def test_default_sweep_grid_covers_the_search_band():
     g = default_sweep_grid(100.0)
     assert len(g) == 400_001
+    assert g.values.tobytes() == (np.linspace(0.3, 3.0, 400_001) / 100.0).tobytes()
+    for t0 in (7, 100.0, 1000):
+        # the sweep computes its grid's points where it reads them
+        grid, full = _SweepGrid(t0), np.linspace(*SWEEP_SPAN, SWEEP_POINTS) / t0
+        assert grid[5:40_000:LOBE_STRIDE].tobytes() == full[5:40_000:LOBE_STRIDE].tobytes()
+        assert grid[399_990:].tobytes() == full[399_990:].tobytes()
+        assert [grid[i] for i in (0, 123_457, SWEEP_POINTS - 1)] == [full[i] for i in (0, 123_457, -1)]
     assert g.values[0] == pytest.approx(0.3 / 100.0, rel=1e-12)
     assert g.values[-1] == pytest.approx(3.0 / 100.0, rel=1e-12)
 
